@@ -57,6 +57,7 @@ import time
 
 from bench_common import metric_fields
 from repro.runner import ParallelSweep
+from repro.runner.executor import SERIAL_FALLBACK_CPUS
 from repro.workloads import all_names
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -236,7 +237,7 @@ def main():
                         help="workers for the parallel pass (default: "
                              "let the engine decide; it clamps to "
                              "serial when cpu_count <= %d)"
-                        % ParallelSweep.SERIAL_FALLBACK_CPUS)
+                        % SERIAL_FALLBACK_CPUS)
     parser.add_argument("--kernels", nargs="+", default=None,
                         metavar="K",
                         help="kernel subset to sweep (default: the "

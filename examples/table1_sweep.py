@@ -42,6 +42,8 @@ def main():
     unknown = set(names) - set(all_names())
     if unknown:
         parser.error("unknown kernels: %s" % ", ".join(sorted(unknown)))
+    if args.jobs is not None and args.jobs < 1:
+        parser.error("--jobs must be at least 1, got %d" % args.jobs)
 
     start = time.time()
     sweep = ParallelSweep(jobs=args.jobs, use_cache=not args.no_cache,

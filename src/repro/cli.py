@@ -117,6 +117,28 @@ def _add_telemetry_flags(parser):
                              "trace to FILE")
 
 
+def _jobs_or_all_cores(text: str):
+    """``--jobs`` value where 0 asks for one worker per core."""
+    jobs = int(text)
+    return None if jobs == 0 else jobs
+
+
+def _check_args(args):
+    """Reject unknown kernel names and job counts below 1 before any
+    work starts (raises ``ValueError`` with a one-line reason)."""
+    from .workloads import workload
+    for attr in ("kernel", "kernel_a", "kernel_b", "kernels"):
+        value = getattr(args, attr, None) or ()
+        for name in [value] if isinstance(value, str) else value:
+            try:
+                workload(name)
+            except KeyError as exc:
+                raise ValueError(exc.args[0]) from None
+    if getattr(args, "jobs", None) is not None:
+        from .runner.executor import resolve_jobs
+        resolve_jobs(args.jobs)
+
+
 def _make_telemetry(args):
     """(metrics, tracer) per the ``--metrics``/``--trace`` flags."""
     metrics = tracer = None
@@ -483,8 +505,7 @@ def _cmd_campaign(args) -> int:
                               config=config, max_cycles=args.max_cycles,
                               metrics=metrics, tracer=tracer,
                               checkpoint_every=args.checkpoint_every,
-                              jobs=(args.jobs if args.jobs != 0
-                                    else None),
+                              jobs=args.jobs,
                               cache_dir=(True if args.checkpoint_every
                                          and not args.no_cache
                                          else None),
@@ -552,9 +573,8 @@ def _cmd_montecarlo(args) -> int:
         batch = campaign.sample_ccf(args.trials, seed=args.seed)
     else:
         batch = campaign.sample_transient(args.trials, seed=args.seed)
-    result = campaign.run(batch, jobs=(args.jobs if args.jobs != 0
-                                       else None),
-                          seed=args.seed, metrics=metrics)
+    result = campaign.run(batch, jobs=args.jobs, seed=args.seed,
+                          metrics=metrics)
     wall = time.perf_counter() - start
     stats = batch_statistics(batch, bins=args.bins,
                              end_cycle=result.golden_cycles,
@@ -896,7 +916,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="use the CCF-vulnerable shared-data-region "
                              "configuration")
     p_camp.add_argument("--max-cycles", type=int, default=200_000)
-    p_camp.add_argument("--jobs", type=int, default=1, metavar="N",
+    p_camp.add_argument("--jobs", type=_jobs_or_all_cores, default=1,
+                        metavar="N",
                         help="worker processes for the injection loop "
                              "(0 = all cores; default: serial; results "
                              "are bit-identical either way)")
@@ -956,7 +977,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--seed", type=int, default=0,
                       help="sampler seed; same seed => bit-identical "
                            "campaign regardless of --jobs/--backend")
-    p_mc.add_argument("--jobs", type=int, default=1, metavar="N",
+    p_mc.add_argument("--jobs", type=_jobs_or_all_cores, default=1,
+                      metavar="N",
                       help="worker processes for the simulated "
                            "minority (0 = all cores; results are "
                            "bit-identical either way)")
@@ -1041,6 +1063,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        _check_args(args)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -7,7 +7,9 @@ to: *every* silent CCF escape happens in a cycle where SafeDM reported
 lack of diversity (SafeDM may over-report — false positives — but a
 CCF cannot slip through a cycle SafeDM called diverse).
 
-Execution modes (all bit-identical in their results):
+Execution modes (all bit-identical in their results), all through one
+trial loop, :func:`run_trials`, which the batched Monte-Carlo driver
+(:mod:`repro.montecarlo`) shares for its live trials:
 
 * plain — every injection simulates its run from cycle 0,
 * ``checkpoint_every > 0`` — one golden run drops snapshots; each
@@ -24,12 +26,15 @@ Execution modes (all bit-identical in their results):
 
 from __future__ import annotations
 
-import os
+import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional
 
 from ..isa.program import Program
+from ..runner.executor import map_ordered, resolve_jobs
 from ..soc.config import SocConfig
+from ..telemetry import NULL_TRACER
 from .injector import (
     ForkEngine,
     GoldenArtifact,
@@ -37,6 +42,7 @@ from .injector import (
     golden_run,
     golden_run_with_checkpoints,
     inject_common_cause,
+    inject_transient,
 )
 
 
@@ -175,8 +181,7 @@ def _artifact_from_index(index: dict, sim_key: str, snapshots,
 
 def _golden_artifact(program: Program, config: Optional[SocConfig],
                      max_cycles: int, checkpoint_every: int,
-                     cache_dir, benchmark: str,
-                     engine: str = "reference"):
+                     cache_dir, benchmark: str):
     """(artifact, warm): run the checkpointed golden run, or warm-start
     it from the persistent checkpoint store when ``cache_dir`` is set
     (``cache_dir=True`` selects the default run-cache location)."""
@@ -184,7 +189,7 @@ def _golden_artifact(program: Program, config: Optional[SocConfig],
         return golden_run_with_checkpoints(
             program, config=config, max_cycles=max_cycles,
             checkpoint_every=checkpoint_every,
-            benchmark=benchmark, engine=engine), False
+            benchmark=benchmark), False
     from ..runner.cache import (
         CheckpointIndexStore,
         CheckpointStore,
@@ -213,7 +218,7 @@ def _golden_artifact(program: Program, config: Optional[SocConfig],
     artifact = golden_run_with_checkpoints(
         program, config=config, max_cycles=max_cycles,
         checkpoint_every=checkpoint_every, benchmark=benchmark,
-        sim_key=sim_key, engine=engine)
+        sim_key=sim_key)
     for cycle, blob in zip(artifact.checkpoint_cycles,
                            artifact.snapshots):
         snapshots.put_blob(checkpoint_key(sim_key, cycle=cycle,
@@ -222,56 +227,73 @@ def _golden_artifact(program: Program, config: Optional[SocConfig],
     return artifact, False
 
 
-# -- worker-process plumbing --------------------------------------------------
+# -- the one trial loop -------------------------------------------------------
 
-_CAMPAIGN_WORKER: dict = {}
+@dataclass
+class TrialRun:
+    """The injections of :func:`run_trials`, in task order."""
 
-
-def _init_campaign_worker(program: Program,
-                          config: Optional[SocConfig],
-                          max_cycles: int, golden: int,
-                          artifact: Optional[GoldenArtifact],
-                          engine: str = "reference"):
-    """Pool initializer: per-campaign constants plus a private fork
-    engine."""
-    fork = None
-    if artifact is not None and artifact.snapshots:
-        fork = ForkEngine(program, artifact, config=config)
-    _CAMPAIGN_WORKER["program"] = program
-    _CAMPAIGN_WORKER["config"] = config
-    _CAMPAIGN_WORKER["max_cycles"] = max_cycles
-    _CAMPAIGN_WORKER["golden"] = golden
-    _CAMPAIGN_WORKER["fork"] = fork
-    _CAMPAIGN_WORKER["engine"] = engine
+    results: List[InjectionResult]
+    #: Tasks forked from a golden checkpoint (the rest ran from cycle
+    #: 0): a pure function of the tasks and the checkpoint grid.
+    forks: int = 0
+    #: Forked runs the convergence probe cut short.
+    converged: int = 0
 
 
-def _run_campaign_task(task):
-    """One (stimulus, cycle) injection inside a pool worker.
+def _run_trial(context, task: tuple):
+    """One injection, in-process or in a pool worker.
 
-    Returns the result plus whether the convergence early-exit fired,
-    so the parent can fold the counter in canonical task order.
+    ``context`` is ``(inject, fork)``: the injector with every argument
+    but the task bound, and its fork engine (or ``None``).  Returns the
+    result, how often the convergence early exit fired (so the fold
+    can count it in task order), and the injection's wall time.
     """
-    stimulus, cycle = task
-    worker = _CAMPAIGN_WORKER
-    fork = worker["fork"]
+    inject, fork = context
     before = fork.converged if fork is not None else 0
-    result = inject_common_cause(worker["program"], cycle, stimulus,
-                                 worker["golden"],
-                                 config=worker["config"],
-                                 max_cycles=worker["max_cycles"],
-                                 fork=fork,
-                                 engine=worker.get("engine",
-                                                   "reference"))
-    converged = (fork.converged - before) if fork is not None else 0
-    return result, converged
+    start = time.perf_counter()
+    result = inject(*task)
+    seconds = time.perf_counter() - start
+    return (result, fork.converged - before if fork is not None else 0,
+            seconds)
 
 
-def _resolve_jobs(jobs: Optional[int]) -> int:
-    if jobs is not None:
-        return max(1, jobs)
-    from ..runner.sweep import ParallelSweep
-    cpus = os.cpu_count() or 1
-    return 1 if cpus <= ParallelSweep.SERIAL_FALLBACK_CPUS else cpus
+def run_trials(program: Program, tasks: List[tuple], golden: int,
+               artifact: Optional[GoldenArtifact] = None,
+               kind: str = "ccf",
+               config: Optional[SocConfig] = None,
+               max_cycles: int = 2_000_000,
+               engine: str = "reference",
+               jobs: int = 1, tracer=NULL_TRACER) -> TrialRun:
+    """Inject one fault per task and fold the results in task order.
+
+    ``kind="ccf"`` tasks are ``(cycle, stimulus)`` common-cause faults,
+    ``kind="transient"`` tasks ``(cycle, core, register, bit)``
+    single-core flips.  With an ``artifact`` holding snapshots each
+    injection forks from its nearest checkpoint (see
+    :class:`ForkEngine`), otherwise it runs from cycle 0.  ``jobs`` (a
+    resolved worker count) fans the injections out through
+    :func:`~repro.runner.executor.map_ordered`; results and tallies
+    are identical for any ``jobs``.  ``tracer`` gets one ``inject``
+    span per injection.
+    """
+    fork = (ForkEngine(program, artifact, config=config)
+            if artifact is not None and artifact.snapshots else None)
+    injector = inject_common_cause if kind == "ccf" else inject_transient
+    context = (partial(injector, program, golden=golden, config=config,
+                       max_cycles=max_cycles, fork=fork, engine=engine),
+               fork)
+    run = TrialRun(results=[])
+    for task, (result, converged, seconds) in zip(
+            tasks, map_ordered(_run_trial, context, tasks, jobs)):
+        tracer.add_event("inject", tracer.now() - seconds, seconds,
+                         cycle=task[0])
+        run.results.append(result)
+        run.converged += converged
+    if fork is not None:
+        first = artifact.checkpoint_cycles[0]
+        run.forks = sum(1 for task in tasks if task[0] >= first)
+    return run
 
 
 # -- the campaign -------------------------------------------------------------
@@ -293,19 +315,18 @@ def run_ccf_campaign(program: Program, cycles: List[int],
     the per-classification counts of the finished campaign and — when
     checkpointing is on — the ``repro_checkpoint_*`` counters.
     ``jobs=None`` means one worker per core (serial on boxes without
-    real parallelism, mirroring the sweep engine).  ``engine`` selects
-    the execution tier (:mod:`repro.engine`) for the golden run and
-    every fault-free stretch of the injected runs; results are
-    bit-identical across tiers.
+    real parallelism, see :func:`~repro.runner.executor.resolve_jobs`).
+    ``engine`` selects the execution tier (:mod:`repro.engine`) for the
+    plain golden run and every fault-free stretch of the injected runs
+    (a checkpointed golden run records on the reference tier); results
+    are bit-identical across tiers.
     """
     if tracer is None:
-        from ..telemetry import NULL_TRACER
         tracer = NULL_TRACER
     stimuli = list(stimuli) if stimuli else [0x5EED]
     cycles = list(cycles)
-    jobs = _resolve_jobs(jobs)
+    jobs = resolve_jobs(jobs)
 
-    fork = None
     artifact = None
     warm = False
     if checkpoint_every > 0:
@@ -314,55 +335,23 @@ def run_ccf_campaign(program: Program, cycles: List[int],
             artifact, warm = _golden_artifact(program, config,
                                               max_cycles,
                                               checkpoint_every,
-                                              cache_dir, benchmark,
-                                              engine=engine)
+                                              cache_dir, benchmark)
         golden = artifact.checksum
-        fork = ForkEngine(program, artifact, config=config)
     else:
         with tracer.span("golden_run"):
             golden = golden_run(program, config=config,
                                 max_cycles=max_cycles, engine=engine)
 
-    tasks = [(stimulus, cycle) for stimulus in stimuli
+    tasks = [(cycle, stimulus) for stimulus in stimuli
              for cycle in cycles]
-    result = CampaignResult()
-    converged = 0
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with tracer.span("injections", jobs=jobs, tasks=len(tasks)):
-            with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(tasks)),
-                    initializer=_init_campaign_worker,
-                    initargs=(program, config, max_cycles, golden,
-                              artifact, engine)) as pool:
-                # executor.map preserves task order: the fold below is
-                # canonical no matter how the pool schedules the work.
-                for injection, conv in pool.map(_run_campaign_task,
-                                                tasks):
-                    result.injections.append(injection)
-                    converged += conv
-    else:
-        for stimulus, cycle in tasks:
-            with tracer.span("inject", cycle=cycle,
-                             stimulus="%#x" % stimulus):
-                result.injections.append(
-                    inject_common_cause(program, cycle, stimulus,
-                                        golden, config=config,
-                                        max_cycles=max_cycles,
-                                        fork=fork, engine=engine))
-        if fork is not None:
-            converged = fork.converged
+    trials = run_trials(program, tasks, golden, artifact=artifact,
+                        config=config, max_cycles=max_cycles,
+                        engine=engine, jobs=jobs, tracer=tracer)
+    result = CampaignResult(injections=trials.results)
 
     if metrics is not None:
         result.to_metrics(metrics)
         if artifact is not None:
-            # Forks are a pure function of (tasks, checkpoint cycles),
-            # so the counters match the serial engine's tallies and are
-            # identical for jobs=1 and jobs=N.
-            first = (artifact.checkpoint_cycles[0]
-                     if artifact.checkpoint_cycles else None)
-            forks = sum(1 for _, cycle in tasks
-                        if first is not None and cycle >= first)
             if not warm:
                 metrics.counter("repro_checkpoint_saves_total").inc(
                     len(artifact.snapshots))
@@ -370,10 +359,12 @@ def run_ccf_campaign(program: Program, cycles: List[int],
                     sum(len(blob) for blob in artifact.snapshots))
             metrics.counter("repro_checkpoint_index_hits_total").inc(
                 1 if warm else 0)
-            metrics.counter("repro_checkpoint_forks_total").inc(forks)
-            metrics.counter("repro_checkpoint_restores_total").inc(forks)
+            metrics.counter("repro_checkpoint_forks_total").inc(
+                trials.forks)
+            metrics.counter("repro_checkpoint_restores_total").inc(
+                trials.forks)
             metrics.counter("repro_checkpoint_converged_total").inc(
-                converged)
+                trials.converged)
     return result
 
 
@@ -395,7 +386,6 @@ def run_scheme_matrix(program: Program, benchmark: str = "program",
     from ..schemes.matrix import DEFAULT_STIMULI, scheme_matrix
     from ..schemes.spec import SCHEME_KINDS
     if tracer is None:
-        from ..telemetry import NULL_TRACER
         tracer = NULL_TRACER
     schemes = tuple(schemes) if schemes else SCHEME_KINDS
     stimuli = tuple(stimuli) if stimuli else DEFAULT_STIMULI

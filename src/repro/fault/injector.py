@@ -5,9 +5,10 @@ campaign of N injections over a T-cycle run cost O(N * T).  The
 snapshot protocol (:mod:`repro.checkpoint`) turns that into a
 fork-from-checkpoint scheme:
 
-* :func:`golden_run_with_checkpoints` performs ONE fault-free run,
-  dropping a snapshot every K cycles and recording which registers are
-  provably dead at each checkpoint,
+* :func:`record_golden_run` performs ONE fault-free run, dropping a
+  snapshot every K cycles and recording which registers are provably
+  dead at each checkpoint (plus, for the Monte-Carlo classifier, the
+  cycle-stamped access logs and per-cycle digests),
 * a :class:`ForkEngine` then starts each injection from the nearest
   snapshot at or before its fault cycle — O(T + N * K) — and, once the
   forked run's dynamic state re-converges with the golden run's at a
@@ -27,13 +28,15 @@ from typing import Dict, List, Optional, Tuple
 from ..baselines.unaware import RedundancyOutcome, compare_outputs
 from ..checkpoint import Snapshot, dynamic_view, jsonable
 from ..cpu.core import SimulationError
+from ..cpu.pipeline import DE, FE, RA
 from ..cpu.regfile import RegisterFile
 from ..mem.memory import MemoryError_
 from ..isa.program import Program
 from ..isa.registers import NUM_REGISTERS, XMASK
+from ..lint.masking import FRONTIER_HALTED
 from ..soc.config import SocConfig
 from ..soc.mpsoc import MPSoC
-from .models import CommonCauseFault, TransientFault
+from .models import CommonCauseFault, TransientFault, state_digest
 
 
 def _activity_digest(soc: MPSoC, index: int) -> int:
@@ -300,6 +303,25 @@ def _prepare(program: Program, cycle: int,
     return soc, None, (), _tier_runner(soc, engine)
 
 
+def _inject(program: Program, cycle: int, golden: int,
+            config: Optional[SocConfig], max_cycles: int, fork,
+            engine: str, **hooks) -> InjectionResult:
+    """One injected run with the given :func:`_drive` hooks; a trap
+    inside the fast tier replays the trial on the reference tier."""
+    soc, convergence, probes, runner = _prepare(program, cycle, config,
+                                                fork, engine)
+    try:
+        return _drive(soc, cycle, golden, max_cycles,
+                      convergence=convergence, runner=runner,
+                      probe_cycles=probes, **hooks)
+    except _FastTierTrap:
+        soc, convergence, probes, _ = _prepare(program, cycle, config,
+                                               fork, "reference")
+        return _drive(soc, cycle, golden, max_cycles,
+                      convergence=convergence, probe_cycles=probes,
+                      **hooks)
+
+
 def inject_common_cause(program: Program, cycle: int, stimulus: int,
                         golden: int,
                         config: Optional[SocConfig] = None,
@@ -322,18 +344,8 @@ def inject_common_cause(program: Program, cycle: int, stimulus: int,
         return fault.inject(core0, core1, _activity_digest(soc, 0),
                             _activity_digest(soc, 1))
 
-    soc, convergence, probes, runner = _prepare(program, cycle, config,
-                                                fork, engine)
-    try:
-        return _drive(soc, cycle, golden, max_cycles,
-                      after_step=after_step, convergence=convergence,
-                      runner=runner, probe_cycles=probes)
-    except _FastTierTrap:
-        soc, convergence, probes, _ = _prepare(program, cycle, config,
-                                               fork, "reference")
-        return _drive(soc, cycle, golden, max_cycles,
-                      after_step=after_step, convergence=convergence,
-                      probe_cycles=probes)
+    return _inject(program, cycle, golden, config, max_cycles, fork,
+                   engine, after_step=after_step)
 
 
 def inject_transient(program: Program, cycle: int, core: int,
@@ -349,18 +361,8 @@ def inject_transient(program: Program, cycle: int, core: int,
     def before_step(soc):
         return (fault.inject(soc.cores[core]),)
 
-    soc, convergence, probes, runner = _prepare(program, cycle, config,
-                                                fork, engine)
-    try:
-        return _drive(soc, cycle, golden, max_cycles,
-                      before_step=before_step, convergence=convergence,
-                      runner=runner, probe_cycles=probes)
-    except _FastTierTrap:
-        soc, convergence, probes, _ = _prepare(program, cycle, config,
-                                               fork, "reference")
-        return _drive(soc, cycle, golden, max_cycles,
-                      before_step=before_step, convergence=convergence,
-                      probe_cycles=probes)
+    return _inject(program, cycle, golden, config, max_cycles, fork,
+                   engine, before_step=before_step)
 
 
 # -- golden run with checkpoints ----------------------------------------------
@@ -370,7 +372,9 @@ class _RecordingRegisterFile(RegisterFile):
 
     Used only on the golden run, to drive the dead-register analysis:
     ``(0, r)`` = read of ``r``, ``(1, r)`` = write, ``(2, i)`` =
-    checkpoint ``i`` was taken at this point in the access stream.
+    checkpoint ``i`` was taken at this point in the access stream,
+    ``(3, c)`` = cycle ``c`` starts (appended by
+    :func:`record_golden_run`).
     Behaviour is bit-identical to the base class — the overrides only
     append to a list.
     """
@@ -407,8 +411,8 @@ def _exempt_masks(log, num_checkpoints: int):
     observable, so a forked run may differ from the golden run in that
     register and still be bisimilar from the checkpoint on.
 
-    Log kinds >= 3 (the Monte-Carlo engine's per-cycle markers, see
-    :mod:`repro.montecarlo.golden`) are ignored here.
+    Log kinds >= 3 (the per-cycle markers of
+    :func:`record_golden_run`) are ignored here.
     """
     masks = [()] * num_checkpoints
     next_kind: Dict[int, int] = {}
@@ -446,64 +450,134 @@ class GoldenArtifact:
     sim_key: str = ""
 
 
-def golden_run_with_checkpoints(program: Program,
-                                config: Optional[SocConfig] = None,
-                                max_cycles: int = 2_000_000,
-                                checkpoint_every: int = 0,
-                                benchmark: str = "program",
-                                sim_key: str = "",
-                                engine: str = "reference"
-                                ) -> GoldenArtifact:
-    """Fault-free run that drops snapshots and a dead-register map.
+@dataclass
+class GoldenRecording:
+    """One recorded golden run: the fork artifact plus the per-cycle
+    columns the Monte-Carlo classifier reads (index c = cycle c; the
+    digests and verdicts only with ``record_ccf``)."""
 
-    With ``checkpoint_every == 0`` no snapshots are taken and the
-    artifact only carries the golden summary (``checksum`` replaces a
-    separate :func:`golden_run`).
+    base: GoldenArtifact
+    #: Per monitored core: the access log, ``(3, c)`` marking cycle c.
+    logs: Tuple[list, list]
+    #: Per core: state digest after the step ending cycle c (what a
+    #: CCF at cycle c modulates).
+    state_digests: Tuple[List[int], List[int]]
+    #: Per core: SafeDM-visible activity-window digest, same indexing.
+    activity_digests: Tuple[List[int], List[int]]
+    #: SafeDM diversity after the step ending cycle c (-1: no report).
+    diversity: List[int]
+    #: Per core: pc of the oldest unissued instruction at the start of
+    #: cycle c (:data:`~repro.lint.masking.FRONTIER_HALTED` once none).
+    frontier: Tuple[List[int], List[int]]
 
-    ``engine`` is accepted for interface symmetry but the recording
-    register files make this run unsupported by the fast tier — the
-    engine selector falls back to reference and records the reason.
+
+def _frontier_pc(core) -> int:
+    """The pc of ``core``'s oldest **not-yet-issued** instruction.
+
+    Functional register reads and writes both happen at issue time
+    (``Core._issue`` is the single ``RegisterFile.read`` call site), so
+    the oldest unissued instruction is the first program point whose
+    architectural accesses can still be influenced by a corruption
+    landing now.  Instructions already past RA have read *and* written;
+    crediting their kills would be unsound, so they are ignored.
+
+    Pre-issue stages, oldest first: RA, then DE, then FE.  With all
+    three empty, the next instruction to issue is the one at
+    ``fetch_pc`` — which is architecturally correct here, because any
+    in-flight mispredicted path would still have its branch in a
+    pre-issue stage (in-order issue), and issue-time redirects have
+    already fixed ``fetch_pc``.  A halted core never issues again:
+    :data:`~repro.lint.masking.FRONTIER_HALTED`.
+    """
+    stages = core.stages
+    for stage in (RA, DE, FE):
+        group = stages[stage]
+        if group is not None:
+            return group.instrs[0].pc
+    if core.halted:
+        return FRONTIER_HALTED
+    return core.fetch_pc
+
+
+def record_golden_run(program: Program,
+                      config: Optional[SocConfig] = None,
+                      max_cycles: int = 2_000_000,
+                      checkpoint_every: int = 0,
+                      benchmark: str = "program",
+                      sim_key: str = "",
+                      record_ccf: bool = True) -> GoldenRecording:
+    """The one golden-run recording loop.
+
+    A fault-free run on the reference interpreter (the recording
+    register files and the per-cycle hooks need its cycle granularity)
+    that drops a snapshot every ``checkpoint_every`` cycles — post-step,
+    like :meth:`MPSoC.run` — and derives each checkpoint's dead-register
+    map from the access logs.  ``record_ccf`` additionally records the
+    per-cycle digests and diversity verdicts a common-cause fault's
+    analytic effect needs; transient faults are fully specified and
+    skip them.
     """
     soc = MPSoC(config=config)
     soc.start_redundant(program)
+    if soc.cycle != 0:
+        raise RuntimeError("fresh SoC expected at cycle 0")
     # Swap in recording register files AFTER start_redundant: the
     # gp/sp/tp environment writes are initial state, not accesses the
     # dead-register analysis should see.
-    recorders: List[_RecordingRegisterFile] = []
-    for index in soc.monitored:
-        core = soc.cores[index]
-        recorder = _RecordingRegisterFile(core.regfile)
-        core.regfile = recorder
-        recorders.append(recorder)
+    core0, core1 = (soc.cores[index] for index in soc.monitored)
+    for core in (core0, core1):
+        core.regfile = _RecordingRegisterFile(core.regfile)
+    log0, log1 = core0.regfile.log, core1.regfile.log
+    watched = [soc.cores[idx] for idx in soc._watched_indices()]
     blobs: List[bytes] = []
     cycles: List[int] = []
-
-    def on_checkpoint(snap_soc):
-        index = len(blobs)
-        for recorder in recorders:
-            recorder.log.append((2, index))
-        cycles.append(snap_soc.cycle)
-        blobs.append(snap_soc.snapshot(
-            benchmark=benchmark, checkpoint_every=checkpoint_every,
-            sim_key=sim_key).encode())
-
-    from ..engine import run_soc
-    run_soc(soc, engine, program=program, max_cycles=max_cycles,
-            checkpoint_every=checkpoint_every,
-            on_checkpoint=on_checkpoint if checkpoint_every > 0
-            else None)
-    # The halt-time checksum readout is an architectural read.
-    for recorder in recorders:
-        recorder.log.append((0, RESULT_REGISTER))
+    diversity: List[int] = []
+    sd0, sd1, ad0, ad1, frontier0, frontier1 = ([] for _ in range(6))
+    step = soc.step
+    take_checkpoints = checkpoint_every > 0
+    while soc.cycle < max_cycles:
+        if all(core.finished for core in watched):
+            break
+        now = soc.cycle
+        log0.append((3, now))
+        log1.append((3, now))
+        # Frontier points are sampled before the step, like the
+        # before-step transient injection hook they model.
+        frontier0.append(_frontier_pc(core0))
+        frontier1.append(_frontier_pc(core1))
+        step()
+        if record_ccf:
+            sd0.append(state_digest(core0))
+            sd1.append(state_digest(core1))
+            ad0.append(_activity_digest(soc, 0))
+            ad1.append(_activity_digest(soc, 1))
+            report = soc.safedm.last_report
+            diversity.append(-1 if report is None
+                             else int(report.diversity))
+        if take_checkpoints and soc.cycle % checkpoint_every == 0:
+            index = len(blobs)
+            log0.append((2, index))
+            log1.append((2, index))
+            cycles.append(soc.cycle)
+            blobs.append(soc.snapshot(
+                benchmark=benchmark, checkpoint_every=checkpoint_every,
+                sim_key=sim_key).encode())
+    for monitor in soc.monitors:
+        monitor.finish()
+    # The halt-time checksum readout is an architectural read, stamped
+    # at the end cycle so result-register faults stay live to the end.
+    end_cycle = soc.cycle
+    for log in (log0, log1):
+        log.append((3, end_cycle))
+        log.append((0, RESULT_REGISTER))
     outputs = _core_outputs(soc)
     if outputs[0] != outputs[1]:
         raise RuntimeError("golden run is not deterministic")
-    masks = [_exempt_masks(recorder.log, len(blobs))
-             for recorder in recorders]
-    return GoldenArtifact(
+    masks = [_exempt_masks(log, len(blobs)) for log in (log0, log1)]
+    base = GoldenArtifact(
         checksum=outputs[0],
         outputs=outputs,
-        end_cycle=soc.cycle,
+        end_cycle=end_cycle,
         finished=all(soc.cores[i].finished for i in soc.monitored),
         no_diversity_cycles=soc.safedm.stats.no_diversity_cycles,
         monitored=tuple(soc.monitored),
@@ -513,6 +587,35 @@ def golden_run_with_checkpoints(program: Program,
         snapshots=tuple(blobs),
         sim_key=sim_key,
     )
+    return GoldenRecording(
+        base=base,
+        logs=(log0, log1),
+        state_digests=(sd0, sd1),
+        activity_digests=(ad0, ad1),
+        diversity=diversity,
+        frontier=(frontier0, frontier1),
+    )
+
+
+def golden_run_with_checkpoints(program: Program,
+                                config: Optional[SocConfig] = None,
+                                max_cycles: int = 2_000_000,
+                                checkpoint_every: int = 0,
+                                benchmark: str = "program",
+                                sim_key: str = ""
+                                ) -> GoldenArtifact:
+    """Fault-free run that drops snapshots and a dead-register map:
+    the fork substrate of :func:`record_golden_run`.
+
+    With ``checkpoint_every == 0`` no snapshots are taken and the
+    artifact only carries the golden summary (``checksum`` replaces a
+    separate :func:`golden_run`).
+    """
+    return record_golden_run(program, config=config,
+                             max_cycles=max_cycles,
+                             checkpoint_every=checkpoint_every,
+                             benchmark=benchmark, sim_key=sim_key,
+                             record_ccf=False).base
 
 
 # -- convergence views --------------------------------------------------------

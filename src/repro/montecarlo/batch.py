@@ -222,14 +222,6 @@ class TrialBatch:
 
     # -- aggregation -------------------------------------------------------
 
-    def pending_indices(self) -> List[int]:
-        """Trials not yet classified (ascending, canonical order)."""
-        status = self.columns["status"]
-        if self.backend == "numpy":
-            return [int(i) for i in
-                    _np.nonzero(status == STATUS_PENDING)[0]]
-        return [i for i, s in enumerate(status) if s == STATUS_PENDING]
-
     def count_status(self, status: int) -> int:
         col = self.columns["status"]
         if self.backend == "numpy":

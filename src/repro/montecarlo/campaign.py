@@ -13,18 +13,17 @@ The drive train, per kernel:
    the parent only, so the grid is a pure function of the seed.
 3. ``run()`` — :func:`~repro.montecarlo.golden.classify_batch`
    resolves provably-masked trials analytically (typically the large
-   majority); the remaining live trials replay through the scalar
-   fork-from-checkpoint injectors — serially or over a process pool.
-   Tasks are issued in ascending trial order and folded with the
-   order-preserving ``Executor.map``, so ``jobs=1`` and ``jobs=N``
+   majority); the remaining live trials go, in ascending trial order,
+   through the scalar campaign's trial loop
+   (:func:`~repro.fault.campaign.run_trials`) — serially or over a
+   process pool, folded in task order, so ``jobs=1`` and ``jobs=N``
    produce bit-identical batches (asserted in
    ``tests/test_montecarlo.py``).
 
-Every live trial runs the *same* code path a scalar campaign would
-(:func:`inject_common_cause` / :func:`inject_transient` with a
-:class:`ForkEngine`), so batched results are field-for-field identical
-to per-trial results by construction for the simulated subset and by
-the bisimilarity argument (see :mod:`repro.montecarlo.golden`) for the
+Every live trial therefore runs the *same* code a scalar campaign
+does, so batched results are field-for-field identical to per-trial
+results by construction for the simulated subset and by the
+bisimilarity argument (see :mod:`repro.montecarlo.golden`) for the
 analytic subset.
 """
 
@@ -35,16 +34,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..fault.campaign import _resolve_jobs
-from ..fault.injector import (
-    ForkEngine,
-    GoldenArtifact,
-    inject_common_cause,
-    inject_transient,
-)
+from ..fault.campaign import run_trials
 from ..isa.program import Program
 from ..isa.registers import NUM_REGISTERS
 from ..lint.masking import StaticMaskFilter
+from ..runner.executor import resolve_jobs
 from ..soc.config import SocConfig
 from .batch import STATUS_SIMULATED, STATUS_STATIC, TrialBatch
 from .golden import McGoldenArtifact, classify_batch, mc_golden_run
@@ -52,55 +46,6 @@ from .golden import McGoldenArtifact, classify_batch, mc_golden_run
 #: Checkpoint-cadence floor (cycles); below this, snapshot overhead
 #: beats the saved simulation (same constant as bench_campaign).
 MIN_CADENCE = 200
-
-
-# -- worker-process plumbing --------------------------------------------------
-
-_MC_WORKER: dict = {}
-
-
-def _init_mc_worker(program: Program, config: Optional[SocConfig],
-                    max_cycles: int, kind: str,
-                    artifact: Optional[GoldenArtifact], engine: str):
-    """Pool initializer: per-campaign constants + a private fork
-    engine (only the base artifact ships — digests and access indexes
-    stay in the parent)."""
-    fork = None
-    if artifact is not None and artifact.snapshots:
-        fork = ForkEngine(program, artifact, config=config)
-    _MC_WORKER["program"] = program
-    _MC_WORKER["config"] = config
-    _MC_WORKER["max_cycles"] = max_cycles
-    _MC_WORKER["kind"] = kind
-    _MC_WORKER["golden"] = artifact.checksum if artifact else 0
-    _MC_WORKER["fork"] = fork
-    _MC_WORKER["engine"] = engine
-
-
-def _run_mc_task(task):
-    """One live trial inside a pool worker.
-
-    Returns ``(result, converged_delta)`` so the parent can fold the
-    convergence counter in canonical trial order.
-    """
-    worker = _MC_WORKER
-    fork = worker["fork"]
-    before = fork.converged if fork is not None else 0
-    if worker["kind"] == "ccf":
-        cycle, stimulus = task
-        result = inject_common_cause(
-            worker["program"], cycle, stimulus, worker["golden"],
-            config=worker["config"], max_cycles=worker["max_cycles"],
-            fork=fork, engine=worker["engine"])
-    else:
-        cycle, core, register, bit = task
-        result = inject_transient(
-            worker["program"], cycle, core, register, bit,
-            worker["golden"], config=worker["config"],
-            max_cycles=worker["max_cycles"], fork=fork,
-            engine=worker["engine"])
-    converged = (fork.converged - before) if fork is not None else 0
-    return result, converged
 
 
 # -- results ------------------------------------------------------------------
@@ -290,7 +235,7 @@ class BatchedCampaign:
         """Classify analytically, simulate the live rest, aggregate."""
         artifact = self.prepare(batch.kind)
         base = artifact.base
-        jobs = _resolve_jobs(jobs)
+        jobs = resolve_jobs(jobs)
 
         start = time.perf_counter()
         live = classify_batch(artifact, batch,
@@ -299,54 +244,16 @@ class BatchedCampaign:
         classify_wall = time.perf_counter() - start
 
         start = time.perf_counter()
-        converged = 0
-        tasks = [self._task(batch, i) for i in live]
-        if jobs > 1 and len(tasks) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(tasks)),
-                    initializer=_init_mc_worker,
-                    initargs=(self.program, self.config,
-                              self.max_cycles, batch.kind, base,
-                              self.engine)) as pool:
-                # Executor.map preserves task order: the fold below is
-                # canonical no matter how the pool schedules the work.
-                for i, (result, conv) in zip(
-                        live, pool.map(_run_mc_task, tasks,
-                                       chunksize=4)):
-                    batch.fill_from_result(i, result,
-                                           status=STATUS_SIMULATED)
-                    converged += conv
-        else:
-            fork = (ForkEngine(self.program, base, config=self.config)
-                    if base.snapshots else None)
-            _init_serial = {"program": self.program,
-                            "config": self.config,
-                            "max_cycles": self.max_cycles,
-                            "kind": batch.kind, "fork": fork,
-                            "golden": base.checksum,
-                            "engine": self.engine}
-            saved = dict(_MC_WORKER)
-            _MC_WORKER.clear()
-            _MC_WORKER.update(_init_serial)
-            try:
-                for i, task in zip(live, tasks):
-                    result, conv = _run_mc_task(task)
-                    batch.fill_from_result(i, result,
-                                           status=STATUS_SIMULATED)
-                    converged += conv
-            finally:
-                _MC_WORKER.clear()
-                _MC_WORKER.update(saved)
+        trials = run_trials(self.program,
+                            [self._task(batch, i) for i in live],
+                            base.checksum, artifact=base,
+                            kind=batch.kind, config=self.config,
+                            max_cycles=self.max_cycles,
+                            engine=self.engine, jobs=jobs)
+        for i, injection in zip(live, trials.results):
+            batch.fill_from_result(i, injection, status=STATUS_SIMULATED)
         simulate_wall = time.perf_counter() - start
 
-        # Fork/scratch tallies are a pure function of the live trial
-        # set and the checkpoint grid — identical across jobs counts.
-        first = (base.checkpoint_cycles[0]
-                 if base.checkpoint_cycles else None)
-        forks = sum(1 for i in live
-                    if first is not None
-                    and int(batch.columns["cycle"][i]) >= first)
         result = McCampaignResult(
             benchmark=self.benchmark,
             kind=batch.kind,
@@ -360,9 +267,9 @@ class BatchedCampaign:
             static=static,
             analytic=batch.n - len(live) - static,
             simulated=len(live),
-            forks=forks,
-            scratch_runs=len(live) - forks,
-            converged=converged,
+            forks=trials.forks,
+            scratch_runs=len(live) - trials.forks,
+            converged=trials.converged,
             golden_wall_s=self.golden_wall_s,
             classify_wall_s=classify_wall,
             simulate_wall_s=simulate_wall,

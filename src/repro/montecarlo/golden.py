@@ -7,13 +7,16 @@ dominates, while the *majority* of register-bit faults are provably
 masked — the corrupted register is written (or never touched again)
 before anything reads it.
 
-:func:`mc_golden_run` performs ONE instrumented fault-free run that
-captures, on top of the PR 5 checkpoint artifact:
+:func:`mc_golden_run` performs ONE instrumented fault-free run (the
+package's one recording loop,
+:func:`~repro.fault.injector.record_golden_run`) that captures, on top
+of the checkpoint artifact a scalar campaign forks from:
 
 * a cycle-stamped architectural access log per monitored core —
-  ``(3, cycle)`` markers interleaved with the existing ``(0, r)``
-  read / ``(1, r)`` write entries of
-  :class:`~repro.fault.injector._RecordingRegisterFile`,
+  ``(3, cycle)`` markers interleaved with the ``(0, r)`` read /
+  ``(1, r)`` write entries of
+  :class:`~repro.fault.injector._RecordingRegisterFile` — indexed as an
+  :class:`AccessIndex`,
 * per-cycle ``state_digest``/``_activity_digest`` values for both
   cores, so a common-cause fault's concrete corruption (which is a
   pure function of post-step golden state, see
@@ -37,23 +40,14 @@ asserts field-for-field equality against that path).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..cpu.pipeline import DE, FE, RA
-from ..fault.injector import (
-    RESULT_REGISTER,
-    GoldenArtifact,
-    _activity_digest,
-    _exempt_masks,
-    _RecordingRegisterFile,
-)
-from ..fault.models import state_digest
+from ..fault.injector import GoldenArtifact, record_golden_run
 from ..isa.program import Program
 from ..isa.registers import NUM_REGISTERS
 from ..lint.masking import FRONTIER_HALTED
 from ..soc.config import SocConfig
-from ..soc.mpsoc import MPSoC
 from .batch import (
     CLASS_HANG,
     CLASS_MASKED,
@@ -71,34 +65,6 @@ try:  # pragma: no cover - exercised via both backends in tests
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
-
-
-def _frontier_pc(core) -> int:
-    """The pc of ``core``'s oldest **not-yet-issued** instruction.
-
-    Functional register reads and writes both happen at issue time
-    (``Core._issue`` is the single ``RegisterFile.read`` call site), so
-    the oldest unissued instruction is the first program point whose
-    architectural accesses can still be influenced by a corruption
-    landing now.  Instructions already past RA have read *and* written;
-    crediting their kills would be unsound, so they are ignored.
-
-    Pre-issue stages, oldest first: RA, then DE, then FE.  With all
-    three empty, the next instruction to issue is the one at
-    ``fetch_pc`` — which is architecturally correct here, because any
-    in-flight mispredicted path would still have its branch in a
-    pre-issue stage (in-order issue), and issue-time redirects have
-    already fixed ``fetch_pc``.  A halted core never issues again:
-    :data:`~repro.lint.masking.FRONTIER_HALTED`.
-    """
-    stages = core.stages
-    for stage in (RA, DE, FE):
-        group = stages[stage]
-        if group is not None:
-            return group.instrs[0].pc
-    if core.halted:
-        return FRONTIER_HALTED
-    return core.fetch_pc
 
 
 class AccessIndex:
@@ -155,29 +121,19 @@ class McGoldenArtifact:
     """One recorded golden run: the fork substrate plus everything the
     analytic classifier needs.
 
-    ``base`` is the plain PR 5 artifact (snapshots, exemption masks) —
-    it alone is pickled to campaign pool workers; the digest columns
+    ``base`` is the plain fork artifact (snapshots, exemption masks) —
+    it alone is shipped to campaign pool workers; the digest columns
     and access indexes stay in the parent, where classification runs.
+    The columns are :class:`~repro.fault.injector.GoldenRecording`'s.
     """
 
     base: GoldenArtifact
     #: Per monitored core: first-access index over its access log.
     access: Tuple[AccessIndex, AccessIndex]
-    #: Per monitored core, per cycle c: digest of post-step state after
-    #: the step that ended cycle c (what a CCF at cycle c modulates).
     state_digests: Tuple[List[int], List[int]]
-    #: Same indexing, SafeDM-visible activity window digests.
     activity_digests: Tuple[List[int], List[int]]
-    #: Per cycle c: SafeDM diversity after the step ending cycle c
-    #: (-1 = no report yet, else 0/1) — ``diversity_at_injection``.
     diversity: List[int]
-    #: Per monitored core, per cycle c: the frontier program point (pc
-    #: of the oldest not-yet-issued instruction) at the *start* of
-    #: cycle c, :data:`~repro.lint.masking.FRONTIER_HALTED` once the
-    #: core can never issue again.  This is what bridges static
-    #: masking proofs to concrete trial cycles.
-    frontier: Tuple[List[int], List[int]] = field(
-        default_factory=lambda: ([], []))
+    frontier: Tuple[List[int], List[int]]
 
     @property
     def checksum(self) -> int:
@@ -195,111 +151,19 @@ def mc_golden_run(program: Program,
                   benchmark: str = "program",
                   sim_key: str = "",
                   record_ccf: bool = True) -> McGoldenArtifact:
-    """The instrumented golden run (see module docstring).
-
-    Mirrors :func:`~repro.fault.injector.golden_run_with_checkpoints`
-    — same recorder swap-in, same post-step checkpoint timing as
-    :meth:`MPSoC.run`, same halt-time checksum read — and additionally
-    stamps the access logs with ``(3, cycle)`` markers and records the
-    per-cycle digests (skipped when ``record_ccf`` is false: transient
-    faults are fully specified, no digests needed).
-
-    Always reference-tier: the recording register files are
-    unsupported by the fast engine anyway, and the per-cycle hooks
-    need the interpreter's cycle granularity.
-    """
-    soc = MPSoC(config=config)
-    soc.start_redundant(program)
-    if soc.cycle != 0:
-        raise RuntimeError("fresh SoC expected at cycle 0")
-    # Swap in recording register files AFTER start_redundant: the
-    # gp/sp/tp environment writes are initial state, not accesses the
-    # dead-register analysis should see.
-    recorders: List[_RecordingRegisterFile] = []
-    for index in soc.monitored:
-        core = soc.cores[index]
-        recorder = _RecordingRegisterFile(core.regfile)
-        core.regfile = recorder
-        recorders.append(recorder)
-    log0, log1 = recorders[0].log, recorders[1].log
-    core0 = soc.cores[soc.monitored[0]]
-    core1 = soc.cores[soc.monitored[1]]
-    watched = list(dict.fromkeys(
-        soc.cores[idx] for pair in soc.monitor_pairs for idx in pair))
-    blobs: List[bytes] = []
-    cycles: List[int] = []
-    sd0: List[int] = []
-    sd1: List[int] = []
-    ad0: List[int] = []
-    ad1: List[int] = []
-    diversity: List[int] = []
-    frontier0: List[int] = []
-    frontier1: List[int] = []
-    step = soc.step
-    take_checkpoints = checkpoint_every > 0
-    while soc.cycle < max_cycles:
-        if all(core.finished for core in watched):
-            break
-        now = soc.cycle
-        log0.append((3, now))
-        log1.append((3, now))
-        # Frontier points are sampled before the step, like the
-        # before-step transient injection hook they model.
-        frontier0.append(_frontier_pc(core0))
-        frontier1.append(_frontier_pc(core1))
-        step()
-        if record_ccf:
-            sd0.append(state_digest(core0))
-            sd1.append(state_digest(core1))
-            ad0.append(_activity_digest(soc, 0))
-            ad1.append(_activity_digest(soc, 1))
-            report = soc.safedm.last_report
-            diversity.append(-1 if report is None
-                             else int(report.diversity))
-        if take_checkpoints and soc.cycle % checkpoint_every == 0:
-            index = len(blobs)
-            for recorder in recorders:
-                recorder.log.append((2, index))
-            cycles.append(soc.cycle)
-            blobs.append(soc.snapshot(
-                benchmark=benchmark, checkpoint_every=checkpoint_every,
-                sim_key=sim_key).encode())
-    for monitor in soc.monitors:
-        monitor.finish()
-    # The halt-time checksum readout is an architectural read, stamped
-    # at the end cycle so result-register faults stay live to the end.
-    end_cycle = soc.cycle
-    for recorder in recorders:
-        recorder.log.append((3, end_cycle))
-        recorder.log.append((0, RESULT_REGISTER))
-    outputs = (core0.regfile.values[RESULT_REGISTER],
-               core1.regfile.values[RESULT_REGISTER])
-    if outputs[0] != outputs[1]:
-        raise RuntimeError("golden run is not deterministic")
-    masks = [_exempt_masks(recorder.log, len(blobs))
-             for recorder in recorders]
-    base = GoldenArtifact(
-        checksum=outputs[0],
-        outputs=outputs,
-        end_cycle=end_cycle,
-        finished=all(soc.cores[i].finished for i in soc.monitored),
-        no_diversity_cycles=soc.safedm.stats.no_diversity_cycles,
-        monitored=tuple(soc.monitored),
-        checkpoint_every=checkpoint_every,
-        checkpoint_cycles=tuple(cycles),
-        exempt_masks=tuple(zip(*masks)) if blobs else (),
-        snapshots=tuple(blobs),
-        sim_key=sim_key,
-    )
+    """The instrumented golden run (see module docstring):
+    :func:`~repro.fault.injector.record_golden_run` with its access
+    logs indexed for first-access queries."""
+    recording = record_golden_run(
+        program, config=config, max_cycles=max_cycles,
+        checkpoint_every=checkpoint_every, benchmark=benchmark,
+        sim_key=sim_key, record_ccf=record_ccf)
+    base = recording.base
     return McGoldenArtifact(
-        base=base,
-        access=(AccessIndex(log0, end_cycle),
-                AccessIndex(log1, end_cycle)),
-        state_digests=(sd0, sd1),
-        activity_digests=(ad0, ad1),
-        diversity=diversity,
-        frontier=(frontier0, frontier1),
-    )
+        base, tuple(AccessIndex(log, base.end_cycle)
+                    for log in recording.logs),
+        recording.state_digests, recording.activity_digests,
+        recording.diversity, recording.frontier)
 
 
 # -- analytic CCF effects ------------------------------------------------------

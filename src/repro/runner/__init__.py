@@ -19,6 +19,7 @@ from .cache import (
     sim_config_digest,
     simulation_key,
 )
+from .executor import map_ordered, resolve_jobs
 from .progress import NullProgress, SweepProgress
 from .sweep import (
     ParallelSweep,
@@ -40,9 +41,11 @@ __all__ = [
     "cell_specs",
     "config_digest",
     "execute_spec",
+    "map_ordered",
     "merge_cell",
     "monitor_key",
     "program_digest",
+    "resolve_jobs",
     "run_key",
     "signature_digest",
     "sim_config_digest",

@@ -1,4 +1,4 @@
-"""Process-pool sweep engine for the Table I experiment protocol.
+"""Parallel sweep engine for the Table I experiment protocol.
 
 The paper's headline artefact is an embarrassingly parallel workload:
 29 kernels x 4 staggering values x 2 repeated runs, every run a fully
@@ -15,15 +15,15 @@ across worker processes and merges the results deterministically:
   (program bytes, SocConfig, run parameters) digest has been simulated
   before.
 
-``jobs=1`` degrades to a plain in-process loop (no pool, no pickling),
-which doubles as the serial reference implementation.
+Runs go through the package's one ordered executor
+(:func:`~repro.runner.executor.map_ordered`): ``jobs=1`` is a plain
+in-process loop (no pool, no pickling), ``jobs=N`` the same calls on a
+process pool.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -45,6 +45,7 @@ from .cache import (
     sim_config_digest,
     simulation_key,
 )
+from .executor import map_ordered, resolve_jobs
 from .progress import NullProgress, SweepProgress
 
 
@@ -114,81 +115,37 @@ def execute_spec(spec: RunSpec, config: Optional[SocConfig] = None,
                          max_cycles=spec.max_cycles, engine=engine)
 
 
-# -- worker-process plumbing --------------------------------------------------
+# -- one simulated spec (in-process or in a pool worker) ----------------------
 
-_WORKER: dict = {}
+def _simulate_spec(context, task: Tuple[RunSpec, Optional[str]]
+                   ) -> Tuple[RunResult, float]:
+    """Simulate one ``(spec, sim_key)`` task under ``context`` =
+    ``(config, mode, threshold, engine, traces)``.
 
-
-def _init_worker(config: Optional[SocConfig], mode: ReportingMode,
-                 threshold: int, trace_dir=None,
-                 engine: str = "reference"):
-    """Pool initializer: stash per-sweep constants in the worker."""
-    _WORKER["config"] = config
-    _WORKER["mode"] = mode
-    _WORKER["threshold"] = threshold
-    _WORKER["programs"] = {}
-    _WORKER["trace_dir"] = trace_dir
-    _WORKER["prog_digs"] = {}
-    _WORKER["engine"] = engine
-
-
-def _worker_program(benchmark: str) -> Program:
-    programs = _WORKER["programs"]
-    program = programs.get(benchmark)
-    if program is None:
-        from ..workloads import program as build_program
-        program = programs[benchmark] = build_program(benchmark)
-    return program
-
-
-def _run_spec_in_worker(spec: RunSpec) -> Tuple[RunResult, float]:
-    """Execute one spec inside a pool worker (program image memoized).
-
-    Returns the result together with the worker-side wall time, so the
-    parent can report per-spec timings without trusting its own
-    scheduling-noise-laden completion deltas.
+    Returns the result together with the simulation's own wall time,
+    so the parent can report per-spec timings without trusting its own
+    scheduling-noise-laden completion deltas.  A capturing sweep
+    (``traces`` set) writes the trace straight into the shared trace
+    cache (atomic one-file-per-key store) instead of shipping megabytes
+    of samples back from a pool worker.
     """
-    program = _worker_program(spec.benchmark)
+    config, mode, threshold, engine, traces = context
+    spec, sim_key = task
     start = time.perf_counter()
-    result = execute_spec(spec, config=_WORKER["config"],
-                          mode=_WORKER["mode"],
-                          threshold=_WORKER["threshold"], program=program,
-                          engine=_WORKER.get("engine", "reference"))
+    if traces is None:
+        result = execute_spec(spec, config=config, mode=mode,
+                              threshold=threshold, engine=engine)
+    else:
+        from ..soc.experiment import run_redundant_captured
+        from ..workloads import program
+        result, trace = run_redundant_captured(
+            program(spec.benchmark), benchmark=spec.benchmark,
+            stagger_nops=spec.stagger_nops, late_core=spec.late_core,
+            config=config, mode=mode, threshold=threshold,
+            max_cycles=spec.max_cycles, rr_start=spec.rr_start,
+            sim_key=sim_key, engine=engine)
+        traces.put(sim_key, trace)
     return result, time.perf_counter() - start
-
-
-def _capture_spec_in_worker(spec: RunSpec) -> Tuple[RunResult, float]:
-    """Like :func:`_run_spec_in_worker`, but capture a stream trace.
-
-    The worker writes the trace straight into the shared trace cache
-    (atomic one-file-per-key store) instead of pickling megabytes of
-    samples back to the parent; it recomputes the simulation key
-    locally from the same inputs the parent would use.
-    """
-    from ..soc.experiment import run_redundant_captured
-    program = _worker_program(spec.benchmark)
-    config = _WORKER["config"]
-    prog_digs = _WORKER["prog_digs"]
-    prog_dig = prog_digs.get(spec.benchmark)
-    if prog_dig is None:
-        prog_dig = prog_digs[spec.benchmark] = program_digest(program)
-    sim_key = simulation_key(prog_dig, sim_config_digest(config),
-                             benchmark=spec.benchmark,
-                             stagger_nops=spec.stagger_nops,
-                             late_core=spec.late_core,
-                             rr_start=spec.rr_start,
-                             max_cycles=spec.max_cycles)
-    start = time.perf_counter()
-    result, trace = run_redundant_captured(
-        program, benchmark=spec.benchmark,
-        stagger_nops=spec.stagger_nops, late_core=spec.late_core,
-        config=config, mode=_WORKER["mode"],
-        threshold=_WORKER["threshold"], max_cycles=spec.max_cycles,
-        rr_start=spec.rr_start, sim_key=sim_key,
-        engine=_WORKER.get("engine", "reference"))
-    seconds = time.perf_counter() - start
-    TraceCache(_WORKER["trace_dir"]).put(sim_key, trace)
-    return result, seconds
 
 
 # -- the engine ---------------------------------------------------------------
@@ -199,8 +156,8 @@ class ParallelSweep:
     Parameters
     ----------
     jobs:
-        Worker-process count; ``None`` means ``os.cpu_count()``.
-        ``jobs=1`` runs serially in-process (the reference path).
+        Worker-process count (at least 1); ``None`` means one per
+        core.  ``jobs=1`` runs serially in-process.
     use_cache:
         Consult/populate the content-addressed run cache.
     cache_dir:
@@ -236,16 +193,11 @@ class ParallelSweep:
         so a result simulated under one engine is valid for the other
         and cache entries stay shareable across engines.
 
-    When ``jobs`` is unspecified, hosts without real parallelism
-    (``os.cpu_count() <= 2``) clamp to serial in-process execution:
-    BENCH_runtime.json on a 1-CPU container measured the pool *slower*
-    than serial (speedup 0.959) because worker spawn and pickling buy
-    nothing without spare cores.  The decision is recorded as the
-    ``repro_runner_serial_fallback`` gauge.
+    When ``jobs`` is unspecified, hosts without real parallelism clamp
+    to serial in-process execution (see
+    :func:`~repro.runner.executor.resolve_jobs`); the decision is
+    recorded as the ``repro_runner_serial_fallback`` gauge.
     """
-
-    #: ``os.cpu_count()`` at or below which ``jobs=None`` means serial.
-    SERIAL_FALLBACK_CPUS = 2
 
     def __init__(self, jobs: Optional[int] = None, use_cache: bool = True,
                  cache_dir=None, progress=False,
@@ -253,15 +205,8 @@ class ParallelSweep:
                  threshold: int = 1, metrics=None, tracer=None,
                  capture: bool = False, replay: bool = False,
                  engine: str = "reference"):
-        self.serial_fallback = False
-        if jobs is None:
-            cpus = os.cpu_count() or 1
-            if cpus <= self.SERIAL_FALLBACK_CPUS:
-                jobs = 1
-                self.serial_fallback = True
-            else:
-                jobs = cpus
-        self.jobs = max(1, jobs)
+        self.jobs = resolve_jobs(jobs)
+        self.serial_fallback = jobs is None and self.jobs == 1
         self.cache = RunCache(cache_dir) if use_cache else None
         self.capture = capture
         self.replay = replay
@@ -392,14 +337,7 @@ class ParallelSweep:
             pending = self._replay_pending(pending, config, results,
                                            progress, sim_keys)
 
-        if pending:
-            if self.jobs == 1:
-                self._execute_serial(pending, config, results, progress,
-                                     sim_keys)
-            else:
-                self._execute_pool(pending, config, results, progress)
-            if self.capture and self.jobs > 1:
-                self._captured_specs.update(pending)
+        self._simulate(pending, config, results, progress, sim_keys)
 
         if self.cache is not None:
             for spec in pending:
@@ -495,65 +433,20 @@ class ParallelSweep:
             registry.gauge("repro_runner_worker_utilization").set(
                 busy / (wall_seconds * self.jobs))
 
-    def _execute_serial(self, pending, config, results, progress,
-                        sim_keys=None):
-        programs: Dict[str, Program] = {}
-        capturing = self.capture and self.traces is not None \
-            and sim_keys is not None
-        from ..workloads import program as build_program
-        if capturing:
-            from ..soc.experiment import run_redundant_captured
-        for spec in pending:
-            program = programs.get(spec.benchmark)
-            if program is None:
-                program = programs[spec.benchmark] = \
-                    build_program(spec.benchmark)
-            with self.tracer.span("run", spec=spec.describe()):
-                start = time.perf_counter()
-                if capturing:
-                    result, trace = run_redundant_captured(
-                        program, benchmark=spec.benchmark,
-                        stagger_nops=spec.stagger_nops,
-                        late_core=spec.late_core, config=config,
-                        mode=self.mode, threshold=self.threshold,
-                        max_cycles=spec.max_cycles,
-                        rr_start=spec.rr_start,
-                        sim_key=sim_keys[spec],
-                        engine=self.engine)
-                    results[spec] = result
-                    self.traces.put(sim_keys[spec], trace)
-                    self._captured_specs.add(spec)
-                else:
-                    results[spec] = execute_spec(spec, config=config,
-                                                 mode=self.mode,
-                                                 threshold=self.threshold,
-                                                 program=program,
-                                                 engine=self.engine)
-                self._timings[spec] = time.perf_counter() - start
-            progress.update(spec.describe())
-
-    def _execute_pool(self, pending, config, results, progress):
+    def _simulate(self, pending, config, results, progress, sim_keys):
         capturing = self.capture and self.traces is not None
-        # Captured traces are written worker-side straight into the
-        # shared trace cache; shipping the trace dir (not the cache
-        # object) keeps the initargs picklable and cheap.
-        trace_dir = str(self.traces.root) if capturing else None
-        run = _capture_spec_in_worker if capturing \
-            else _run_spec_in_worker
-        with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(pending)),
-                initializer=_init_worker,
-                initargs=(config, self.mode, self.threshold,
-                          trace_dir, self.engine)) as pool:
-            futures = {pool.submit(run, spec): spec
-                       for spec in pending}
-            for future in as_completed(futures):
-                spec = futures[future]
-                results[spec], seconds = future.result()
-                self._timings[spec] = seconds
-                # Worker-side duration, placed at the parent-observed
-                # completion instant (start is therefore approximate).
-                done_at = self.tracer.now()
-                self.tracer.add_event("run", done_at - seconds, seconds,
-                                      tid=1, spec=spec.describe())
-                progress.update(spec.describe())
+        context = (config, self.mode, self.threshold, self.engine,
+                   self.traces if capturing else None)
+        tasks = [(spec, sim_keys.get(spec)) for spec in pending]
+        # Pool runs overlap in time: give them their own timeline row.
+        tid = 0 if self.jobs == 1 else 1
+        for spec, (result, seconds) in zip(
+                pending, map_ordered(_simulate_spec, context, tasks,
+                                     self.jobs)):
+            results[spec] = result
+            self._timings[spec] = seconds
+            self.tracer.add_event("run", self.tracer.now() - seconds,
+                                  seconds, tid=tid, spec=spec.describe())
+            progress.update(spec.describe())
+        if capturing:
+            self._captured_specs.update(pending)

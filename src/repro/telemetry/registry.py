@@ -14,9 +14,11 @@ operating points are asymmetric by design:
 
 Metric names follow the repo-wide scheme ``repro_<layer>_<name>``
 (layers: ``monitor``, ``cpu``, ``cache``, ``bus``, ``storebuf``,
-``soc``, ``runner``, ``fault``, ``trace``); counters additionally end
-in ``_total``, following Prometheus conventions.  The registry
-enforces the prefix so snapshots from different tools stay mergeable.
+``soc``, ``engine``, ``scheme``, ``runner``, ``fault``,
+``montecarlo``, ``checkpoint``, ``trace``, ``replay``, ``lint``);
+counters additionally end in ``_total``, following Prometheus
+conventions.  The registry enforces the ``repro_<layer>_<name>`` shape
+so snapshots from different tools stay mergeable.
 """
 
 from __future__ import annotations

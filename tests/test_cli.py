@@ -104,6 +104,34 @@ class TestErrors:
         with pytest.raises(SystemExit):
             main([])
 
-    def test_unknown_kernel(self):
-        with pytest.raises(KeyError):
-            main(["run", "nosuchkernel"])
+    def test_unknown_kernel(self, capsys):
+        assert main(["run", "nosuchkernel"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown workload 'nosuchkernel' "
+                              "(known: binarysearch, ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["row", "x"], ["table1", "cosf", "x"], ["sweep-monitor", "x"],
+        ["campaign", "x"], ["compare-schemes", "x"], ["montecarlo", "x"],
+        ["lint", "x"], ["diversity-static", "cosf", "x"],
+        ["vcd", "x", "out.vcd"], ["disasm", "x"],
+    ], ids=lambda argv: argv[0])
+    def test_unknown_kernel_every_subcommand(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown workload 'x' "
+                                       "(known: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "cosf", "--jobs", "0"],
+        ["campaign", "cosf", "--jobs", "-1"],
+        ["montecarlo", "cosf", "--jobs", "-3"],
+    ], ids=lambda argv: argv[0])
+    def test_jobs_below_one_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: jobs must be at least 1, got %d\n" \
+            % int(argv[-1])

@@ -22,6 +22,7 @@ from repro.fault import (
     FaultEffect,
     ForkEngine,
     InjectionResult,
+    golden_run_with_checkpoints,
     inject_common_cause,
     inject_transient,
     shared_address_config,
@@ -36,6 +37,7 @@ from repro.montecarlo import (
     divergence_latency_cdf,
     diversity_histogram,
     ecdf,
+    mc_golden_run,
     numpy_available,
     resolve_backend,
 )
@@ -69,12 +71,12 @@ def ccf_run(backend="auto", jobs=1, engine="fast", trials=TRIALS,
 
 
 @lru_cache(maxsize=2)
-def transient_run(trials=32, seed=SEED):
+def transient_run(trials=32, seed=SEED, jobs=1):
     campaign = BatchedCampaign(program(KERNEL), benchmark=KERNEL,
                                config=shared_address_config(),
                                max_cycles=MAX_CYCLES, engine="fast")
     batch = campaign.sample_transient(trials, seed=seed)
-    result = campaign.run(batch, jobs=1, seed=seed)
+    result = campaign.run(batch, jobs=jobs, seed=seed)
     return campaign, batch, result
 
 
@@ -145,9 +147,11 @@ class TestBatchedEqualsScalar:
 class TestDeterminism:
     """Same seed => bit-identical campaign, whatever the plumbing."""
 
-    def test_jobs_do_not_change_results(self):
-        _, b1, r1 = ccf_run(jobs=1)
-        _, b2, r2 = ccf_run(jobs=2)
+    @pytest.mark.parametrize("kind", ["ccf", "transient"])
+    def test_jobs_do_not_change_results(self, kind):
+        run = ccf_run if kind == "ccf" else transient_run
+        _, b1, r1 = run(jobs=1)
+        _, b2, r2 = run(jobs=2)
         assert r1.summary_dict() == r2.summary_dict()
         assert b1.as_dict() == b2.as_dict()
 
@@ -246,6 +250,28 @@ class TestTrialBatch:
         monkeypatch.setenv("REPRO_MC_PURE_PYTHON", "1")
         assert numpy_available() is False
         assert resolve_backend("auto") == "python"
+
+
+@pytest.mark.parametrize("kernel,shared,every,max_cycles", [
+    ("countnegative", True, 547, MAX_CYCLES),
+    ("countnegative", False, 0, MAX_CYCLES),
+    ("cosf", True, 0, MAX_CYCLES),
+    ("bitcount", False, 547, MAX_CYCLES),
+    ("md5", True, 500, 3_000),  # truncated mid-run
+])
+def test_checkpointed_golden_run_is_the_recording_base(kernel, shared,
+                                                       every, max_cycles):
+    """The fork substrate of a scalar campaign is exactly the base of
+    the instrumented Monte-Carlo golden run, field for field."""
+    config = shared_address_config() if shared else None
+    plain = golden_run_with_checkpoints(
+        program(kernel), config=config, max_cycles=max_cycles,
+        checkpoint_every=every, benchmark=kernel)
+    recorded = mc_golden_run(
+        program(kernel), config=config, max_cycles=max_cycles,
+        checkpoint_every=every, benchmark=kernel, record_ccf=False)
+    assert dataclasses.asdict(plain) == dataclasses.asdict(recorded.base)
+    assert plain.finished == (max_cycles == MAX_CYCLES)
 
 
 class TestAccessIndex:

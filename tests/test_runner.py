@@ -1,6 +1,7 @@
 """Sweep engine tests: determinism, caching, canonical merge order."""
 
 import dataclasses
+import os
 
 import pytest
 
@@ -12,9 +13,11 @@ from repro.runner import (
     RunSpec,
     cell_specs,
     config_digest,
+    map_ordered,
     merge_cell,
     monitor_key,
     program_digest,
+    resolve_jobs,
     run_key,
     signature_digest,
     sim_config_digest,
@@ -63,6 +66,43 @@ def test_merge_cell_takes_max_across_runs():
     assert cell.zero_staggering_cycles == 7
     assert cell.no_diversity_cycles == 9
     assert cell.runs == runs
+
+
+# --- the ordered executor ----------------------------------------------------
+
+def _scaled(context, task):
+    return context * task, os.getpid()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_map_ordered_yields_in_task_order(jobs):
+    tasks = list(range(12, 0, -1))
+    out = list(map_ordered(_scaled, 3, tasks, jobs))
+    assert [value for value, _ in out] == [3 * task for task in tasks]
+    in_process = {pid for _, pid in out} == {os.getpid()}
+    assert in_process == (jobs == 1)
+
+
+def test_map_ordered_serial_is_lazy():
+    calls = []
+    results = map_ordered(lambda context, task: calls.append(task), None,
+                          [1, 2, 3])
+    assert calls == []
+    next(results)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_resolve_jobs_rejects_counts_below_one(jobs):
+    with pytest.raises(ValueError, match="got %d" % jobs):
+        resolve_jobs(jobs)
+    with pytest.raises(ValueError, match="got %d" % jobs):
+        ParallelSweep(jobs=jobs)
+
+
+def test_resolve_jobs_keeps_explicit_counts():
+    assert resolve_jobs(1) == 1
+    assert resolve_jobs(5) == 5
 
 
 # --- determinism: parallel == serial == direct run_row ----------------------

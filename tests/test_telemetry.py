@@ -325,29 +325,29 @@ class TestSweepMetrics:
 
 class TestSerialFallback:
     def test_single_cpu_host_clamps_to_serial(self, monkeypatch):
-        import repro.runner.sweep as sweep_mod
-        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 1)
+        import repro.runner.executor as executor_mod
+        monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: 1)
         sweep = ParallelSweep()
         assert sweep.jobs == 1
         assert sweep.serial_fallback
 
     def test_multi_cpu_host_uses_all_cores(self, monkeypatch):
-        import repro.runner.sweep as sweep_mod
-        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 8)
+        import repro.runner.executor as executor_mod
+        monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: 8)
         sweep = ParallelSweep()
         assert sweep.jobs == 8
         assert not sweep.serial_fallback
 
     def test_explicit_jobs_never_clamped(self, monkeypatch):
-        import repro.runner.sweep as sweep_mod
-        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 1)
+        import repro.runner.executor as executor_mod
+        monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: 1)
         sweep = ParallelSweep(jobs=4)
         assert sweep.jobs == 4
         assert not sweep.serial_fallback
 
     def test_fallback_recorded_as_gauge(self, monkeypatch):
-        import repro.runner.sweep as sweep_mod
-        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 2)
+        import repro.runner.executor as executor_mod
+        monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: 2)
         reg = MetricsRegistry()
         sweep = ParallelSweep(use_cache=False, metrics=reg)
         sweep.run_cells([(KERNEL, 0)], max_cycles=200_000)
