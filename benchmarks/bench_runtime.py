@@ -15,7 +15,10 @@ kernels serially under the ``reference`` interpreter and the ``fast``
 block-compiled tier (best-of-N per point to resist scheduler noise),
 asserts the two produce field-for-field identical results, and records
 per-kernel and aggregate speedups plus the fast tier's hit rate and
-deopt rate.
+deopt rate.  The same points then run under the lockstep, TMR and
+multi-pair schemes: ``engine.schemes`` holds one row per scheme (and
+per kernel) with both tiers' seconds, the speedup, and the fast tier's
+``fallback_reason``.
 
 Results are written to ``BENCH_runtime.json`` at the repo root,
 including the machine's honest ``cpu_count``, the ``effective_jobs``
@@ -71,6 +74,9 @@ MINI_SWEEP_STAGGERS = (0, 100)
 #: The ``--quick`` (CI) subset: one arithmetic and one control-heavy
 #: kernel keep the signal while staying under a minute on one CPU.
 QUICK_KERNELS = ("cosf", "countnegative")
+#: Scheme-shaped SoCs timed per scheme in the engine section.  The
+#: ``--min-speedup`` gate stays on the monitored-pair aggregate.
+ENGINE_SCHEMES = ("lockstep", "tmr", "multipair")
 
 
 def _rows_as_dicts(rows):
@@ -99,7 +105,7 @@ class _SocGrab:
 
 
 def _timed_run(program, kernel, stagger, engine, repeats,
-               tracer=None):
+               tracer=None, scheme=None):
     """Best-of-``repeats`` wall time for one redundant run.
 
     Returns ``(seconds, result_dict, cycles, engine_stats)`` — stats
@@ -114,7 +120,8 @@ def _timed_run(program, kernel, stagger, engine, repeats,
         start = time.perf_counter()
         result = run_redundant(program, benchmark=kernel,
                                stagger_nops=stagger, engine=engine,
-                               soc_hook=grab, tracer=tracer)
+                               soc_hook=grab, tracer=tracer,
+                               scheme=scheme)
         elapsed = time.perf_counter() - start
         if best is None or elapsed < best:
             best = elapsed
@@ -215,6 +222,58 @@ def _bench_engines(kernels, staggers, repeats):
     }
 
 
+def _bench_schemes(kernels, staggers, repeats):
+    """Reference vs fast tier per redundancy scheme, same points.
+
+    One row per scheme in :data:`ENGINE_SCHEMES` (plus per-kernel
+    rows): best-of-``repeats`` seconds on each tier, the speedup, and
+    the fast tier's ``fallback_reason`` (None when every run stayed on
+    the fast tier).  Results must agree field for field.
+    """
+    from repro.workloads import program as build_program
+    report = {}
+    for scheme in ENGINE_SCHEMES:
+        per_kernel = {}
+        ref_total = fast_total = 0.0
+        scheme_reason = None
+        for kernel in kernels:
+            prog = build_program(kernel)
+            ref_s = fast_s = 0.0
+            reason = None
+            for stagger in staggers:
+                rs, ref_result, _, _ = _timed_run(
+                    prog, kernel, stagger, "reference", repeats,
+                    scheme=scheme)
+                fs, fast_result, _, stats = _timed_run(
+                    prog, kernel, stagger, "fast", repeats,
+                    scheme=scheme)
+                assert fast_result == ref_result, \
+                    "fast tier diverged from reference on %s %s " \
+                    "stagger=%d" % (scheme, kernel, stagger)
+                ref_s += rs
+                fast_s += fs
+                reason = reason or stats["fallback_reason"]
+            per_kernel[kernel] = _scheme_row(ref_s, fast_s, reason)
+            ref_total += ref_s
+            fast_total += fast_s
+            scheme_reason = scheme_reason or reason
+        row = report[scheme] = _scheme_row(ref_total, fast_total,
+                                           scheme_reason)
+        row["per_kernel"] = per_kernel
+        print("engine scheme %-9s ref %6.2fs  fast %6.2fs  %5.2fx%s"
+              % (scheme, ref_total, fast_total, ref_total / fast_total,
+                 "  fell back: %s" % scheme_reason
+                 if scheme_reason else ""))
+    return report
+
+
+def _scheme_row(ref_s, fast_s, fallback_reason):
+    return {"reference_seconds": round(ref_s, 3),
+            "fast_seconds": round(fast_s, 3),
+            "speedup": round(ref_s / fast_s, 3),
+            "fallback_reason": fallback_reason}
+
+
 def _profile_engines(kernels, staggers, path):
     """One profiled fast-tier pass per point, saved as a Chrome trace."""
     from repro.telemetry import Tracer
@@ -276,6 +335,9 @@ def main():
                   else args.repeats)
     engine_report = _bench_engines(kernels, MINI_SWEEP_STAGGERS,
                                    repeats)
+    engine_report["schemes"] = _bench_schemes(kernels,
+                                              MINI_SWEEP_STAGGERS,
+                                              repeats)
     print("engine aggregate: %.2fx speedup, tier hit rate %.2f%%, "
           "deopt rate %.4f%%"
           % (engine_report["speedup"],

@@ -16,13 +16,12 @@ Two tiers drive the same :class:`~repro.soc.mpsoc.MPSoC` objects:
   cycle, because SafeDM samples signatures every cycle.
 
 :func:`run_soc` is the engine selector used by
-:func:`repro.soc.experiment.run_redundant` and everything above it.
-Scheme-shaped SoCs (extra cores, multiple monitored pairs, scheme
-taps) run the fast tier's ``"multi"`` span, which steps N cores in
-generated code but observes monitors and scheme checkers through the
-reference path.  Shapes the fast tier does not model at all
-(instrumented register files, nonstandard monitor geometry on the
-classic pair) silently fall back to the reference tier, recording
+:func:`repro.soc.experiment.run_redundant` and everything above it;
+it and the fault injector share :func:`select_tier`.  Every topology
+— the monitored pair, extra cores, multiple monitored pairs, scheme
+taps — runs the same generated span.  SoCs the fast tier does not
+model (instrumented register files, nonstandard monitor geometry on
+any monitor) silently fall back to the reference tier, recording
 ``fallback_reason``.
 """
 
@@ -155,12 +154,9 @@ def _fast_supported(soc) -> Optional[str]:
     """None when the fast tier models this SoC exactly, else a reason.
 
     Structural guards (core shape, register file, debug modes) apply
-    to every core.  The monitor-geometry guards bind only the classic
-    two-core monitored-pair shape, whose generated span *inlines* the
-    monitor; scheme-shaped SoCs (extra cores, multiple pairs, scheme
-    taps, watched-core overrides) run the fast tier's ``"multi"`` span,
-    which observes through the reference monitor path and therefore
-    accepts any monitor configuration.
+    to every core and the geometry guards to every monitor, whatever
+    the topology: the generated span samples each monitored pair's
+    signature units in line.
     """
     cores = soc.cores
     cfg0 = cores[0].config
@@ -177,21 +173,36 @@ def _fast_supported(soc) -> Optional[str]:
                 % type(core.regfile).__name__
     if signatures.DEBUG_SIGNATURE_CHECKS:
         return "SAFEDM_DEBUG_SIGNATURES structural checks enabled"
-    from .fast import _classic_shape
-
-    if not _classic_shape(soc):
-        return None
-    monitor = soc.safedm
-    cfg = monitor.config
-    if cfg.is_variant is not IsVariant.PER_STAGE:
-        return "fast tier inlines only the PER_STAGE IS variant"
-    if not cfg.sample_every_cycle:
-        return "fast tier inlines only every-cycle DS sampling"
-    if cfg.num_ports != cores[0].regfile.num_read_ports:
-        return "DS ports do not match the register read ports"
-    if cfg.pipeline_stages != 7:
-        return "monitor geometry does not match the pipeline"
+    for monitor in soc.monitors:
+        cfg = monitor.config
+        if cfg.is_variant is not IsVariant.PER_STAGE:
+            return "fast tier inlines only the PER_STAGE IS variant"
+        if not cfg.sample_every_cycle:
+            return "fast tier inlines only every-cycle DS sampling"
+        if cfg.num_ports != cores[0].regfile.num_read_ports:
+            return "DS ports do not match the register read ports"
+        if cfg.pipeline_stages != 7:
+            return "monitor geometry does not match the pipeline"
     return None
+
+
+def select_tier(soc, engine: Optional[str]) -> Tuple[EngineStats, bool]:
+    """The tier decision every engine entry point shares.
+
+    Resolves ``engine``, attaches a fresh :class:`EngineStats` as
+    ``soc.engine_stats``, and returns it with True when the fast tier
+    should run.  A fast request for a SoC the fast tier does not model
+    records ``fallback_reason`` and returns False: the caller then
+    drives the reference interpreter.  Building the fast tier's
+    :class:`ProgramPlan` stays with the caller.
+    """
+    engine = resolve_engine(engine)
+    stats = EngineStats(engine=engine)
+    soc.engine_stats = stats
+    if engine != "fast":
+        return stats, False
+    stats.fallback_reason = _fast_supported(soc)
+    return stats, stats.fallback_reason is None
 
 
 def run_soc(soc, engine: str = "reference", program=None,
@@ -204,23 +215,18 @@ def run_soc(soc, engine: str = "reference", program=None,
     tier pre-compile every basic block up front; without it plans are
     built lazily per fetched PC.
     """
-    engine = resolve_engine(engine)
-    stats = EngineStats(engine=engine)
-    soc.engine_stats = stats
-    if engine == "fast":
-        reason = _fast_supported(soc)
-        if reason is None:
-            from .fast import FastRunner
+    stats, fast = select_tier(soc, engine)
+    if fast:
+        from .fast import FastRunner
 
-            plan = ProgramPlan.for_soc(soc.memory, soc.cores[0].config,
-                                       program)
-            runner = FastRunner(soc, plan, stats)
-            cycles = runner.run(max_cycles=max_cycles,
-                                checkpoint_every=checkpoint_every,
-                                on_checkpoint=on_checkpoint)
-            stats.blocks_compiled = plan.blocks_compiled
-            return cycles, stats
-        stats.fallback_reason = reason
+        plan = ProgramPlan.for_soc(soc.memory, soc.cores[0].config,
+                                   program)
+        runner = FastRunner(soc, plan, stats)
+        cycles = runner.run(max_cycles=max_cycles,
+                            checkpoint_every=checkpoint_every,
+                            on_checkpoint=on_checkpoint)
+        stats.blocks_compiled = plan.blocks_compiled
+        return cycles, stats
     cycles = soc.run(max_cycles=max_cycles,
                      checkpoint_every=checkpoint_every,
                      on_checkpoint=on_checkpoint)

@@ -4,13 +4,20 @@ Design contract (see DESIGN.md "Tiered execution"):
 
 * **All mutable state stays in the reference objects** — cores, regfile
   lists, caches, store buffers, signature units, monitor stats.  The
-  fast tier only replaces *code*: a generated two-core span loop that
-  folds the per-cycle attribute chasing of :meth:`repro.cpu.core.Core.
-  step` into locals, per-PC fetch/issue handlers generated by
-  :mod:`repro.engine.plan`, and an inlined monitor-observe closure.
+  fast tier only replaces *code*: per-PC fetch/issue handlers generated
+  by :mod:`repro.engine.plan`, and one generated span loop per SoC
+  shape that folds the per-cycle attribute chasing of
+  :meth:`repro.cpu.core.Core.step` into locals for N cores, samples
+  every monitored pair's signature units in line, and fires the scheme
+  taps — the same cycle order as :meth:`repro.soc.mpsoc.MPSoC.step`.
   Because state never moves, the fast tier can hand any individual
   decision back to the reference interpreter mid-cycle (a *deopt*) and
   the two tiers interleave freely.
+* **Monitor accounting by monitor state**: a disabled monitor generates
+  no code; a POLLING monitor's accounting runs as span locals, written
+  back at every span exit before any outside code can read it; an
+  interrupt-reporting monitor calls its own ``_tick`` every sampled
+  cycle, so IRQ subscribers see exactly the reference's state.
 * **Superblock traces**: each compiled fetch handler returns the *link*
   to its successor block — a ``(next_pc, fetch_fn)`` tuple threaded
   through one-slot link cells — so steady-state fetch crosses
@@ -74,6 +81,11 @@ _XMASK = 0xFFFFFFFFFFFFFFFF
 _DEAD_LINK = (-1, None)
 
 _AZEROS = [0] * ACC_SIZE
+
+#: ``deopt_reasons`` keys fed by the per-core side-exit counters.
+_REASON_SLOTS = (("plan_miss", ACC_PLAN), ("page_version", ACC_PAGE),
+                 ("issue_shape", ACC_SHAPE), ("mem_stage", ACC_MEM),
+                 ("guard_fail", ACC_GUARD))
 
 
 def _make_retire(instrs, core, acc, writes):
@@ -607,12 +619,8 @@ def _make_core_engine(core, plan, estats):
         return 2
 
     def me_cold(group, cycle):
-        wc = group.words_cache
-        fn = me_shapes.get(wc, _MISS)
-        if fn is _MISS:
-            fn = me_shapes[wc] = _make_init_me(
-                [fi.instr for fi in group.instrs], core)
-        if fn is None:
+        fn = _me_fn([fi.instr for fi in group.instrs], group.words_cache)
+        if fn is False:
             # _initiate_me for a group with no loads or stores (its
             # per-instruction loop does nothing).
             group.me_initiated = True
@@ -626,12 +634,8 @@ def _make_core_engine(core, plan, estats):
         return 1
 
     def retire_cold(group):
-        wc = group.words_cache
-        fn = retire_shapes.get(wc)
-        if fn is None:
-            fn = retire_shapes[wc] = _make_retire(
-                [fi.instr for fi in group.instrs], core, acc, writes)
-        return fn
+        return _retire_fn([fi.instr for fi in group.instrs],
+                          group.words_cache)
 
     def flush(cycles, hold, dmem, ifwait, issued, dual, chain, ev,
               acc=acc, stats=stats, estats=estats, reasons=reasons):
@@ -653,25 +657,12 @@ def _make_core_engine(core, plan, estats):
         estats.issue_fast += issued + acc[ACC_IFAST]
         estats.issue_ref += acc[ACC_IREF]
         estats.chained_fetches += chain
-        plan_d = acc[ACC_PLAN]
-        page_d = acc[ACC_PAGE]
-        shape_d = acc[ACC_SHAPE]
-        mem_d = acc[ACC_MEM]
-        guard_d = acc[ACC_GUARD]
-        estats.delegations += plan_d + page_d + shape_d + mem_d
-        if plan_d:
-            reasons["plan_miss"] = reasons.get("plan_miss", 0) + plan_d
-        if page_d:
-            reasons["page_version"] = (reasons.get("page_version", 0)
-                                       + page_d)
-        if shape_d:
-            reasons["issue_shape"] = (reasons.get("issue_shape", 0)
-                                      + shape_d)
-        if mem_d:
-            reasons["mem_stage"] = reasons.get("mem_stage", 0) + mem_d
-        if guard_d:
-            reasons["guard_fail"] = (reasons.get("guard_fail", 0)
-                                     + guard_d)
+        estats.delegations += (acc[ACC_PLAN] + acc[ACC_PAGE]
+                               + acc[ACC_SHAPE] + acc[ACC_MEM])
+        for reason, slot in _REASON_SLOTS:
+            count = acc[slot]
+            if count:
+                reasons[reason] = reasons.get(reason, 0) + count
         acc[:] = _AZEROS
 
     return (core, stages, acc, sb, sb.occupancy_view(), sb.stats,
@@ -868,25 +859,18 @@ c_ev_N += ev_N
 """
 
 
-#: Monitor bindings the span signature always carries (unused slots are
-#: passed as None in the "call"/"none" observe modes).
-_MON_ARGS = ("record", "rows_0", "hashes_0", "ds_0", "is_0", "evict_0",
-             "rows_1", "hashes_1", "ds_1", "is_1", "evict_1",
-             "diff_unit", "diff_stats", "mstats", "monitor", "mx",
-             "hist_data", "hist_instr", "hist_div", "hist_stag")
-
 # DiversityMonitor.observe's per-core sampling (DS row push + rolling
 # digest, IS stage-words digest), inlined with the exact formulas from
 # repro.core.signatures on the same deques.  Tokens: _N core suffix,
-# MODL/BASEL the digest constants.
+# _S signature-unit suffix (side + pair).
 _OBS_CORE = """\
 if not core_N.hold:
     row = _tup(reads_N)
     h = _hash(row) % MODL
-    evicted = hashes_N[0]
-    rows_N.append(row)
-    hashes_N.append(h)
-    ds_N._digest = ((ds_N._digest - evicted * evict_N)
+    evicted = hashes_S[0]
+    rows_S.append(row)
+    hashes_S.append(h)
+    ds_S._digest = ((ds_S._digest - evicted * evict_S)
                     * BASEL + h) % MODL
     g0 = stages_N[0]; g1 = stages_N[1]; g2 = stages_N[2]
     g3 = stages_N[3]; g4 = stages_N[4]; g5 = stages_N[5]
@@ -900,134 +884,225 @@ if not core_N.hold:
         g5.words_cache if g5 is not None else None,
         g6.words_cache if g6 is not None else None,
     )
-    is_N._stage_words = words
-    is_N._digest = _hash(words)
-"""
+    is_S._stage_words = words
+    is_S._digest = _hash(words)
+""".replace("MODL", str(_DIGEST_MOD)).replace("BASEL", str(_DIGEST_BASE))
 
 
-def _obs_tick_lines(has_history):
+def _poll_tick_lines(has_history):
     """Monitor._tick + POLLING run-length accounting over span locals.
 
-    Transliteration of the deferred accounting the fast tier used to
-    keep in closure cells: every tracker is a plain local here, seeded
-    at span entry and written back at span exit.
+    Every tracker is a plain local, seeded at span entry and written
+    back at span exit.  Tokens: _P pair suffix, core_A/core_B the
+    pair's cores.
     """
     hist = has_history
-    w = ["o_diff += core_0.commits_this_cycle"
-         " - core_1.commits_this_cycle",
-         "o_sampled += 1",
-         "if o_diff == 0:",
-         "    o_zs += 1",
-         "    run_zs += 1",
-         "    if run_zs > long_zs:",
-         "        long_zs = run_zs",
+    w = ["o_diff_P += core_A.commits_this_cycle"
+         " - core_B.commits_this_cycle",
+         "o_sampled_P += 1",
+         "if o_diff_P == 0:",
+         "    o_zs_P += 1",
+         "    run_zs_P += 1",
+         "    if run_zs_P > long_zs_P:",
+         "        long_zs_P = run_zs_P",
          "else:",
-         "    if o_diff < o_dmin:",
-         "        o_dmin = o_diff",
-         "    elif o_diff > o_dmax:",
-         "        o_dmax = o_diff",
-         "    if run_zs:"]
+         "    if o_diff_P < o_dmin_P:",
+         "        o_dmin_P = o_diff_P",
+         "    elif o_diff_P > o_dmax_P:",
+         "        o_dmax_P = o_diff_P",
+         "    if run_zs_P:"]
     if hist:
-        w.append("        hist_stag._close_run_at(run_zs)")
-    w += ["        run_zs = 0",
-          "no_data = ds_0._digest == ds_1._digest",
-          "no_instr = is_0._digest == is_1._digest",
+        w.append("        hist_stag_P._close_run_at(run_zs_P)")
+    w += ["        run_zs_P = 0",
+          "no_data = ds_a_P._digest == ds_b_P._digest",
+          "no_instr = is_a_P._digest == is_b_P._digest",
           "if no_data:",
-          "    o_nd += 1",
-          "    run_nd += 1",
-          "    if run_nd > long_nd:",
-          "        long_nd = run_nd",
+          "    o_nd_P += 1",
+          "    run_nd_P += 1",
+          "    if run_nd_P > long_nd_P:",
+          "        long_nd_P = run_nd_P",
           "    if no_instr:",
-          "        o_nv += 1",
-          "        run_nv += 1",
-          "        if run_nv > long_nv:",
-          "            long_nv = run_nv",
-          "    elif run_nv:"]
+          "        o_nv_P += 1",
+          "        run_nv_P += 1",
+          "        if run_nv_P > long_nv_P:",
+          "            long_nv_P = run_nv_P",
+          "    elif run_nv_P:"]
     if hist:
-        w.append("        hist_div._close_run_at(run_nv)")
-    w += ["        run_nv = 0",
+        w.append("        hist_div_P._close_run_at(run_nv_P)")
+    w += ["        run_nv_P = 0",
           "else:",
-          "    if run_nd:"]
+          "    if run_nd_P:"]
     if hist:
-        w.append("        hist_data._close_run_at(run_nd)")
-    w += ["        run_nd = 0",
-          "    if run_nv:"]
+        w.append("        hist_data_P._close_run_at(run_nd_P)")
+    w += ["        run_nd_P = 0",
+          "    if run_nv_P:"]
     if hist:
-        w.append("        hist_div._close_run_at(run_nv)")
-    w += ["        run_nv = 0",
+        w.append("        hist_div_P._close_run_at(run_nv_P)")
+    w += ["        run_nv_P = 0",
           "if no_instr:",
-          "    o_ni += 1",
-          "    run_ni += 1",
-          "    if run_ni > long_ni:",
-          "        long_ni = run_ni",
-          "elif run_ni:"]
+          "    o_ni_P += 1",
+          "    run_ni_P += 1",
+          "    if run_ni_P > long_ni_P:",
+          "        long_ni_P = run_ni_P",
+          "elif run_ni_P:"]
     if hist:
-        w.append("    hist_instr._close_run_at(run_ni)")
-    w += ["    run_ni = 0",
-          "o_last_cycle = cycle",
-          "o_last_nd = no_data",
-          "o_last_ni = no_instr"]
+        w.append("    hist_instr_P._close_run_at(run_ni_P)")
+    w += ["    run_ni_P = 0",
+          "o_last_cycle_P = cycle",
+          "o_last_nd_P = no_data",
+          "o_last_ni_P = no_instr"]
     return w
+
+
+def _poll_seed_lines(has_history):
+    """Span-entry seeds: delta counters start at zero, absolute
+    trackers load from the live monitor objects (every span exit
+    writes them back, so span entry always sees reconciled state)."""
+    lines = ["o_sampled_P = o_nd_P = o_ni_P = o_nv_P = o_zs_P = 0",
+             "o_diff_P = diff_unit_P.diff",
+             "o_dmin_P = diff_stats_P.min_diff",
+             "o_dmax_P = diff_stats_P.max_diff",
+             "o_last_cycle_P = 0",
+             "o_last_nd_P = o_last_ni_P = False"]
+    if has_history:
+        lines += ["run_nd_P = hist_data_P._run",
+                  "long_nd_P = hist_data_P.longest",
+                  "run_ni_P = hist_instr_P._run",
+                  "long_ni_P = hist_instr_P.longest",
+                  "run_nv_P = hist_div_P._run",
+                  "long_nv_P = hist_div_P.longest",
+                  "run_zs_P = hist_stag_P._run",
+                  "long_zs_P = hist_stag_P.longest"]
+    else:
+        lines += ["run_nd_P = long_nd_P = run_ni_P = long_ni_P = 0",
+                  "run_nv_P = long_nv_P = run_zs_P = long_zs_P = 0"]
+    return lines
+
+
+def _poll_flush_lines(has_history, has_mx):
+    """Span-exit write-back of the POLLING accounting locals."""
+    lines = ["if o_sampled_P:",
+             "    diff_unit_P.diff = o_diff_P",
+             "    diff_stats_P.sampled_cycles += o_sampled_P",
+             "    diff_stats_P.zero_staggering_cycles += o_zs_P",
+             "    diff_stats_P.min_diff = o_dmin_P",
+             "    diff_stats_P.max_diff = o_dmax_P",
+             "    mstats_P.sampled_cycles += o_sampled_P",
+             "    mstats_P.no_data_diversity_cycles += o_nd_P",
+             "    mstats_P.no_instruction_diversity_cycles += o_ni_P",
+             "    mstats_P.no_diversity_cycles += o_nv_P"]
+    if has_mx:
+        lines += ["    mx_P[0].inc(o_sampled_P)",
+                  "    mx_P[1].inc(o_nd_P)",
+                  "    mx_P[2].inc(o_ni_P)",
+                  "    mx_P[3].inc(o_nv_P)"]
+    if has_history:
+        for hist, run, longest, total in (
+                ("data", "run_nd", "long_nd", "o_nd"),
+                ("instr", "run_ni", "long_ni", "o_ni"),
+                ("div", "run_nv", "long_nv", "o_nv"),
+                ("stag", "run_zs", "long_zs", "o_zs")):
+            lines += ["    hist_%s_P._run = %s_P" % (hist, run),
+                      "    hist_%s_P.longest = %s_P" % (hist, longest),
+                      "    hist_%s_P.total_cycles += %s_P" % (hist, total)]
+    lines += ["    monitor_P._have_report = True",
+              "    monitor_P._last_cycle = o_last_cycle_P",
+              "    monitor_P._last_data_div = not o_last_nd_P",
+              "    monitor_P._last_instr_div = not o_last_ni_P",
+              "    monitor_P._last_stagger = o_diff_P"]
+    return lines
+
+
+def _pair_params(kind, has_record, has_history, has_mx):
+    """Unsuffixed span bindings one observed pair needs (filled by
+    :func:`_pair_binding`)."""
+    if kind == "off":
+        return []
+    names = ["record"] if has_record else []
+    # Side a/b: the pair's first/second core's signature units.
+    names += ["%s_%s" % (arg, side) for side in "ab"
+              for arg in ("rows", "hashes", "ds", "is", "evict")]
+    if kind == "irq":
+        return names + ["tick"]
+    names += ["diff_unit", "diff_stats", "mstats", "monitor"]
+    if has_mx:
+        names.append("mx")
+    if has_history:
+        names += ["hist_data", "hist_instr", "hist_div", "hist_stag"]
+    return names
+
+
+def _pair_observe_lines(kind, has_record, has_history):
+    """The gated per-cycle observation of one pair (tokens as in
+    :func:`_poll_tick_lines`)."""
+    lines = ["if not gate or not (fin_A or fin_B):"]
+    if has_record:
+        lines.append("    record_P(cycle, core_A, core_B)")
+    for core, side in (("_A", "_a_P"), ("_B", "_b_P")):
+        for line in _OBS_CORE.replace("_N", core).replace("_S", side) \
+                             .splitlines():
+            lines.append("    " + line)
+    if kind == "poll":
+        tick = _poll_tick_lines(has_history)
+    else:
+        # Live reporting: the reference _tick runs every sampled
+        # cycle, so IRQ subscribers see the reference's state.
+        tick = ["tick_P(cycle, ds_a_P._digest != ds_b_P._digest,",
+                "       is_a_P._digest != is_b_P._digest,",
+                "       core_A.commits_this_cycle,",
+                "       core_B.commits_this_cycle)"]
+    lines += ["    " + line for line in tick]
+    return lines
 
 
 def _fin(n):
     return _FIN.replace("_N", "_%d" % n)
 
 
-def _build_span_source(mode, has_record, has_history, has_mx,
-                       num_cores=2, watched=(0, 1)):
-    """Span source for one observe mode.
+def _build_span_source(num_cores, watched, pairs, num_taps):
+    """Span source for one SoC shape.
 
-    ``mode`` is ``"inline"`` (POLLING monitor accounting generated into
-    the loop), ``"call"`` (live-reporting monitor: call the ``observe``
-    closure every sampled cycle), ``"none"`` (monitor disabled), or
-    ``"multi"`` (scheme-shaped SoC: ``observe(cycle, gate, fins)`` is
-    called *every* cycle and handles monitor gating and scheme taps
-    itself — see ``_make_multi_observe``).
-
-    ``num_cores`` cores are stepped; the span terminates when every
-    core in ``watched`` has finished (the other modes keep the
-    historical two-core, watch-both shape).
+    Steps ``num_cores`` cores and the bus, then observes every pair in
+    ``pairs`` — ``(a, b, kind, has_record, has_history, has_mx)``,
+    gated on its own cores' finish state — then fires ``num_taps``
+    scheme taps ungated, in registration order, exactly like
+    :meth:`MPSoC.step`.  ``kind`` is ``"off"`` (monitor disabled: no
+    code), ``"poll"`` (POLLING accounting generated into the loop as
+    pair-suffixed locals, seeded at span entry and written back at span
+    exit) or ``"irq"`` (interrupt reporting: inlined sampling, then the
+    monitor's own ``_tick``).  The span terminates when every core in
+    ``watched`` has finished.
     """
     args = []
     for n in range(num_cores):
         args.extend("%s_%d" % (name, n) for name in _CORE_ARGS)
-    args.extend(["bus", "bus_step", "observe"])
-    args.extend(_MON_ARGS)
+    args.extend(["bus", "bus_step"])
+    for p, pair in enumerate(pairs):
+        args.extend("%s_%d" % (name, p)
+                    for name in _pair_params(*pair[2:]))
+    args.extend("tap_%d" % i for i in range(num_taps))
     rebind = ", ".join("%s=%s" % (a, a) for a in args)
     lines = [
         "def _make_span(%s):" % ", ".join(args),
         "    def run_span(cycle, stop, gate, %s,"
         " _tup=tuple, _hash=hash):" % rebind,
     ]
+
+    def emit(indent, pair_lines, p, a, b):
+        for line in pair_lines:
+            lines.append(indent + line.replace("_P", "_%d" % p)
+                         .replace("_A", "_%d" % a)
+                         .replace("_B", "_%d" % b))
+
     for n in range(num_cores):
         for c in ("cycles", "hold", "dmem", "ifwait", "issued",
                   "dual", "chain", "ev"):
             lines.append("        c_%s_%d = 0" % (c, n))
         lines.append("        fcur_%d = fbox_%d[0]" % (n, n))
         lines.append("        fin_%d = %s" % (n, _fin(n)))
-    if mode == "inline":
-        # Delta counters start at zero; absolute trackers seed from
-        # the live monitor objects (every span exit writes them back,
-        # so span entry always sees reconciled state).
-        lines += ["        o_sampled = o_nd = o_ni = o_nv = o_zs = 0",
-                  "        o_diff = diff_unit.diff",
-                  "        o_dmin = diff_stats.min_diff",
-                  "        o_dmax = diff_stats.max_diff",
-                  "        o_last_cycle = 0",
-                  "        o_last_nd = o_last_ni = False"]
-        if has_history:
-            lines += ["        run_nd = hist_data._run",
-                      "        long_nd = hist_data.longest",
-                      "        run_ni = hist_instr._run",
-                      "        long_ni = hist_instr.longest",
-                      "        run_nv = hist_div._run",
-                      "        long_nv = hist_div.longest",
-                      "        run_zs = hist_stag._run",
-                      "        long_zs = hist_stag.longest"]
-        else:
-            lines += ["        run_nd = long_nd = run_ni = long_ni = 0",
-                      "        run_nv = long_nv = run_zs = long_zs = 0"]
+    for p, (a, b, kind, _, has_history, _) in enumerate(pairs):
+        if kind == "poll":
+            emit("        ", _poll_seed_lines(has_history), p, a, b)
     lines.append("        finished = False")
     lines.append("        while cycle < stop:")
     lines.append("            if %s:"
@@ -1046,85 +1121,36 @@ def _build_span_source(mode, has_record, has_history, has_mx,
     for n in range(num_cores):
         lines.append("            if not fin_%d:" % n)
         lines.append("                fin_%d = %s" % (n, _fin(n)))
-    # The monitor gate re-evaluates finish state after the cores
+    # Each pair's gate re-evaluates finish state after the cores
     # stepped, exactly like MPSoC.step does.
-    if mode == "multi":
-        # Scheme taps are not gated on finish, so the closure runs
-        # every cycle and applies the monitor gate per pair itself.
-        lines.append("            observe(cycle, gate, (%s))"
-                     % ", ".join("fin_%d" % n
-                                 for n in range(num_cores)))
-    elif mode != "none":
-        lines.append("            if not gate or not (fin_0 or fin_1):")
-        if mode == "call":
-            lines.append("                observe(cycle)")
-        else:
-            if has_record:
-                lines.append("                record(cycle, core_0,"
-                             " core_1)")
-            obs = _OBS_CORE.replace("MODL", str(_DIGEST_MOD)) \
-                           .replace("BASEL", str(_DIGEST_BASE))
-            for n in (0, 1):
-                for line in obs.replace("_N", "_%d" % n).splitlines():
-                    lines.append("                " + line)
-            for line in _obs_tick_lines(has_history):
-                lines.append("                " + line)
+    for p, (a, b, kind, has_record, has_history, _) in enumerate(pairs):
+        if kind != "off":
+            emit("            ",
+                 _pair_observe_lines(kind, has_record, has_history),
+                 p, a, b)
+    for i in range(num_taps):
+        lines.append("            tap_%d(cycle)" % i)
     lines.append("            cycle += 1")
     for n in range(num_cores):
         lines.append("        fbox_%d[0] = fcur_%d" % (n, n))
         lines.append("        flush_%d(c_cycles_%d, c_hold_%d,"
                      " c_dmem_%d, c_ifwait_%d, c_issued_%d, c_dual_%d,"
                      " c_chain_%d, c_ev_%d)" % ((n,) * 9))
-    if mode == "inline":
-        lines += ["        if o_sampled:",
-                  "            diff_unit.diff = o_diff",
-                  "            diff_stats.sampled_cycles += o_sampled",
-                  "            diff_stats.zero_staggering_cycles"
-                  " += o_zs",
-                  "            diff_stats.min_diff = o_dmin",
-                  "            diff_stats.max_diff = o_dmax",
-                  "            mstats.sampled_cycles += o_sampled",
-                  "            mstats.no_data_diversity_cycles += o_nd",
-                  "            mstats.no_instruction_diversity_cycles"
-                  " += o_ni",
-                  "            mstats.no_diversity_cycles += o_nv"]
-        if has_mx:
-            lines += ["            mx[0].inc(o_sampled)",
-                      "            mx[1].inc(o_nd)",
-                      "            mx[2].inc(o_ni)",
-                      "            mx[3].inc(o_nv)"]
-        if has_history:
-            lines += ["            hist_data._run = run_nd",
-                      "            hist_data.longest = long_nd",
-                      "            hist_data.total_cycles += o_nd",
-                      "            hist_instr._run = run_ni",
-                      "            hist_instr.longest = long_ni",
-                      "            hist_instr.total_cycles += o_ni",
-                      "            hist_div._run = run_nv",
-                      "            hist_div.longest = long_nv",
-                      "            hist_div.total_cycles += o_nv",
-                      "            hist_stag._run = run_zs",
-                      "            hist_stag.longest = long_zs",
-                      "            hist_stag.total_cycles += o_zs"]
-        lines += ["            monitor._have_report = True",
-                  "            monitor._last_cycle = o_last_cycle",
-                  "            monitor._last_data_div = not o_last_nd",
-                  "            monitor._last_instr_div = not o_last_ni",
-                  "            monitor._last_stagger = o_diff"]
+    for p, (a, b, kind, _, has_history, has_mx) in enumerate(pairs):
+        if kind == "poll":
+            emit("        ", _poll_flush_lines(has_history, has_mx),
+                 p, a, b)
     lines.append("        return cycle, finished")
     lines.append("    return run_span")
     return "\n".join(lines)
 
 
-#: (mode, has_record, has_history, has_mx, num_cores, watched)
-#: -> compiled _make_span.
+#: (num_cores, watched, pairs, num_taps) -> compiled _make_span.
 _SPAN_CACHE = {}
 
 
-def _span_maker(mode, has_record=False, has_history=False,
-                has_mx=False, num_cores=2, watched=(0, 1)):
-    key = (mode, has_record, has_history, has_mx, num_cores,
-           tuple(watched))
+def _span_maker(num_cores, watched, pairs, num_taps):
+    key = (num_cores, tuple(watched), tuple(pairs), num_taps)
     make = _SPAN_CACHE.get(key)
     if make is None:
         namespace = {}
@@ -1134,236 +1160,54 @@ def _span_maker(mode, has_record=False, has_history=False,
     return make
 
 
-def _noop():
-    return None
+def _pair_binding(monitor, a, b, p):
+    """Pair ``p``'s span shape ``(a, b, kind, has_record, has_history,
+    has_mx)`` and the live objects behind its bindings.
 
-
-def _make_observe(monitor, core0, core1):
-    """Inlined DiversityMonitor.observe for INTERRUPT_* reporting.
-
-    Returns the live ``observe`` closure: it mirrors observe + _tick
-    statement for statement every cycle, because interrupt decisions
-    read the running no-diversity count mid-run.  POLLING monitors do
-    not come through here at all — their accounting is generated
-    straight into the span loop (see ``_build_span_source``), where
-    every tracker is a plain local seeded at span entry and written
-    back at span exit, i.e. before any code outside the runner
-    (snapshots, checkpoint callbacks, per-cycle fault hooks driving
-    one-cycle spans) can read monitor state.
-
-    The signature units' rolling digests are updated with the exact
-    formulas from :mod:`repro.core.signatures` on the same deques, so
-    snapshots and DEBUG re-verification see identical structures.
+    The monitor's own state picks the kind.  Capture/metrics/history
+    attachment is pre-run (or via a checkpoint callback, after which
+    ``FastRunner._rebuild`` re-specializes), so their presence is baked
+    into the generated source; the ``irq`` kind leaves history and
+    metrics to the monitor's ``_tick``.
     """
-
-    ds0, ds1 = monitor.ds_units
-    is0, is1 = monitor.is_units
-    rows0, hashes0 = ds0._rows, ds0._row_hashes
-    rows1, hashes1 = ds1._rows, ds1._row_hashes
-    evict0 = ds0._evict_weight
-    evict1 = ds1._evict_weight
-    reads0 = core0.regfile.read_samples
-    reads1 = core1.regfile.read_samples
-    stages0 = core0.stages
-    stages1 = core1.stages
-    diff_unit = monitor.instruction_diff
-    diff_stats = diff_unit.stats
-    mstats = monitor.stats
+    has_record = monitor._capture is not None
+    if not monitor.enabled:
+        shape = (a, b, "off", False, False, False)
+    elif monitor.mode is not ReportingMode.POLLING:
+        shape = (a, b, "irq", has_record, False, False)
+    else:
+        shape = (a, b, "poll", has_record, monitor.history is not None,
+                 monitor._mx is not None)
+    env = {"tick": monitor._tick,
+           "diff_unit": monitor.instruction_diff,
+           "diff_stats": monitor.instruction_diff.stats,
+           "mstats": monitor.stats, "monitor": monitor,
+           "mx": monitor._mx}
+    if has_record:
+        env["record"] = monitor._capture.record
+    for side, ds, is_ in zip("ab", monitor.ds_units, monitor.is_units):
+        env.update({"rows_" + side: ds._rows,
+                    "hashes_" + side: ds._row_hashes,
+                    "ds_" + side: ds, "is_" + side: is_,
+                    "evict_" + side: ds._evict_weight})
     history = monitor.history
     if history is not None:
-        hist_data = history._no_data
-        hist_instr = history._no_instr
-        hist_div = history._no_div
-        hist_stag = history._zero_stag
-    polling = monitor.mode is ReportingMode.POLLING
-    report_loss = monitor._report_loss
-    MOD = _DIGEST_MOD
-    BASE = _DIGEST_BASE
-
-    # Capture/metrics attachment is pre-run (or via a checkpoint
-    # callback, after which FastRunner._rebuild recreates this closure),
-    # so bind their presence statically instead of testing every cycle.
-    capture = monitor._capture
-    record = capture.record if capture is not None else None
-    mx = monitor._mx
-
-    def observe(cycle, record=record, core0=core0, core1=core1,
-                reads0=reads0, reads1=reads1, rows0=rows0, rows1=rows1,
-                hashes0=hashes0, hashes1=hashes1, ds0=ds0, ds1=ds1,
-                is0=is0, is1=is1, evict0=evict0, evict1=evict1,
-                stages0=stages0, stages1=stages1, MOD=MOD, BASE=BASE,
-                diff_unit=diff_unit, diff_stats=diff_stats,
-                mstats=mstats, history=history, polling=polling,
-                report_loss=report_loss, monitor=monitor, mx=mx,
-                hash=hash, tuple=tuple):
-        if record is not None:
-            record(cycle, core0, core1)
-        if not core0.hold:
-            row = tuple(reads0)
-            h = hash(row) % MOD
-            evicted = hashes0[0]
-            rows0.append(row)
-            hashes0.append(h)
-            ds0._digest = ((ds0._digest - evicted * evict0)
-                           * BASE + h) % MOD
-            g0 = stages0[0]; g1 = stages0[1]; g2 = stages0[2]
-            g3 = stages0[3]; g4 = stages0[4]; g5 = stages0[5]
-            g6 = stages0[6]
-            words = (
-                g0.words_cache if g0 is not None else None,
-                g1.words_cache if g1 is not None else None,
-                g2.words_cache if g2 is not None else None,
-                g3.words_cache if g3 is not None else None,
-                g4.words_cache if g4 is not None else None,
-                g5.words_cache if g5 is not None else None,
-                g6.words_cache if g6 is not None else None,
-            )
-            is0._stage_words = words
-            is0._digest = hash(words)
-        if not core1.hold:
-            row = tuple(reads1)
-            h = hash(row) % MOD
-            evicted = hashes1[0]
-            rows1.append(row)
-            hashes1.append(h)
-            ds1._digest = ((ds1._digest - evicted * evict1)
-                           * BASE + h) % MOD
-            g0 = stages1[0]; g1 = stages1[1]; g2 = stages1[2]
-            g3 = stages1[3]; g4 = stages1[4]; g5 = stages1[5]
-            g6 = stages1[6]
-            words = (
-                g0.words_cache if g0 is not None else None,
-                g1.words_cache if g1 is not None else None,
-                g2.words_cache if g2 is not None else None,
-                g3.words_cache if g3 is not None else None,
-                g4.words_cache if g4 is not None else None,
-                g5.words_cache if g5 is not None else None,
-                g6.words_cache if g6 is not None else None,
-            )
-            is1._stage_words = words
-            is1._digest = hash(words)
-        # _tick, inlined (same statement order).
-        diff = diff_unit.diff + core0.commits_this_cycle \
-            - core1.commits_this_cycle
-        diff_unit.diff = diff
-        diff_stats.sampled_cycles += 1
-        if diff == 0:
-            diff_stats.zero_staggering_cycles += 1
-        if diff < diff_stats.min_diff:
-            diff_stats.min_diff = diff
-        elif diff > diff_stats.max_diff:
-            diff_stats.max_diff = diff
-        mstats.sampled_cycles += 1
-        no_data = ds0._digest == ds1._digest
-        no_instr = is0._digest == is1._digest
-        no_div = no_data and no_instr
-        if no_data:
-            mstats.no_data_diversity_cycles += 1
-        if no_instr:
-            mstats.no_instruction_diversity_cycles += 1
-        if no_div:
-            mstats.no_diversity_cycles += 1
-            if not polling:
-                report_loss(cycle)
-        if mx is not None:
-            mx[0].inc()
-            if no_data:
-                mx[1].inc()
-            if no_instr:
-                mx[2].inc()
-            if no_div:
-                mx[3].inc()
-        if history is not None:
-            if no_data:
-                hist_data._run += 1
-                hist_data.total_cycles += 1
-                if hist_data._run > hist_data.longest:
-                    hist_data.longest = hist_data._run
-            elif hist_data._run:
-                hist_data._close_run()
-            if no_instr:
-                hist_instr._run += 1
-                hist_instr.total_cycles += 1
-                if hist_instr._run > hist_instr.longest:
-                    hist_instr.longest = hist_instr._run
-            elif hist_instr._run:
-                hist_instr._close_run()
-            if no_div:
-                hist_div._run += 1
-                hist_div.total_cycles += 1
-                if hist_div._run > hist_div.longest:
-                    hist_div.longest = hist_div._run
-            elif hist_div._run:
-                hist_div._close_run()
-            if diff == 0:
-                hist_stag._run += 1
-                hist_stag.total_cycles += 1
-                if hist_stag._run > hist_stag.longest:
-                    hist_stag.longest = hist_stag._run
-            elif hist_stag._run:
-                hist_stag._close_run()
-        monitor._have_report = True
-        monitor._last_cycle = cycle
-        monitor._last_data_div = not no_data
-        monitor._last_instr_div = not no_instr
-        monitor._last_stagger = diff
-
-    return observe
-
-
-def _classic_shape(soc) -> bool:
-    """True for the historical fast-tier shape: two cores, one (0, 1)
-    monitored pair, no scheme taps, default watched set.
-
-    The classic shape keeps the specialized ``none``/``inline``/``call``
-    observe modes (whose generated source is byte-identical to the
-    pre-scheme fast tier); any other topology runs the ``"multi"`` span,
-    which observes through the reference monitor path.
-    """
-    return (len(soc.cores) == 2
-            and soc.monitor_pairs == ((0, 1),)
-            and not soc._scheme_taps
-            and (soc.watched_cores is None
-                 or tuple(soc.watched_cores) == (0, 1)))
-
-
-def _make_multi_observe(soc):
-    """Per-cycle observation for scheme-shaped SoCs.
-
-    Mirrors the tail of :meth:`MPSoC.step` exactly: each monitored
-    pair's observe is gated on the pair's finish state (the span passes
-    its ``fin_*`` locals, which are the same expression as
-    ``Core.finished``), then every scheme tap fires ungated.  Monitors
-    go through the reference :meth:`DiversityMonitor.observe` — no
-    inlining — so any monitor configuration is bit-identical by
-    construction; scheme checkers read the same per-commit state the
-    reference loop exposes (the span maintains ``commits_this_cycle``,
-    ``committed_words`` and the write-port samples identically).
-    """
-    taps = tuple((monitor, pair[0], pair[1],
-                  soc.cores[pair[0]], soc.cores[pair[1]])
-                 for monitor, pair in zip(soc.monitors,
-                                          soc.monitor_pairs))
-    staps = tuple(soc._scheme_taps)
-
-    def observe(cycle, gate, fins, taps=taps, staps=staps):
-        for monitor, a, b, core_a, core_b in taps:
-            if not gate or not (fins[a] or fins[b]):
-                monitor.observe(cycle, core_a, core_b)
-        for tap in staps:
-            tap(cycle)
-
-    return observe
+        env.update(hist_data=history._no_data,
+                   hist_instr=history._no_instr,
+                   hist_div=history._no_div,
+                   hist_stag=history._zero_stag)
+    return shape, {"%s_%d" % (name, p): env[name]
+                   for name in _pair_params(*shape[2:])}
 
 
 class FastRunner:
     """Drives one :class:`~repro.soc.mpsoc.MPSoC` through the fast tier.
 
     Only valid for SoCs accepted by ``repro.engine._fast_supported``.
-    The classic two-core monitored pair runs the specialized observe
-    modes; scheme-shaped SoCs (N cores, multiple pairs, scheme taps)
-    run the ``"multi"`` span.  The runner is rebuilt after any state
-    restore — captured locals point into pre-restore lists.
+    One generated span serves every topology: N cores, every monitored
+    pair (accounted according to its monitor's state), and the scheme
+    taps.  The runner is rebuilt after any state restore — captured
+    locals point into pre-restore lists.
     """
 
     def __init__(self, soc, plan, estats):
@@ -1374,60 +1218,22 @@ class FastRunner:
 
     def _build(self):
         soc = self.soc
-        if not _classic_shape(soc):
-            self._build_multi()
-            return
-        b0 = _make_core_engine(soc.cores[0], self.plan, self.estats)
-        b1 = _make_core_engine(soc.cores[1], self.plan, self.estats)
-        monitor, core_a, core_b = soc._taps[0]
-        observe = _noop
-        mon_args = (None,) * len(_MON_ARGS)
-        if not monitor.enabled:
-            make = _span_maker("none")
-        elif monitor.mode is ReportingMode.POLLING:
-            # Capture/metrics/history attachment is pre-run (or via a
-            # checkpoint callback, after which _rebuild re-specializes),
-            # so their presence is baked into the generated source.
-            capture = monitor._capture
-            record = capture.record if capture is not None else None
-            mx = monitor._mx
-            history = monitor.history
-            ds0, ds1 = monitor.ds_units
-            is0, is1 = monitor.is_units
-            if history is not None:
-                hists = (history._no_data, history._no_instr,
-                         history._no_div, history._zero_stag)
-            else:
-                hists = (None, None, None, None)
-            mon_args = (record,
-                        ds0._rows, ds0._row_hashes, ds0, is0,
-                        ds0._evict_weight,
-                        ds1._rows, ds1._row_hashes, ds1, is1,
-                        ds1._evict_weight,
-                        monitor.instruction_diff,
-                        monitor.instruction_diff.stats,
-                        monitor.stats, monitor, mx) + hists
-            make = _span_maker("inline", record is not None,
-                               history is not None, mx is not None)
-        else:
-            observe = _make_observe(monitor, core_a, core_b)
-            make = _span_maker("call")
-        self._span = make(*(b0 + b1
-                            + (soc.bus, soc.bus.step, observe)
-                            + mon_args))
-
-    def _build_multi(self):
-        """Span for scheme-shaped SoCs: N cores, reference observation."""
-        soc = self.soc
-        engines = ()
-        for core in soc.cores:
-            engines += _make_core_engine(core, self.plan, self.estats)
-        observe = _make_multi_observe(soc)
-        make = _span_maker("multi", num_cores=len(soc.cores),
-                           watched=soc._watched_indices())
-        self._span = make(*(engines
-                            + (soc.bus, soc.bus.step, observe)
-                            + (None,) * len(_MON_ARGS)))
+        env = {"bus": soc.bus, "bus_step": soc.bus.step}
+        for n, core in enumerate(soc.cores):
+            engine = _make_core_engine(core, self.plan, self.estats)
+            env.update(("%s_%d" % (name, n), value)
+                       for name, value in zip(_CORE_ARGS, engine))
+        pairs = []
+        for p, (monitor, (a, b)) in enumerate(zip(soc.monitors,
+                                                  soc.monitor_pairs)):
+            shape, bindings = _pair_binding(monitor, a, b, p)
+            pairs.append(shape)
+            env.update(bindings)
+        taps = soc._scheme_taps
+        env.update(("tap_%d" % i, tap) for i, tap in enumerate(taps))
+        make = _span_maker(len(soc.cores), soc._watched_indices(),
+                           pairs, len(taps))
+        self._span = make(**env)
 
     def _rebuild(self):
         """Recreate closures after external state mutation (restores).

@@ -133,28 +133,19 @@ def golden_run(program: Program, config: Optional[SocConfig] = None,
 # -- the one injected-run loop -------------------------------------------------
 
 def _tier_runner(soc: MPSoC, engine: str):
-    """A :class:`~repro.engine.fast.FastRunner` for ``soc``, or ``None``.
-
-    Mirrors :func:`repro.engine.run_soc`'s tier selection: the fast
-    tier is used only when requested *and* supported for this SoC
-    shape; otherwise the caller drives the reference interpreter.
-    Engine statistics land on ``soc.engine_stats`` either way.
+    """A :class:`~repro.engine.fast.FastRunner` for ``soc`` when
+    :func:`repro.engine.select_tier` picks the fast tier, else ``None``
+    (the caller drives the reference interpreter).  Each injected run
+    compiles into a fresh :class:`~repro.engine.plan.ProgramPlan`.
     """
-    from ..engine import EngineStats, _fast_supported, resolve_engine
-    engine = resolve_engine(engine)
-    stats = EngineStats(engine=engine)
-    soc.engine_stats = stats
-    if engine != "fast":
-        return None
-    reason = _fast_supported(soc)
-    if reason is not None:
-        stats.fallback_reason = reason
+    from ..engine import select_tier
+    stats, fast = select_tier(soc, engine)
+    if not fast:
         return None
     from ..engine.fast import FastRunner
     from ..engine.plan import ProgramPlan
-    plan = ProgramPlan(soc.memory, soc.cores[0].config)
-    runner = FastRunner(soc, plan, stats)
-    return runner
+    return FastRunner(soc, ProgramPlan(soc.memory, soc.cores[0].config),
+                      stats)
 
 
 def _drive(soc: MPSoC, cycle: int, golden: int, max_cycles: int,

@@ -206,11 +206,6 @@ class MPSoC:
                 tap(cycle)
         self.cycle = cycle + 1
 
-    def _monitor_active(self, pair) -> bool:
-        if not self.gate_monitor_on_finish:
-            return True
-        return not any(self.cores[idx].finished for idx in pair)
-
     def run(self, max_cycles: int = 2_000_000, checkpoint_every: int = 0,
             on_checkpoint=None) -> int:
         """Run until every monitored core finishes (or ``max_cycles``).

@@ -24,6 +24,7 @@ from repro.fault import (
     inject_common_cause,
     inject_transient,
 )
+from repro.schemes import make_scheme
 from repro.soc.config import SocConfig
 from repro.soc.experiment import run_redundant, run_redundant_captured
 from repro.soc.mpsoc import MPSoC
@@ -40,11 +41,18 @@ KERNEL = "countnegative"  # short, memory-touching kernel
 
 def _pair_run(name, engine, stagger=0, late_core=1,
               mode=ReportingMode.POLLING, threshold=1, config=None,
-              max_cycles=MAX_CYCLES):
-    """Build a fresh pair platform and run it under ``engine``."""
+              max_cycles=MAX_CYCLES, scheme=None):
+    """Build a fresh platform (the monitored pair, or ``scheme``'s
+    topology) and run it under ``engine``."""
     prog = program(name)
-    soc = MPSoC(config=config, mode=mode, threshold=threshold)
-    soc.start_redundant(prog, stagger_nops=stagger, late_core=late_core)
+    if scheme is None:
+        soc = MPSoC(config=config, mode=mode, threshold=threshold)
+        soc.start_redundant(prog, stagger_nops=stagger,
+                            late_core=late_core)
+    else:
+        sch = make_scheme(scheme)
+        soc = sch.build(config, mode=mode, threshold=threshold)
+        sch.start(soc, prog, stagger_nops=stagger, late_core=late_core)
     cycles, stats = run_soc(soc, engine, program=prog,
                             max_cycles=max_cycles)
     return soc, cycles, stats
@@ -87,18 +95,47 @@ def test_fast_matches_reference_staggered(name, stagger, late_core):
     assert _sans_engine(fast_reg) == _sans_engine(ref_reg)
 
 
-@pytest.mark.parametrize("mode,threshold", [
-    (ReportingMode.INTERRUPT_FIRST, 1),
-    (ReportingMode.INTERRUPT_THRESHOLD, 4),
-])
-def test_fast_matches_reference_interrupt_modes(mode, threshold):
-    prog = program(KERNEL)
-    ref = run_redundant(prog, benchmark=KERNEL, mode=mode,
-                        threshold=threshold, max_cycles=MAX_CYCLES)
-    fast = run_redundant(prog, benchmark=KERNEL, mode=mode,
-                         threshold=threshold, max_cycles=MAX_CYCLES,
-                         engine="fast")
+def _interrupt_cases():
+    """(mode, threshold, scheme) cases; the monitored pair (scheme
+    None) keeps its historical ``[mode-threshold]`` test ids."""
+    for mode, threshold in ((ReportingMode.INTERRUPT_FIRST, 1),
+                            (ReportingMode.INTERRUPT_THRESHOLD, 4)):
+        for scheme in (None, "multipair", "tmr"):
+            ident = "%s-%d" % (mode, threshold)
+            if scheme is not None:
+                ident += "-" + scheme
+            yield pytest.param(mode, threshold, scheme, id=ident)
+
+
+def _irq_logged_run(mode, threshold, scheme, engine):
+    """Run with every monitor's IRQ line logged: each raise appends the
+    cycle and the raising monitor's statistics at that instant.
+    Returns the result, the log, and the run's engine statistics."""
+    log, socs = [], []
+
+    def hook(soc):
+        socs.append(soc)
+        for monitor in soc.monitors:
+            monitor.irq.subscribe(
+                lambda cycle, monitor=monitor: log.append(
+                    (cycle, dataclasses.astuple(monitor.stats))))
+
+    result = run_redundant(program(KERNEL), benchmark=KERNEL, mode=mode,
+                           threshold=threshold, max_cycles=MAX_CYCLES,
+                           engine=engine, scheme=scheme, soc_hook=hook)
+    return result, log, socs[0].engine_stats
+
+
+@pytest.mark.parametrize("mode,threshold,scheme", _interrupt_cases())
+def test_fast_matches_reference_interrupt_modes(mode, threshold, scheme):
+    ref, ref_log, _ = _irq_logged_run(mode, threshold, scheme,
+                                      "reference")
+    fast, fast_log, stats = _irq_logged_run(mode, threshold, scheme,
+                                            "fast")
+    assert stats.fallback_reason is None
     assert dataclasses.asdict(fast) == dataclasses.asdict(ref)
+    assert ref_log
+    assert fast_log == ref_log
 
 
 def test_fast_capture_stream_equals_reference():
@@ -207,11 +244,14 @@ def test_fast_tier_engagement_and_deopt_ceiling():
     assert stats.deopts <= 0.01 * cycles
 
 
-def test_unsupported_shape_falls_back_and_stays_correct():
+@pytest.mark.parametrize("scheme", [None, "tmr", "multipair"])
+def test_unsupported_shape_falls_back_and_stays_correct(scheme):
     config = SocConfig(signature=SignatureConfig(
         is_variant=IsVariant.INFLIGHT))
-    ref, ref_cycles, _ = _pair_run(KERNEL, "reference", config=config)
-    fast, fast_cycles, stats = _pair_run(KERNEL, "fast", config=config)
+    ref, ref_cycles, _ = _pair_run(KERNEL, "reference", config=config,
+                                   scheme=scheme)
+    fast, fast_cycles, stats = _pair_run(KERNEL, "fast", config=config,
+                                         scheme=scheme)
     assert stats.fallback_reason is not None
     assert "PER_STAGE" in stats.fallback_reason
     assert fast_cycles == ref_cycles

@@ -92,8 +92,8 @@ class TestTwoRedundantTasks:
 
 
 class TestEngineTier:
-    """The fast engine on a multi-pair MPSoC (the 'multi' span) is
-    bit-identical to the reference interpreter."""
+    """The fast engine on a multi-pair MPSoC is bit-identical to the
+    reference interpreter."""
 
     def _run(self, engine):
         from repro.engine import run_soc

@@ -10,6 +10,7 @@ import dataclasses
 
 import pytest
 
+from repro.checkpoint import jsonable
 from repro.schemes import SCHEME_KINDS, SchemeSpec, make_scheme
 from repro.schemes.base import (
     RedundancyScheme,
@@ -26,7 +27,7 @@ from repro.schemes.matrix import matrix_table, run_scheme_trials
 from repro.schemes.tmr import MajorityVoter, majority_value
 from repro.soc.config import SocConfig
 from repro.soc.experiment import run_redundant
-from repro.workloads import program
+from repro.workloads import all_names, program
 
 
 class TestSchemeSpec:
@@ -157,19 +158,41 @@ class TestSafeDMPairBitIdentity:
         assert stats["outputs"][0] == stats["outputs"][1]
 
 
+def _tier_cases():
+    """Every kernel under every scheme; bitonic, the kernel this sweep
+    grew from, keeps its historical scheme-only test ids."""
+    for name in all_names():
+        for kind in SCHEME_KINDS:
+            ident = kind if name == "bitonic" else "%s-%s" % (name, kind)
+            yield pytest.param(name, kind, id=ident)
+
+
 class TestAllSchemesTierEquivalence:
     """Fast tier is bit-identical to reference under every scheme."""
 
-    @pytest.mark.parametrize("kind", SCHEME_KINDS)
-    def test_fast_matches_reference(self, kind):
-        prog = program("bitonic")
-        ref = run_redundant(prog, benchmark="bitonic", scheme=kind,
-                            engine="reference")
-        fast = run_redundant(prog, benchmark="bitonic", scheme=kind,
-                             engine="fast")
+    #: Truncated so the kernels x schemes sweep stays suite-cheap.
+    MAX_CYCLES = 4000
+
+    def _run(self, name, kind, engine):
+        grab = []
+        result = run_redundant(program(name), benchmark=name, scheme=kind,
+                               engine=engine, max_cycles=self.MAX_CYCLES,
+                               soc_hook=grab.append)
+        return result, grab[0]
+
+    @pytest.mark.parametrize("name,kind", _tier_cases())
+    def test_fast_matches_reference(self, name, kind):
+        ref, ref_soc = self._run(name, kind, "reference")
+        fast, fast_soc = self._run(name, kind, "fast")
+        assert fast_soc.engine_stats.fallback_reason is None
         assert dataclasses.asdict(fast) == dataclasses.asdict(ref)
+        assert jsonable(fast_soc.state_dict()) \
+            == jsonable(ref_soc.state_dict())
         assert ref.scheme == kind
-        assert ref.scheme_stats["detected"] is False
+        if ref.finished:
+            # A truncated run leaves the replicas' commit streams
+            # unequal, which every checker rightly reports.
+            assert ref.scheme_stats["detected"] is False
 
 
 class TestSchemeRuns:
