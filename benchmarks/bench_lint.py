@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Static-analysis benchmark: absint throughput + pre-filter yield.
+"""Static-analysis benchmark: absint throughput + static-proof yield.
 
 Two figures, both CI-gated:
 
@@ -10,16 +10,16 @@ Two figures, both CI-gated:
   when the *total* across all kernels exceeds ``X`` — the lint CI job
   runs this on every push, so it has to stay cheap.
 * ``prefilter`` — the fraction of Monte-Carlo trials the static
-  masking proofs resolve with *no access-log lookup at all*
-  (``status == STATUS_STATIC``).  The proofs only pay their way if
-  they retire a real share of the campaign, so ``--min-static-frac F``
-  fails the run when the aggregate fraction over the sampled
-  campaigns falls below ``F``.
+  masking proofs cover (``status == STATUS_STATIC``).  The proofs
+  only pay their way if they cover a real share of the campaign, so
+  ``--min-static-frac F`` fails the run when the aggregate fraction
+  over the sampled campaigns falls below ``F``.
 
-Before the fractions are reported, each gated campaign is re-run with
-``static_prefilter=False`` and the classification columns are
-asserted identical — the pre-filter may only move trials between
-resolution paths, never change a verdict.
+Before the fractions are reported, each gated campaign's trials are
+classified again with no static filter, and the live list plus every
+resolved row's classification and death cycle are asserted identical
+— the static proofs may only relabel a trial's status, never change a
+verdict.
 
 The report goes to ``BENCH_lint.json`` at the repo root.
 
@@ -43,7 +43,8 @@ import time
 
 from bench_common import metric_fields
 from repro.lint import lint_workload
-from repro.montecarlo import BatchedCampaign
+from repro.montecarlo import BatchedCampaign, classify_batch
+from repro.montecarlo.batch import STATUS_SIMULATED, STATUS_STATIC
 from repro.workloads import all_names, program as build_program
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -78,7 +79,8 @@ def bench_absint():
 
 
 def bench_prefilter(name, kind, trials, seed):
-    """One campaign with the pre-filter on, checked against off."""
+    """One campaign, its static labels checked against a
+    classification without the static filter."""
     prog = build_program(name)
     campaign = BatchedCampaign(prog, benchmark=name,
                                max_cycles=MAX_CYCLES)
@@ -89,19 +91,20 @@ def bench_prefilter(name, kind, trials, seed):
     result = campaign.run(batch, jobs=1, seed=seed)
     seconds = time.perf_counter() - start
 
-    # Correctness: the pre-filter must not change a single verdict.
-    control = BatchedCampaign(prog, benchmark=name,
-                              max_cycles=MAX_CYCLES,
-                              static_prefilter=False)
-    control_batch = (control.sample_transient if kind == "transient"
-                     else control.sample_ccf)(trials, seed=seed)
-    control_result = control.run(control_batch, jobs=1, seed=seed)
-    assert control_result.static == 0
-    assert batch.counts() == control_batch.counts(), \
-        "%s/%s: pre-filter changed campaign verdicts" % (name, kind)
-    assert batch.column("classification") \
-        == control_batch.column("classification"), \
-        "%s/%s: pre-filter changed a per-trial verdict" % (name, kind)
+    # Correctness: the static proofs must not change a single verdict.
+    control = sample(trials, seed=seed)
+    live = classify_batch(campaign.artifact, control)
+    status = batch.column("status")
+    assert STATUS_STATIC not in control.column("status")
+    assert live == [i for i in range(trials)
+                    if status[i] == STATUS_SIMULATED], \
+        "%s/%s: static proofs changed the live trials" % (name, kind)
+    resolved = [i for i in range(trials) if status[i] != STATUS_SIMULATED]
+    for column in ("classification", "death_cycle"):
+        got, want = control.column(column), batch.column(column)
+        assert [got[i] for i in resolved] == [want[i] for i in resolved], \
+            "%s/%s: static proofs changed a per-trial %s" % (
+                name, kind, column)
 
     frac = result.static / trials
     print("prefilter: %-14s kind=%-9s trials=%-5d static=%d (%.0f%%) "
@@ -135,8 +138,8 @@ def main():
                              "pass takes longer than X seconds")
     parser.add_argument("--min-static-frac", type=float, default=None,
                         metavar="F",
-                        help="exit non-zero if the static pre-filter "
-                             "resolves less than fraction F of the "
+                        help="exit non-zero if the static proofs "
+                             "cover less than fraction F of the "
                              "sampled trials")
     parser.add_argument("--seed", type=int, default=0, metavar="N",
                         help="campaign RNG seed (default: 0)")
@@ -163,8 +166,8 @@ def main():
     # and "nothing was sampled" must stay distinguishable downstream —
     # the report uses the shared skip shape from bench_common.
     static_frac = static / sampled if sampled else None
-    print("aggregate: absint %.2fs over %d kernels; pre-filter "
-          "resolved %d/%d trials (%s) without the access log"
+    print("aggregate: absint %.2fs over %d kernels; static proofs "
+          "covered %d/%d trials (%s)"
           % (absint_s, len(absint_rows), static, sampled,
              "%.0f%%" % (100.0 * static_frac)
              if static_frac is not None else "n/a"))
@@ -202,7 +205,7 @@ def main():
                   "sampled trials", file=sys.stderr)
             failed = True
         elif static_frac < args.min_static_frac:
-            print("FAIL: static pre-filter fraction %.2f below "
+            print("FAIL: static-proof fraction %.2f below "
                   "required %.2f" % (static_frac, args.min_static_frac),
                   file=sys.stderr)
             failed = True

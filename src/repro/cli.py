@@ -24,11 +24,11 @@ Commands:
   a golden-run checkpoint instead of re-simulating from cycle 0, and
   ``--jobs`` spreads the injections across worker processes.
 * ``montecarlo <kernel> [--trials N] [--kind ccf|transient]
-  [--seed N] [--jobs N] [--backend auto|numpy|python]
-  [--format text|json]`` — batched Monte-Carlo fault campaign: one
-  instrumented golden run classifies provably-masked trials without
-  simulation; only live trials fork from checkpoints.  Same seed
-  gives a bit-identical campaign for any jobs count or backend.
+  [--seed N] [--jobs N] [--bins N] [--format text|json]`` — batched
+  Monte-Carlo fault campaign: one instrumented golden run classifies
+  provably-masked trials without simulation; only live trials fork
+  from checkpoints.  Same seed gives a bit-identical campaign for any
+  jobs count.
 * ``lint [kernels...|--all] [--prove-masking] [--format text|json]``
   — static analysis (CFG + dataflow + abstract-interpretation
   diagnostics) over kernel images; ``--prove-masking`` adds the L013
@@ -124,8 +124,9 @@ def _jobs_or_all_cores(text: str):
 
 
 def _check_args(args):
-    """Reject unknown kernel names and job counts below 1 before any
-    work starts (raises ``ValueError`` with a one-line reason)."""
+    """Reject unknown kernel names, and job, trial and bin counts
+    below 1, before any work starts (raises ``ValueError`` with a
+    one-line reason)."""
     from .workloads import workload
     for attr in ("kernel", "kernel_a", "kernel_b", "kernels"):
         value = getattr(args, attr, None) or ()
@@ -137,6 +138,11 @@ def _check_args(args):
     if getattr(args, "jobs", None) is not None:
         from .runner.executor import resolve_jobs
         resolve_jobs(args.jobs)
+    for attr in ("trials", "bins"):
+        value = getattr(args, attr, None)
+        if value is not None and value < 1:
+            raise ValueError("%s must be at least 1, got %d"
+                             % (attr, value))
 
 
 def _make_telemetry(args):
@@ -567,12 +573,14 @@ def _cmd_montecarlo(args) -> int:
                                config=config,
                                max_cycles=args.max_cycles,
                                checkpoint_every=args.checkpoint_every,
-                               engine=args.engine,
-                               backend=args.backend)
-    if args.kind == "ccf":
-        batch = campaign.sample_ccf(args.trials, seed=args.seed)
-    else:
-        batch = campaign.sample_transient(args.trials, seed=args.seed)
+                               engine=args.engine)
+    sample = (campaign.sample_ccf if args.kind == "ccf"
+              else campaign.sample_transient)
+    try:
+        batch = sample(args.trials, seed=args.seed)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     result = campaign.run(batch, jobs=args.jobs, seed=args.seed,
                           metrics=metrics)
     wall = time.perf_counter() - start
@@ -976,7 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "single-core transient")
     p_mc.add_argument("--seed", type=int, default=0,
                       help="sampler seed; same seed => bit-identical "
-                           "campaign regardless of --jobs/--backend")
+                           "campaign regardless of --jobs")
     p_mc.add_argument("--jobs", type=_jobs_or_all_cores, default=1,
                       metavar="N",
                       help="worker processes for the simulated "
@@ -990,10 +998,6 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="N",
                       help="golden checkpoint cadence (default 0 = "
                            "auto, ~25 snapshots per run)")
-    p_mc.add_argument("--backend", choices=("auto", "numpy", "python"),
-                      default="auto",
-                      help="TrialBatch column storage (default: numpy "
-                           "when installed, else pure Python)")
     p_mc.add_argument("--bins", type=int, default=10,
                       help="fault-cycle bins for the coverage table")
     p_mc.add_argument("--format", choices=("text", "json"),

@@ -52,6 +52,18 @@ def state_digest(core: Core) -> int:
     return crc & 0xFFFFFFFF
 
 
+def ccf_target(state: int, activity: int, stimulus: int) -> Tuple[int, int]:
+    """``(register, bit)`` a common-cause disturbance ``stimulus``
+    corrupts on a core with the given state and activity digests.
+
+    The one copy of the mixing arithmetic: the injector applies it to
+    live cores, the Monte-Carlo classifier to recorded digests.
+    """
+    mixed = ((state ^ activity) * 0x9E3779B1 + stimulus) & 0xFFFFFFFF
+    # Avoid x0 so the corruption is never trivially absorbed.
+    return 1 + (mixed % 31), (mixed >> 8) % 64
+
+
 @dataclass(frozen=True)
 class FaultEffect:
     """A concrete corruption: flip ``bit`` of register ``register``."""
@@ -85,11 +97,8 @@ class CommonCauseFault:
         on the currents drawn over the last cycles, not just on the
         instantaneous register state.
         """
-        mixed = ((state_digest(core) ^ activity) * 0x9E3779B1
-                 + self.stimulus) & 0xFFFFFFFF
-        # Avoid x0 so the corruption is never trivially absorbed.
-        register = 1 + (mixed % 31)
-        bit = (mixed >> 8) % 64
+        register, bit = ccf_target(state_digest(core), activity,
+                                   self.stimulus)
         return FaultEffect(register=register, bit=bit)
 
     def inject(self, core0: Core, core1: Core, activity0: int = 0,

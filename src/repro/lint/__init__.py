@@ -11,7 +11,7 @@ Public API:
   :class:`MaskingLiveness` — the abstract-interpretation layer
   (strided intervals, instruction-granular register lifetimes)
 * :class:`MaskingProofs` / :class:`StaticMaskFilter` — static
-  fault-masking proofs and the Monte-Carlo pre-filter built on them
+  fault-masking proofs and the Monte-Carlo status labels built on them
 * :func:`predict_instruction_diversity` — static lower bounds on
   SafeDM instruction-signature divergence for staggered redundancy
 * :data:`RULES` / :func:`all_rules` — the diagnostic registry

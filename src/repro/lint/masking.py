@@ -153,12 +153,11 @@ class MaskingProofs:
 
 
 class StaticMaskFilter:
-    """The Monte-Carlo pre-filter view of :class:`MaskingProofs`.
+    """The Monte-Carlo view of :class:`MaskingProofs`.
 
-    :func:`repro.montecarlo.golden.classify_batch` consults this (when
-    provided) *before* the dynamic access log: a trial whose frontier
-    point proves the corrupted register dead resolves to the golden
-    outcome without touching the log.
+    :func:`repro.montecarlo.golden.classify_batch` labels a trial the
+    dynamic access log resolves as masked ``STATUS_STATIC`` when its
+    frontier point also proves the corrupted register dead here.
     """
 
     __slots__ = ("proofs",)

@@ -4,11 +4,10 @@ fork-on-divergence simulation for the live minority).
 
 Quick start::
 
-    from repro.montecarlo import run_montecarlo_campaign
-    result = run_montecarlo_campaign(program, trials=10_000,
-                                     kind="ccf", seed=7,
-                                     benchmark="countnegative")
-    print(result.summary())
+    from repro.montecarlo import BatchedCampaign
+    campaign = BatchedCampaign(program, benchmark="countnegative")
+    batch = campaign.sample_ccf(10_000, seed=7)
+    print(campaign.run(batch, seed=7).summary())
 
 See DESIGN.md "Monte-Carlo campaigns" for the soundness argument and
 EXPERIMENTS.md for methodology.
@@ -20,14 +19,8 @@ from .batch import (
     STATUS_PENDING,
     STATUS_SIMULATED,
     TrialBatch,
-    numpy_available,
-    resolve_backend,
 )
-from .campaign import (
-    BatchedCampaign,
-    McCampaignResult,
-    run_montecarlo_campaign,
-)
+from .campaign import BatchedCampaign, McCampaignResult
 from .golden import (
     AccessIndex,
     McGoldenArtifact,
@@ -63,7 +56,4 @@ __all__ = [
     "ecdf",
     "masked_lifetime_cdf",
     "mc_golden_run",
-    "numpy_available",
-    "resolve_backend",
-    "run_montecarlo_campaign",
 ]

@@ -1,33 +1,20 @@
 """Structure-of-arrays trial storage for Monte-Carlo campaigns.
 
-A :class:`TrialBatch` holds N fault trials as parallel columns instead
-of N :class:`~repro.fault.InjectionResult` objects: the classification
-pass (:mod:`repro.montecarlo.golden`) then runs vectorized over whole
-columns, and the statistics layer (:mod:`repro.montecarlo.stats`)
-aggregates without materializing per-trial objects.
-
-Columns live in numpy arrays when numpy is importable and as plain
-Python lists otherwise; every operation produces bit-identical values
-on both backends (``tests/test_montecarlo.py`` asserts this), so the
-``repro[mc]`` extra is a speedup, never a behaviour change.  The
-backend is chosen per batch: ``"auto"`` (numpy when available),
-``"numpy"``, or ``"python"``; the ``REPRO_MC_PURE_PYTHON=1``
-environment variable forces the fallback globally.
+A :class:`TrialBatch` holds N fault trials as parallel columns of
+plain Python ints instead of N :class:`~repro.fault.InjectionResult`
+objects: the classification pass (:mod:`repro.montecarlo.golden`)
+then runs column by column, and the statistics layer
+(:mod:`repro.montecarlo.stats`) aggregates without materializing
+per-trial objects.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 from ..baselines.unaware import compare_outputs
 from ..fault.injector import InjectionResult
 from ..fault.models import FaultEffect
-
-try:  # pragma: no cover - exercised via both backends in tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 #: Trial kinds a batch can hold.
 KINDS = ("ccf", "transient")
@@ -45,52 +32,29 @@ CLASS_NAMES = ("masked", "detected", "silent_ccf", "hang", "trap")
 STATUS_PENDING = 0
 STATUS_ANALYTIC = 1   # classified from the golden run, no simulation
 STATUS_SIMULATED = 2  # forked from a checkpoint and simulated
-STATUS_STATIC = 3     # proven masked by static analysis alone: no
-                      # simulation AND no dynamic access-log lookup
+STATUS_STATIC = 3     # masked, and proven so by static analysis too
 
-#: (name, numpy dtype) per column; the fallback stores plain int lists.
-_COLUMNS: Tuple[Tuple[str, str], ...] = (
-    ("cycle", "int64"),          # fault cycle
-    ("stimulus", "uint64"),      # ccf stimulus (0 for transients)
-    ("core", "int16"),           # transient target core (-1 for ccf)
-    ("register", "int16"),       # transient target register (-1 for ccf)
-    ("bit", "int16"),            # transient target bit (-1 for ccf)
-    ("status", "int16"),
-    ("classification", "int16"),
-    ("diversity", "int16"),      # -1 unknown/None, 0 False, 1 True
-    ("no_diversity_cycles", "int64"),
-    ("finished", "int16"),
-    ("output0", "uint64"),
-    ("output1", "uint64"),
-    ("eff_reg0", "int16"),       # applied corruption, core 0 (-1 none)
-    ("eff_bit0", "int16"),
-    ("eff_reg1", "int16"),       # applied corruption, core 1 (-1 none)
-    ("eff_bit1", "int16"),
-    ("end_cycle", "int64"),
-    ("death_cycle", "int64"),    # cycle the perturbation stopped
+#: (name, fill value) per column.
+_COLUMNS: Tuple[Tuple[str, int], ...] = (
+    ("cycle", 0),                # fault cycle
+    ("stimulus", 0),             # ccf stimulus (0 for transients)
+    ("core", -1),                # transient target core (-1 for ccf)
+    ("register", -1),            # transient target register (-1 for ccf)
+    ("bit", -1),                 # transient target bit (-1 for ccf)
+    ("status", 0),
+    ("classification", -1),
+    ("diversity", -1),           # -1 unknown/None, 0 False, 1 True
+    ("no_diversity_cycles", 0),
+    ("finished", 0),
+    ("output0", 0),
+    ("output1", 0),
+    ("eff_reg0", -1),            # applied corruption, core 0 (-1 none)
+    ("eff_bit0", -1),
+    ("eff_reg1", -1),            # applied corruption, core 1 (-1 none)
+    ("eff_bit1", -1),
+    ("end_cycle", 0),
+    ("death_cycle", -1),         # cycle the perturbation stopped
 )                                # mattering (-1 while pending)
-
-
-def numpy_available() -> bool:
-    """True when the numpy backend can be used at all."""
-    return _np is not None and os.environ.get(
-        "REPRO_MC_PURE_PYTHON") != "1"
-
-
-def resolve_backend(backend: str = "auto") -> str:
-    """Normalize a backend request to ``"numpy"`` or ``"python"``."""
-    if backend == "auto":
-        return "numpy" if numpy_available() else "python"
-    if backend == "numpy":
-        if _np is None:
-            raise RuntimeError(
-                "numpy backend requested but numpy is not installed "
-                "(pip install 'repro[mc]')")
-        return "numpy"
-    if backend == "python":
-        return "python"
-    raise ValueError("unknown TrialBatch backend %r "
-                     "(expected auto|numpy|python)" % (backend,))
 
 
 class TrialBatch:
@@ -103,35 +67,31 @@ class TrialBatch:
     (``STATUS_SIMULATED``).
     """
 
-    __slots__ = ("kind", "n", "backend", "golden_checksum", "columns")
+    __slots__ = ("kind", "n", "golden_checksum", "columns")
 
-    def __init__(self, kind: str, n: int, backend: str = "auto",
-                 golden_checksum: int = 0):
+    def __init__(self, kind: str, n: int, golden_checksum: int = 0,
+                 backend: str = "python"):
+        # ``backend`` predates the single column store; only its one
+        # remaining value is accepted.
         if kind not in KINDS:
             raise ValueError("unknown trial kind %r" % (kind,))
+        if n < 0:
+            raise ValueError("trial count must be non-negative, got %d"
+                             % (n,))
+        if backend != "python":
+            raise ValueError("unknown TrialBatch backend %r (columns "
+                             "are plain lists: 'python')" % (backend,))
         self.kind = kind
-        self.n = int(n)
-        self.backend = resolve_backend(backend)
+        self.n = n
         self.golden_checksum = golden_checksum
-        self.columns: Dict[str, object] = {}
-        for name, dtype in _COLUMNS:
-            fill = -1 if name in ("core", "register", "bit",
-                                  "classification", "diversity",
-                                  "eff_reg0", "eff_bit0", "eff_reg1",
-                                  "eff_bit1", "death_cycle") else 0
-            if self.backend == "numpy":
-                self.columns[name] = _np.full(self.n, fill, dtype=dtype)
-            else:
-                self.columns[name] = [fill] * self.n
+        self.columns: Dict[str, List[int]] = {
+            name: [fill] * n for name, fill in _COLUMNS}
 
     # -- column access -----------------------------------------------------
 
     def column(self, name: str) -> List[int]:
-        """One column as a plain list of Python ints (both backends)."""
-        col = self.columns[name]
-        if self.backend == "numpy":
-            return [int(v) for v in col.tolist()]
-        return list(col)
+        """A copy of one column."""
+        return list(self.columns[name])
 
     def as_dict(self) -> Dict[str, List[int]]:
         """Every column as plain lists — the batch's portable form."""
@@ -183,12 +143,12 @@ class TrialBatch:
         """Row ``i``'s applied corruptions as a scalar effects tuple."""
         cols = self.columns
         out = []
-        if int(cols["eff_reg0"][i]) >= 0:
-            out.append(FaultEffect(register=int(cols["eff_reg0"][i]),
-                                   bit=int(cols["eff_bit0"][i])))
-        if int(cols["eff_reg1"][i]) >= 0:
-            out.append(FaultEffect(register=int(cols["eff_reg1"][i]),
-                                   bit=int(cols["eff_bit1"][i])))
+        if cols["eff_reg0"][i] >= 0:
+            out.append(FaultEffect(register=cols["eff_reg0"][i],
+                                   bit=cols["eff_bit0"][i]))
+        if cols["eff_reg1"][i] >= 0:
+            out.append(FaultEffect(register=cols["eff_reg1"][i],
+                                   bit=cols["eff_bit1"][i]))
         return tuple(out)
 
     def result(self, i: int) -> InjectionResult:
@@ -199,41 +159,35 @@ class TrialBatch:
         benchmark and tests assert).
         """
         cols = self.columns
-        diversity = int(cols["diversity"][i])
+        diversity = cols["diversity"][i]
         return InjectionResult(
-            fault_cycle=int(cols["cycle"][i]),
-            outcome=compare_outputs(int(cols["output0"][i]),
-                                    int(cols["output1"][i]),
+            fault_cycle=cols["cycle"][i],
+            outcome=compare_outputs(cols["output0"][i],
+                                    cols["output1"][i],
                                     self.golden_checksum),
             diversity_at_injection=(None if diversity < 0
                                     else bool(diversity)),
-            no_diversity_cycles=int(cols["no_diversity_cycles"][i]),
+            no_diversity_cycles=cols["no_diversity_cycles"][i],
             effects=self.effects(i),
-            finished=bool(int(cols["finished"][i])),
-            end_cycle=int(cols["end_cycle"][i]),
-            trapped=(int(cols["classification"][i]) == CLASS_TRAP),
+            finished=bool(cols["finished"][i]),
+            end_cycle=cols["end_cycle"][i],
+            trapped=(cols["classification"][i] == CLASS_TRAP),
         )
 
     def effects_identical(self, i: int) -> bool:
         cols = self.columns
-        return (int(cols["eff_reg0"][i]) >= 0
-                and int(cols["eff_reg0"][i]) == int(cols["eff_reg1"][i])
-                and int(cols["eff_bit0"][i]) == int(cols["eff_bit1"][i]))
+        return (cols["eff_reg0"][i] >= 0
+                and cols["eff_reg0"][i] == cols["eff_reg1"][i]
+                and cols["eff_bit0"][i] == cols["eff_bit1"][i])
 
     # -- aggregation -------------------------------------------------------
 
     def count_status(self, status: int) -> int:
-        col = self.columns["status"]
-        if self.backend == "numpy":
-            return int(_np.count_nonzero(col == status))
-        return sum(1 for s in col if s == status)
+        return self.columns["status"].count(status)
 
     def count(self, classification: str) -> int:
-        code = CLASS_NAMES.index(classification)
-        col = self.columns["classification"]
-        if self.backend == "numpy":
-            return int(_np.count_nonzero(col == code))
-        return sum(1 for c in col if c == code)
+        return self.columns["classification"].count(
+            CLASS_NAMES.index(classification))
 
     @property
     def masked(self) -> int:
@@ -264,7 +218,7 @@ class TrialBatch:
         cls = self.columns["classification"]
         div = self.columns["diversity"]
         for i in range(self.n):
-            if (int(cls[i]) == CLASS_SILENT_CCF and int(div[i]) == 1
+            if (cls[i] == CLASS_SILENT_CCF and div[i] == 1
                     and self.effects_identical(i)):
                 total += 1
         return total
@@ -276,7 +230,7 @@ class TrialBatch:
         total = 0
         cls = self.columns["classification"]
         for i in range(self.n):
-            if (int(cls[i]) == CLASS_SILENT_CCF
+            if (cls[i] == CLASS_SILENT_CCF
                     and not self.effects_identical(i)):
                 total += 1
         return total
@@ -288,9 +242,9 @@ class TrialBatch:
         cls = self.columns["classification"]
         div = self.columns["diversity"]
         for i in range(self.n):
-            code = int(cls[i])
+            code = cls[i]
             if code == CLASS_DETECTED or (code == CLASS_SILENT_CCF
-                                          and int(div[i]) == 0):
+                                          and div[i] == 0):
                 total += 1
         return total
 

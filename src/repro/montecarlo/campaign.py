@@ -13,8 +13,10 @@ The drive train, per kernel:
    the parent only, so the grid is a pure function of the seed.
 3. ``run()`` — :func:`~repro.montecarlo.golden.classify_batch`
    resolves provably-masked trials analytically (typically the large
-   majority); the remaining live trials go, in ascending trial order,
-   through the scalar campaign's trial loop
+   majority), labelling those the static masking proofs also cover
+   (:class:`~repro.lint.masking.StaticMaskFilter`); the remaining
+   live trials go, in ascending trial order, through the scalar
+   campaign's trial loop
    (:func:`~repro.fault.campaign.run_trials`) — serially or over a
    process pool, folded in task order, so ``jobs=1`` and ``jobs=N``
    produce bit-identical batches (asserted in
@@ -63,8 +65,8 @@ class McCampaignResult:
     checkpoint_every: int
     jobs: int = 1
     engine: str = "reference"
-    #: Trials resolved by static masking proof alone (no access-log
-    #: lookup), by the dynamic log, and via forked simulation.
+    #: Masked trials the static proofs also cover, the other masked
+    #: trials the dynamic log resolves, and forked simulations.
     static: int = 0
     analytic: int = 0
     simulated: int = 0
@@ -134,21 +136,21 @@ class McCampaignResult:
 class BatchedCampaign:
     """Shared-golden-run Monte-Carlo campaign over one kernel."""
 
+    #: The one :class:`TrialBatch` column store, kept as an attribute
+    #: for callers that still pass it through as ``backend=``.
+    backend = "python"
+
     def __init__(self, program: Program, benchmark: str = "program",
                  config: Optional[SocConfig] = None,
                  max_cycles: int = 2_000_000,
                  checkpoint_every: int = 0,
-                 engine: str = "reference",
-                 backend: str = "auto",
-                 static_prefilter: bool = True):
+                 engine: str = "reference"):
         self.program = program
         self.benchmark = benchmark
         self.config = config
         self.max_cycles = max_cycles
         self.checkpoint_every = checkpoint_every
         self.engine = engine
-        self.backend = backend
-        self.static_prefilter = static_prefilter
         self.mask_filter: Optional[StaticMaskFilter] = None
         self.artifact: Optional[McGoldenArtifact] = None
         self.golden_wall_s = 0.0
@@ -166,8 +168,11 @@ class BatchedCampaign:
         return max(MIN_CADENCE, probe.cycles // 25)
 
     def prepare(self, kind: str = "ccf") -> McGoldenArtifact:
-        """The instrumented golden run (memoized)."""
-        if self.artifact is not None:
+        """The instrumented golden run (memoized).  A transient
+        recording has no per-cycle CCF digests, so a CCF batch after
+        one records again."""
+        if self.artifact is not None and (kind != "ccf"
+                                          or self.artifact.diversity):
             return self.artifact
         start = time.perf_counter()
         if self.checkpoint_every <= 0:
@@ -178,10 +183,10 @@ class BatchedCampaign:
             checkpoint_every=self.checkpoint_every,
             benchmark=self.benchmark,
             record_ccf=(kind == "ccf"))
-        if self.static_prefilter and self.mask_filter is None:
+        if self.mask_filter is None:
             # Static masking proofs are per-program, not per-run; a
             # program the CFG builder cannot analyze simply gets no
-            # pre-filter (every trial falls through to the access log).
+            # static labels.
             try:
                 self.mask_filter = StaticMaskFilter.from_program(
                     self.program)
@@ -192,16 +197,25 @@ class BatchedCampaign:
 
     # -- seeded samplers --------------------------------------------------
 
+    @staticmethod
+    def _last_cycle(artifact: McGoldenArtifact) -> int:
+        """The golden end cycle, the exclusive bound of the sampled
+        fault cycles ``[1, end)``; ``ValueError`` if that is empty."""
+        if artifact.end_cycle < 2:
+            raise ValueError("the golden run ended at cycle %d: no "
+                             "fault cycle in [1, %d) to sample"
+                             % (artifact.end_cycle, artifact.end_cycle))
+        return artifact.end_cycle
+
     def sample_ccf(self, trials: int, seed: int = 0) -> TrialBatch:
         """``trials`` common-cause faults: uniform cycle in
         ``[1, end)``, uniform 32-bit stimulus.  Parent-side
         :class:`random.Random` only — the grid is a pure function of
-        the seed, independent of jobs and backend."""
+        the seed, independent of jobs."""
         artifact = self.prepare("ccf")
         rng = random.Random(seed)
-        batch = TrialBatch("ccf", trials, backend=self.backend,
-                           golden_checksum=artifact.checksum)
-        last = artifact.end_cycle
+        batch = TrialBatch("ccf", trials, golden_checksum=artifact.checksum)
+        last = self._last_cycle(artifact)
         for i in range(trials):
             batch.set_ccf_trial(i, rng.randrange(1, last),
                                 rng.getrandbits(32))
@@ -212,9 +226,9 @@ class BatchedCampaign:
         architectural register (x1..x31), bit."""
         artifact = self.prepare("transient")
         rng = random.Random(seed)
-        batch = TrialBatch("transient", trials, backend=self.backend,
+        batch = TrialBatch("transient", trials,
                            golden_checksum=artifact.checksum)
-        last = artifact.end_cycle
+        last = self._last_cycle(artifact)
         for i in range(trials):
             batch.set_transient_trial(
                 i, rng.randrange(1, last), rng.randrange(2),
@@ -226,9 +240,9 @@ class BatchedCampaign:
     def _task(self, batch: TrialBatch, i: int):
         cols = batch.columns
         if batch.kind == "ccf":
-            return (int(cols["cycle"][i]), int(cols["stimulus"][i]))
-        return (int(cols["cycle"][i]), int(cols["core"][i]),
-                int(cols["register"][i]), int(cols["bit"][i]))
+            return cols["cycle"][i], cols["stimulus"][i]
+        return (cols["cycle"][i], cols["core"][i], cols["register"][i],
+                cols["bit"][i])
 
     def run(self, batch: TrialBatch, jobs: Optional[int] = 1,
             seed: int = 0, metrics=None) -> McCampaignResult:
@@ -278,29 +292,3 @@ class BatchedCampaign:
         if metrics is not None:
             result.to_metrics(metrics)
         return result
-
-
-def run_montecarlo_campaign(program: Program, trials: int,
-                            kind: str = "ccf", seed: int = 0,
-                            benchmark: str = "program",
-                            config: Optional[SocConfig] = None,
-                            max_cycles: int = 2_000_000,
-                            checkpoint_every: int = 0,
-                            jobs: Optional[int] = 1,
-                            engine: str = "reference",
-                            backend: str = "auto",
-                            static_prefilter: bool = True,
-                            metrics=None) -> McCampaignResult:
-    """One-call convenience wrapper: prepare, sample, run."""
-    campaign = BatchedCampaign(program, benchmark=benchmark,
-                               config=config, max_cycles=max_cycles,
-                               checkpoint_every=checkpoint_every,
-                               engine=engine, backend=backend,
-                               static_prefilter=static_prefilter)
-    if kind == "ccf":
-        batch = campaign.sample_ccf(trials, seed=seed)
-    elif kind == "transient":
-        batch = campaign.sample_transient(trials, seed=seed)
-    else:
-        raise ValueError("unknown campaign kind %r" % (kind,))
-    return campaign.run(batch, jobs=jobs, seed=seed, metrics=metrics)

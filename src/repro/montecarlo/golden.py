@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..fault.injector import GoldenArtifact, record_golden_run
+from ..fault.models import ccf_target
 from ..isa.program import Program
 from ..isa.registers import NUM_REGISTERS
 from ..lint.masking import FRONTIER_HALTED
@@ -55,16 +56,6 @@ from .batch import (
     STATUS_STATIC,
     TrialBatch,
 )
-
-#: Knuth's multiplicative-hash constant — MUST stay equal to the one in
-#: :meth:`repro.fault.models.CommonCauseFault.effect_on`; the analytic
-#: effect computation reproduces that arithmetic bit-for-bit.
-GOLDEN_RATIO_32 = 0x9E3779B1
-
-try:  # pragma: no cover - exercised via both backends in tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 
 class AccessIndex:
@@ -169,43 +160,21 @@ def mc_golden_run(program: Program,
 # -- analytic CCF effects ------------------------------------------------------
 
 def ccf_effects(artifact: McGoldenArtifact, cycles: List[int],
-                stimuli: List[int], backend: str = "python"
+                stimuli: List[int]
                 ) -> Tuple[List[int], List[int], List[int], List[int]]:
-    """Concrete per-core corruptions of CCF trials, no simulation.
-
-    Reproduces :meth:`CommonCauseFault.effect_on` from the recorded
-    digests: ``mixed = ((state ^ activity) * K + stimulus) & 2^32-1``,
-    register ``1 + mixed % 31``, bit ``(mixed >> 8) % 64``.  The numpy
-    path vectorizes the mixing in uint64 (no intermediate exceeds
-    2^64 for 32-bit digests and stimuli, so the arithmetic is exact);
-    the fallback runs the same integer ops per trial.  Returns
-    ``(reg0, bit0, reg1, bit1)`` as plain lists.
-    """
-    if backend == "numpy" and _np is not None:
-        c = _np.asarray(cycles, dtype=_np.int64)
-        s = _np.asarray(stimuli, dtype=_np.uint64)
-        out = []
-        for core in (0, 1):
-            state = _np.asarray(artifact.state_digests[core],
-                                dtype=_np.uint64)[c]
-            activity = _np.asarray(artifact.activity_digests[core],
-                                   dtype=_np.uint64)[c]
-            mixed = ((state ^ activity) * _np.uint64(GOLDEN_RATIO_32)
-                     + s) & _np.uint64(0xFFFFFFFF)
-            reg = _np.uint64(1) + mixed % _np.uint64(31)
-            bit = (mixed >> _np.uint64(8)) % _np.uint64(64)
-            out.append([int(v) for v in reg.tolist()])
-            out.append([int(v) for v in bit.tolist()])
-        return tuple(out)
-    out = ([], [], [], [])
+    """Concrete per-core corruptions of CCF trials, no simulation:
+    :func:`~repro.fault.models.ccf_target` (the arithmetic of
+    :meth:`CommonCauseFault.effect_on`) over the recorded digests.
+    Returns ``(reg0, bit0, reg1, bit1)``."""
+    out: Tuple[List[int], List[int], List[int], List[int]] = (
+        [], [], [], [])
     for cycle, stimulus in zip(cycles, stimuli):
         for core in (0, 1):
-            state = artifact.state_digests[core][cycle]
-            activity = artifact.activity_digests[core][cycle]
-            mixed = (((state ^ activity) * GOLDEN_RATIO_32 + stimulus)
-                     & 0xFFFFFFFF)
-            out[2 * core].append(1 + (mixed % 31))
-            out[2 * core + 1].append((mixed >> 8) % 64)
+            register, bit = ccf_target(
+                artifact.state_digests[core][cycle],
+                artifact.activity_digests[core][cycle], stimulus)
+            out[2 * core].append(register)
+            out[2 * core + 1].append(bit)
     return out
 
 
@@ -227,14 +196,11 @@ def classify_batch(artifact: McGoldenArtifact,
     *ending* cycle ``c`` (first observable access at cycle >= c + 1).
 
     With a ``static_filter`` (:class:`repro.lint.masking.
-    StaticMaskFilter`), each trial is first checked against the static
-    masking proofs at its frontier program point: a statically-proven
-    trial resolves to the golden outcome with status ``STATUS_STATIC``
-    *without consulting the access log at all* (its ``death_cycle``
-    stays -1: the proof is path-universal, not cycle-dated).  The
-    static masked set is a subset of the dynamic one
-    (``tests/test_lint_masking.py``), so this changes which status a
-    trial gets, never its classification.
+    StaticMaskFilter`), a masked trial whose corruptions the static
+    masking proofs also cover at their frontier program points gets
+    status ``STATUS_STATIC`` instead.  The access log still decides
+    every trial and dates its ``death_cycle``: the filter changes a
+    status label, never a classification or a live list.
     """
     cols = batch.columns
     base = artifact.base
@@ -250,41 +216,34 @@ def classify_batch(artifact: McGoldenArtifact,
         # exact, so fall back to it alone.
         static_filter = None
 
-    def frontier_at(core: int, cycle: int) -> int:
+    def proven(core: int, cycle: int, register: int) -> bool:
+        if static_filter is None:
+            return False
         trace = artifact.frontier[core]
-        if cycle >= len(trace):
-            # The run is over: nothing issues after the last step, so
-            # only the halt-time checksum read remains.
-            return FRONTIER_HALTED
-        return trace[cycle]
+        # Past the run's end nothing issues: only the halt-time
+        # checksum read remains.
+        point = trace[cycle] if cycle < len(trace) else FRONTIER_HALTED
+        return static_filter.is_masked(point, register)
 
     if batch.kind == "ccf":
-        stimuli = batch.column("stimulus")
         reg0, bit0, reg1, bit1 = ccf_effects(
-            artifact, cycles, stimuli, backend=batch.backend)
+            artifact, cycles, batch.column("stimulus"))
         for i in range(batch.n):
             cols["eff_reg0"][i] = reg0[i]
             cols["eff_bit0"][i] = bit0[i]
             cols["eff_reg1"][i] = reg1[i]
             cols["eff_bit1"][i] = bit1[i]
             cols["diversity"][i] = artifact.diversity[cycles[i]]
-        effective = [c + 1 for c in cycles]
-        for i in range(batch.n):
-            if (static_filter is not None
-                    and static_filter.is_masked(
-                        frontier_at(0, effective[i]), reg0[i])
-                    and static_filter.is_masked(
-                        frontier_at(1, effective[i]), reg1[i])):
-                _fill_analytic(batch, i, base, golden_class, -1,
-                               status=STATUS_STATIC)
-                continue
-            fate0 = artifact.access[0].corruption_fate(reg0[i],
-                                                       effective[i])
-            fate1 = artifact.access[1].corruption_fate(reg1[i],
-                                                       effective[i])
-            if fate0[0] and fate1[0]:
+            effective = cycles[i] + 1
+            dead0, death0 = artifact.access[0].corruption_fate(
+                reg0[i], effective)
+            dead1, death1 = artifact.access[1].corruption_fate(
+                reg1[i], effective)
+            if dead0 and dead1:
+                static = (proven(0, effective, reg0[i])
+                          and proven(1, effective, reg1[i]))
                 _fill_analytic(batch, i, base, golden_class,
-                               max(fate0[1], fate1[1]))
+                               max(death0, death1), static)
             else:
                 live.append(i)
         return live
@@ -295,16 +254,11 @@ def classify_batch(artifact: McGoldenArtifact,
     for i in range(batch.n):
         cols["eff_reg0"][i] = registers[i]
         cols["eff_bit0"][i] = bits[i]
-        if (static_filter is not None
-                and static_filter.is_masked(
-                    frontier_at(targets[i], cycles[i]), registers[i])):
-            _fill_analytic(batch, i, base, golden_class, -1,
-                           status=STATUS_STATIC)
-            continue
         dead, death = artifact.access[targets[i]].corruption_fate(
             registers[i], cycles[i])
         if dead:
-            _fill_analytic(batch, i, base, golden_class, death)
+            _fill_analytic(batch, i, base, golden_class, death,
+                           proven(targets[i], cycles[i], registers[i]))
         else:
             live.append(i)
     return live
@@ -312,11 +266,11 @@ def classify_batch(artifact: McGoldenArtifact,
 
 def _fill_analytic(batch: TrialBatch, i: int, base: GoldenArtifact,
                    classification: int, death_cycle: int,
-                   status: int = STATUS_ANALYTIC):
+                   static: bool):
     """Row ``i`` is provably masked: its run is bisimilar to the golden
     run, so every result field is the golden run's."""
     cols = batch.columns
-    cols["status"][i] = status
+    cols["status"][i] = STATUS_STATIC if static else STATUS_ANALYTIC
     cols["classification"][i] = classification
     cols["no_diversity_cycles"][i] = base.no_diversity_cycles
     cols["finished"][i] = int(base.finished)

@@ -19,8 +19,8 @@ al., ResiLogic — see PAPERS.md) argues divergence and diversity are
   above plus exact quantiles and bootstrap confidence intervals from
   :mod:`repro.analysis.stats`.
 
-Everything here is pure-Python arithmetic over the batch's portable
-column lists: deterministic, backend-independent, numpy-free.
+Everything here is pure-Python arithmetic over the batch's column
+lists, and deterministic.
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ def divergence_latency_cdf(batch: TrialBatch) -> List[Tuple[int, float]]:
 
 def _latencies(batch: TrialBatch) -> List[int]:
     cols = batch.columns
-    return [int(cols["end_cycle"][i]) - int(cols["cycle"][i])
+    return [cols["end_cycle"][i] - cols["cycle"][i]
             for i in range(batch.n)
-            if int(cols["status"][i]) == STATUS_SIMULATED]
+            if cols["status"][i] == STATUS_SIMULATED]
 
 
 def masked_lifetime_cdf(batch: TrialBatch) -> List[Tuple[int, float]]:
@@ -80,10 +80,9 @@ def masked_lifetime_cdf(batch: TrialBatch) -> List[Tuple[int, float]]:
 
 def _lifetimes(batch: TrialBatch) -> List[int]:
     cols = batch.columns
-    return [int(cols["death_cycle"][i]) - int(cols["cycle"][i])
+    return [cols["death_cycle"][i] - cols["cycle"][i]
             for i in range(batch.n)
-            if int(cols["classification"][i]) == CLASS_MASKED
-            and int(cols["death_cycle"][i]) >= 0]
+            if cols["classification"][i] == CLASS_MASKED]
 
 
 def coverage_by_cycle(batch: TrialBatch, bins: int = 10,
@@ -99,18 +98,16 @@ def coverage_by_cycle(batch: TrialBatch, bins: int = 10,
     """
     cols = batch.columns
     if end_cycle is None:
-        end_cycle = max((int(cols["cycle"][i])
-                         for i in range(batch.n)), default=0) + 1
+        end_cycle = max(cols["cycle"], default=0) + 1
     width = max(1, -(-end_cycle // bins))
     totals = [0] * bins
     covered = [0] * bins
     for i in range(batch.n):
-        code = int(cols["classification"][i])
-        index = min(bins - 1, int(cols["cycle"][i]) // width)
+        code = cols["classification"][i]
+        index = min(bins - 1, cols["cycle"][i] // width)
         totals[index] += 1
         if code in (CLASS_DETECTED, CLASS_TRAP) or (
-                code == CLASS_SILENT_CCF
-                and int(cols["diversity"][i]) == 0):
+                code == CLASS_SILENT_CCF and cols["diversity"][i] == 0):
             covered[index] += 1
     rows = []
     for index in range(bins):
@@ -134,10 +131,10 @@ def diversity_histogram(batch: TrialBatch) -> Dict[str, Dict[str, int]]:
            for name in CLASS_NAMES}
     keys = {1: "diverse", 0: "not_diverse", -1: "no_report"}
     for i in range(batch.n):
-        code = int(cols["classification"][i])
+        code = cols["classification"][i]
         if code < 0:
             continue
-        out[CLASS_NAMES[code]][keys[int(cols["diversity"][i])]] += 1
+        out[CLASS_NAMES[code]][keys[cols["diversity"][i]]] += 1
     return out
 
 
@@ -158,8 +155,7 @@ def batch_statistics(batch: TrialBatch, bins: int = 10,
     """The full JSON-ready statistics bundle for one batch.
 
     Deterministic for a given batch (bootstrap RNGs are seeded per
-    block); safe to compare bit-for-bit across jobs counts and
-    backends.
+    block); safe to compare bit-for-bit across jobs counts.
     """
     counts = batch.counts()
     total = max(1, batch.n)

@@ -135,3 +135,18 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err == "error: jobs must be at least 1, got %d\n" \
             % int(argv[-1])
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--bins", "0", "bins must be at least 1, got 0"),
+        ("--bins", "-2", "bins must be at least 1, got -2"),
+        ("--trials", "-3", "trials must be at least 1, got -3"),
+        ("--max-cycles", "1", "the golden run ended at cycle 1: no "
+                              "fault cycle in [1, 1) to sample"),
+    ], ids=["bins-0", "bins-negative", "trials-negative",
+            "max-cycles-1"])
+    def test_bad_montecarlo_input_rejected(self, flag, value, message,
+                                           capsys):
+        assert main(["montecarlo", "cosf", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % message
