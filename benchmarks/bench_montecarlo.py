@@ -26,19 +26,31 @@ way, which doubles as a cross-tier equivalence check when the two
 sides run different engine tiers.  The batched figure includes the
 golden-run cost, so the reported speedup is end-to-end, not marginal.
 
+Per kernel it also reports the golden-recording layer's cost,
+``golden_overhead_x``: :func:`repro.montecarlo.mc_golden_run` at the
+campaign's checkpoint cadence over a plain reference-tier
+:func:`repro.soc.experiment.run_redundant` of the same kernel, config
+and cycle cap (the repository benchmark's
+``montecarlo.golden_overhead_x``).  ``golden_seconds`` and
+``classify_seconds`` split the batched campaign's own time between
+the recording and the classifier, which observes the sampled golden
+cycles on demand.
+
 The report goes to ``BENCH_montecarlo.json`` at the repo root;
 ``--min-speedup X`` turns the bench into a CI gate that exits
 non-zero when the aggregate batched-vs-scratch speedup falls below
-``X``.  The scratch baseline is the honest comparison for "what a
-naive Monte-Carlo harness would cost"; the fork baseline is reported
-alongside so the win over the previous best path is visible too.
+``X``, and ``--max-golden-overhead X`` one that fails when any
+kernel's ``golden_overhead_x`` exceeds ``X``.  The scratch baseline
+is the honest comparison for "what a naive Monte-Carlo harness would
+cost"; the fork baseline is reported alongside so the win over the
+previous best path is visible too.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_montecarlo.py
         [--kernels K ...] [--trials N] [--baseline-trials N]
         [--checkpoint-every N] [--engine TIER] [--baseline-engine
-        TIER] [--jobs N] [--quick] [--min-speedup X] [--seed N]
-        [--out FILE]
+        TIER] [--jobs N] [--quick] [--min-speedup X]
+        [--max-golden-overhead X] [--seed N] [--out FILE]
 
 ``--quick`` restricts the run to the countnegative kernel with fewer
 trials, for CI.  ``--baseline-trials 0`` skips the expensive scratch
@@ -64,7 +76,8 @@ from repro.fault import (
     run_ccf_campaign,
     shared_address_config,
 )
-from repro.montecarlo import BatchedCampaign
+from repro.montecarlo import BatchedCampaign, mc_golden_run
+from repro.soc.experiment import run_redundant
 from repro.workloads import program as build_program
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -136,6 +149,19 @@ def bench_kernel(name, trials, baseline_trials, cadence_override,
             "%r\n scratch: %r" % (i, got, want)
     scratch_s = time.perf_counter() - scratch_start
 
+    # -- layer cost: the recording golden run against a plain
+    # reference run of the same kernel, config and cycle cap, at the
+    # cadence the campaign chose. ------------------------------------
+    golden_start = time.perf_counter()
+    mc_golden_run(prog, config=config, max_cycles=MAX_CYCLES,
+                  checkpoint_every=campaign.checkpoint_every,
+                  benchmark=name)
+    golden_s = time.perf_counter() - golden_start
+    reference_start = time.perf_counter()
+    run_redundant(prog, benchmark=name, config=config,
+                  max_cycles=MAX_CYCLES, engine="reference")
+    golden_overhead = golden_s / (time.perf_counter() - reference_start)
+
     batched_rate = trials / batched_s
     fork_rate = len(sampled) / fork_s
     scratch_rate = (baseline_trials / scratch_s if baseline_trials
@@ -147,10 +173,10 @@ def bench_kernel(name, trials, baseline_trials, cadence_override,
                     if scratch_rate else "scratch skipped")
     scratch_x = "%.1fx scratch" % speedup if speedup else "n/a scratch"
     print("%-14s trials=%-6d every=%-5d batched %6.2fs (%.1f/s)  "
-          "fork %.3fs/trial  %s  (%s, %.1fx fork)"
+          "fork %.3fs/trial  %s  (%s, %.1fx fork)  golden %.2fx"
           % (name, trials, campaign.checkpoint_every, batched_s,
              batched_rate, 1.0 / fork_rate, scratch_note,
-             scratch_x, speedup_fork))
+             scratch_x, speedup_fork, golden_overhead))
     assert counts["silent_despite_diversity"] == 0
     return {
         "kernel": name,
@@ -161,6 +187,7 @@ def bench_kernel(name, trials, baseline_trials, cadence_override,
         "simulated": result.simulated,
         "counts": counts,
         "golden_seconds": round(result.golden_wall_s, 3),
+        "golden_overhead_x": round(golden_overhead, 2),
         "classify_seconds": round(result.classify_wall_s, 3),
         "simulate_seconds": round(result.simulate_wall_s, 3),
         "batched_seconds": round(batched_s, 3),
@@ -229,6 +256,11 @@ def main():
                         metavar="X",
                         help="exit non-zero if aggregate batched-vs-"
                              "scratch speedup < X")
+    parser.add_argument("--max-golden-overhead", type=float,
+                        default=None, metavar="X",
+                        help="exit non-zero if any kernel's recording "
+                             "golden run costs more than X plain "
+                             "reference runs")
     parser.add_argument("--out", default=None, metavar="FILE",
                         help="report path (default: "
                              "BENCH_montecarlo.json at the repo root)")
@@ -262,6 +294,7 @@ def main():
                        for row in rows))
     speedup = batched_rate / scratch_rate if scratch_rate else None
     speedup_fork = batched_rate / fork_rate
+    golden_overhead = max(row["golden_overhead_x"] for row in rows)
     checked = sum(row["checked_trials"] + row["baseline_trials"]
                   for row in rows)
     print("exactness: batched == scalar field-for-field on %d sampled "
@@ -270,6 +303,8 @@ def main():
                     if scratch_rate else "scratch skipped")
     print("aggregate %.1f trials/s batched vs %s and %.1f fork (%.1fx)"
           % (batched_rate, scratch_part, fork_rate, speedup_fork))
+    print("golden recording: at most %.2fx a plain reference run"
+          % golden_overhead)
 
     report = {
         "kernels": rows,
@@ -292,6 +327,7 @@ def main():
                         None if baseline_total
                         else "no-baseline-trials"),
         "speedup_vs_fork": round(speedup_fork, 2),
+        "golden_overhead_x": golden_overhead,
     }
     out_path.write_text(json.dumps(report, indent=2) + "\n")
     print("wrote %s" % out_path)
@@ -306,6 +342,12 @@ def main():
             print("FAIL: speedup %.1fx below required %.1fx"
                   % (speedup, args.min_speedup), file=sys.stderr)
             return 1
+    if (args.max_golden_overhead is not None
+            and golden_overhead > args.max_golden_overhead):
+        print("FAIL: golden recording overhead %.2fx above allowed "
+              "%.2fx" % (golden_overhead, args.max_golden_overhead),
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -1103,11 +1103,9 @@ def _build_span_source(num_cores, watched, pairs, num_taps):
     for p, (a, b, kind, _, has_history, _) in enumerate(pairs):
         if kind == "poll":
             emit("        ", _poll_seed_lines(has_history), p, a, b)
-    lines.append("        finished = False")
+    all_finished = " and ".join("fin_%d" % i for i in watched)
     lines.append("        while cycle < stop:")
-    lines.append("            if %s:"
-                 % " and ".join("fin_%d" % i for i in watched))
-    lines.append("                finished = True")
+    lines.append("            if %s:" % all_finished)
     lines.append("                break")
     body = _CORE_BODY.replace("AMEM", str(ACC_MEM))
     for n in range(num_cores):
@@ -1140,7 +1138,7 @@ def _build_span_source(num_cores, watched, pairs, num_taps):
         if kind == "poll":
             emit("        ", _poll_flush_lines(has_history, has_mx),
                  p, a, b)
-    lines.append("        return cycle, finished")
+    lines.append("        return cycle, %s" % all_finished)
     lines.append("    return run_span")
     return "\n".join(lines)
 
@@ -1252,7 +1250,8 @@ class FastRunner:
 
     def run_span(self, stop: int) -> bool:
         """Step the platform until ``soc.cycle == stop`` or every
-        watched core finishes.  Returns True when they all have.
+        watched core finishes.  Returns True when they all have,
+        whichever ended the span (they may finish on ``stop`` itself).
         """
         soc = self.soc
         start = soc.cycle

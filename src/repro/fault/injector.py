@@ -8,12 +8,15 @@ fork-from-checkpoint scheme:
 * :func:`record_golden_run` performs ONE fault-free run, dropping a
   snapshot every K cycles and recording which registers are provably
   dead at each checkpoint (plus, for the Monte-Carlo classifier, the
-  cycle-stamped access logs and per-cycle digests),
+  cycle-stamped access logs and per-cycle issue frontiers),
 * a :class:`ForkEngine` then starts each injection from the nearest
   snapshot at or before its fault cycle — O(T + N * K) — and, once the
   forked run's dynamic state re-converges with the golden run's at a
   later checkpoint, reconstructs the rest of the result analytically
-  instead of simulating it.
+  instead of simulating it.  :meth:`ForkEngine.observe` walks the same
+  checkpoints once to show what a common-cause fault would see at any
+  set of golden cycles, so nothing is digested on cycles no trial
+  samples.
 
 Both mechanisms are exact: an engine-driven injection returns an
 :class:`InjectionResult` field-for-field identical to the from-scratch
@@ -23,7 +26,7 @@ one (``tests/test_checkpoint.py`` asserts this over every kernel).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..baselines.unaware import RedundancyOutcome, compare_outputs
 from ..checkpoint import Snapshot, dynamic_view, jsonable
@@ -55,6 +58,16 @@ def _activity_digest(soc: MPSoC, index: int) -> int:
         else:
             crc = zlib.crc32(int(item).to_bytes(4, "little"), crc)
     return crc & 0xFFFFFFFF
+
+
+def _ccf_digests(soc: MPSoC) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """Per monitored core, ``(state digest, activity digest)``: what a
+    common-cause disturbance on the clock edge ending the current
+    cycle is modulated by (:func:`~repro.fault.models.ccf_target`)."""
+    return tuple((state_digest(soc.cores[core_id]),
+                  _activity_digest(soc, index))
+                 for index, core_id in enumerate(soc.monitored))
+
 
 #: The kernels' checksum register (s0 == x8); read per core at halt so
 #: outputs stay per-core even when both cores share one address space.
@@ -227,11 +240,15 @@ def _drive(soc: MPSoC, cycle: int, golden: int, max_cycles: int,
                             continue
                         if probe > max_cycles:
                             break
-                        if runner.run_span(probe):
+                        finished = runner.run_span(probe)
+                        # Like the reference loop, probe the cycle the
+                        # cores finish on too.
+                        if soc.cycle == probe:
+                            tail = convergence(soc)
+                            if tail is not None:
+                                return reconstruct(tail)
+                        if finished:
                             break
-                        tail = convergence(soc)
-                        if tail is not None:
-                            return reconstruct(tail)
                 runner.run_span(max_cycles)
         else:
             while soc.cycle < max_cycles:
@@ -332,8 +349,7 @@ def inject_common_cause(program: Program, cycle: int, stimulus: int,
         # corruption is modulated by the state SafeDM just sampled.
         core0 = soc.cores[soc.monitored[0]]
         core1 = soc.cores[soc.monitored[1]]
-        return fault.inject(core0, core1, _activity_digest(soc, 0),
-                            _activity_digest(soc, 1))
+        return fault.inject(core0, core1, _ccf_digests(soc))
 
     return _inject(program, cycle, golden, config, max_cycles, fork,
                    engine, after_step=after_step)
@@ -444,19 +460,13 @@ class GoldenArtifact:
 @dataclass
 class GoldenRecording:
     """One recorded golden run: the fork artifact plus the per-cycle
-    columns the Monte-Carlo classifier reads (index c = cycle c; the
-    digests and verdicts only with ``record_ccf``)."""
+    columns the Monte-Carlo classifier reads (index c = cycle c).  What
+    a common-cause fault sees at its cycle is observed on demand
+    (:meth:`ForkEngine.observe`)."""
 
     base: GoldenArtifact
     #: Per monitored core: the access log, ``(3, c)`` marking cycle c.
     logs: Tuple[list, list]
-    #: Per core: state digest after the step ending cycle c (what a
-    #: CCF at cycle c modulates).
-    state_digests: Tuple[List[int], List[int]]
-    #: Per core: SafeDM-visible activity-window digest, same indexing.
-    activity_digests: Tuple[List[int], List[int]]
-    #: SafeDM diversity after the step ending cycle c (-1: no report).
-    diversity: List[int]
     #: Per core: pc of the oldest unissued instruction at the start of
     #: cycle c (:data:`~repro.lint.masking.FRONTIER_HALTED` once none).
     frontier: Tuple[List[int], List[int]]
@@ -495,18 +505,17 @@ def record_golden_run(program: Program,
                       max_cycles: int = 2_000_000,
                       checkpoint_every: int = 0,
                       benchmark: str = "program",
-                      sim_key: str = "",
-                      record_ccf: bool = True) -> GoldenRecording:
+                      sim_key: str = "") -> GoldenRecording:
     """The one golden-run recording loop.
 
     A fault-free run on the reference interpreter (the recording
-    register files and the per-cycle hooks need its cycle granularity)
-    that drops a snapshot every ``checkpoint_every`` cycles — post-step,
-    like :meth:`MPSoC.run` — and derives each checkpoint's dead-register
-    map from the access logs.  ``record_ccf`` additionally records the
-    per-cycle digests and diversity verdicts a common-cause fault's
-    analytic effect needs; transient faults are fully specified and
-    skip them.
+    register files need its ``RegisterFile.read``/``write`` calls) that
+    drops a snapshot every ``checkpoint_every`` cycles — post-step,
+    like :meth:`MPSoC.run` — stamps each cycle into the access logs,
+    and derives each checkpoint's dead-register map from them.  Per
+    cycle it keeps only the access logs and the cheap issue frontiers;
+    the digests and verdict a common-cause fault sees at its cycle come
+    from :meth:`ForkEngine.observe`.
     """
     soc = MPSoC(config=config)
     soc.start_redundant(program)
@@ -522,8 +531,8 @@ def record_golden_run(program: Program,
     watched = [soc.cores[idx] for idx in soc._watched_indices()]
     blobs: List[bytes] = []
     cycles: List[int] = []
-    diversity: List[int] = []
-    sd0, sd1, ad0, ad1, frontier0, frontier1 = ([] for _ in range(6))
+    frontier0: List[int] = []
+    frontier1: List[int] = []
     step = soc.step
     take_checkpoints = checkpoint_every > 0
     while soc.cycle < max_cycles:
@@ -537,14 +546,6 @@ def record_golden_run(program: Program,
         frontier0.append(_frontier_pc(core0))
         frontier1.append(_frontier_pc(core1))
         step()
-        if record_ccf:
-            sd0.append(state_digest(core0))
-            sd1.append(state_digest(core1))
-            ad0.append(_activity_digest(soc, 0))
-            ad1.append(_activity_digest(soc, 1))
-            report = soc.safedm.last_report
-            diversity.append(-1 if report is None
-                             else int(report.diversity))
         if take_checkpoints and soc.cycle % checkpoint_every == 0:
             index = len(blobs)
             log0.append((2, index))
@@ -578,14 +579,8 @@ def record_golden_run(program: Program,
         snapshots=tuple(blobs),
         sim_key=sim_key,
     )
-    return GoldenRecording(
-        base=base,
-        logs=(log0, log1),
-        state_digests=(sd0, sd1),
-        activity_digests=(ad0, ad1),
-        diversity=diversity,
-        frontier=(frontier0, frontier1),
-    )
+    return GoldenRecording(base=base, logs=(log0, log1),
+                           frontier=(frontier0, frontier1))
 
 
 def golden_run_with_checkpoints(program: Program,
@@ -605,8 +600,7 @@ def golden_run_with_checkpoints(program: Program,
     return record_golden_run(program, config=config,
                              max_cycles=max_cycles,
                              checkpoint_every=checkpoint_every,
-                             benchmark=benchmark, sim_key=sim_key,
-                             record_ccf=False).base
+                             benchmark=benchmark, sim_key=sim_key).base
 
 
 # -- convergence views --------------------------------------------------------
@@ -674,13 +668,34 @@ class _GoldenView:
             state["monitors"][0]["stats"]["no_diversity_cycles"])
 
 
+class GoldenPoint(NamedTuple):
+    """What a common-cause fault at cycle ``c`` sees of the golden run:
+    the state after the step that ends ``c``, where the ``after_step``
+    injection hook strikes."""
+
+    #: Per monitored core, ``(state digest, activity digest)``
+    #: (:func:`_ccf_digests`).
+    digests: Tuple[Tuple[int, int], Tuple[int, int]]
+    #: SafeDM's verdict on the step that ended cycle ``c`` (-1: no
+    #: report yet).
+    diversity: int
+
+
+def _golden_point(soc: MPSoC) -> GoldenPoint:
+    report = soc.safedm.last_report
+    return GoldenPoint(_ccf_digests(soc),
+                       -1 if report is None else int(report.diversity))
+
+
 class ForkEngine:
     """Fork injected runs from golden checkpoints instead of cycle 0.
 
     ``fork(cycle)`` restores the nearest golden snapshot at or before
     the fault cycle into a fresh :class:`MPSoC`; ``convergence()``
     builds the probe :func:`_drive` consults to cut a forked run short
-    once its dynamic state provably rejoins the golden run's.
+    once its dynamic state provably rejoins the golden run's;
+    ``observe(cycles)`` walks the golden run to the cycles CCF trials
+    sample.
     """
 
     def __init__(self, program: Program, artifact: GoldenArtifact,
@@ -730,6 +745,48 @@ class ForkEngine:
         self.forks += 1
         self.restores += 1
         return soc
+
+    # -- observation ------------------------------------------------------
+
+    def observe(self, cycles: Iterable[int],
+                engine: str = "reference") -> Dict[int, GoldenPoint]:
+        """What a common-cause fault at each of ``cycles`` sees.
+
+        One forward walk in ascending order.  It restores the nearest
+        checkpoint only when that checkpoint is ahead of where the walk
+        already stands, runs ``engine``'s tier up to each cycle and
+        steps that cycle on the reference interpreter, as :func:`_drive`
+        does at a fault cycle, so the walk sees exactly the state the
+        ``after_step`` hook sees.  Cycles lie in ``[0, end_cycle)``.
+        """
+        wanted = sorted(set(cycles))
+        end = self.artifact.end_cycle
+        if wanted and not 0 <= wanted[0] <= wanted[-1] < end:
+            raise ValueError("golden cycles must lie in [0, %d), got "
+                             "%d..%d" % (end, wanted[0], wanted[-1]))
+        soc = MPSoC(config=self.config)
+        soc.start_redundant(self.program)
+        runner = _tier_runner(soc, engine)
+        checkpoints = self.artifact.checkpoint_cycles
+        observed: Dict[int, GoldenPoint] = {}
+        for cycle in wanted:
+            index = self.nearest_checkpoint(cycle)
+            if index is not None and checkpoints[index] > soc.cycle:
+                soc.load_state_dict(self._snapshot(index).state)
+                if runner is not None:
+                    # A restore replaces the objects the generated code
+                    # captured.  A reference step mutates them in place
+                    # and the span re-checks its carried fetch link
+                    # against ``fetch_pc``, so only a restore needs a
+                    # rebuild (one per sampled cycle would double a
+                    # dense walk).
+                    runner._rebuild()
+            if runner is not None and soc.cycle < cycle:
+                runner.run_span(cycle)
+            while soc.cycle <= cycle:
+                soc.step()
+            observed[cycle] = _golden_point(soc)
+        return observed
 
     # -- convergence ------------------------------------------------------
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 from ..cpu.core import Core
 
@@ -57,7 +57,8 @@ def ccf_target(state: int, activity: int, stimulus: int) -> Tuple[int, int]:
     corrupts on a core with the given state and activity digests.
 
     The one copy of the mixing arithmetic: the injector applies it to
-    live cores, the Monte-Carlo classifier to recorded digests.
+    live cores, the Monte-Carlo classifier to digests observed on the
+    golden run.
     """
     mixed = ((state ^ activity) * 0x9E3779B1 + stimulus) & 0xFFFFFFFF
     # Avoid x0 so the corruption is never trivially absorbed.
@@ -89,23 +90,29 @@ class CommonCauseFault:
     cycle: int
     stimulus: int
 
-    def effect_on(self, core: Core, activity: int = 0) -> FaultEffect:
+    def effect_on(self, core: Core, activity: int = 0,
+                  state: Optional[int] = None) -> FaultEffect:
         """Corruption produced on ``core`` by this disturbance.
 
         ``activity`` is a digest of the core's recent switching activity
         (the SafeDM-visible signature window): a droop's effect depends
         on the currents drawn over the last cycles, not just on the
-        instantaneous register state.
+        instantaneous register state.  ``state`` is the core's
+        :func:`state_digest` when the caller already has it.
         """
-        register, bit = ccf_target(state_digest(core), activity,
-                                   self.stimulus)
+        if state is None:
+            state = state_digest(core)
+        register, bit = ccf_target(state, activity, self.stimulus)
         return FaultEffect(register=register, bit=bit)
 
-    def inject(self, core0: Core, core1: Core, activity0: int = 0,
-               activity1: int = 0) -> Tuple[FaultEffect, FaultEffect]:
-        """Apply the disturbance to both cores; returns both effects."""
-        effect0 = self.effect_on(core0, activity0)
-        effect1 = self.effect_on(core1, activity1)
+    def inject(self, core0: Core, core1: Core,
+               digests) -> Tuple[FaultEffect, FaultEffect]:
+        """Apply the disturbance to both cores, each modulated by its
+        ``(state digest, activity digest)`` pair in ``digests``;
+        returns both effects."""
+        effect0, effect1 = (self.effect_on(core, activity, state)
+                            for core, (state, activity)
+                            in zip((core0, core1), digests))
         effect0.apply(core0)
         effect1.apply(core1)
         return effect0, effect1

@@ -4,16 +4,20 @@ The drive train, per kernel:
 
 1. ``prepare()`` — one instrumented golden run
    (:func:`~repro.montecarlo.golden.mc_golden_run`) records
-   checkpoints, the cycle-stamped access log, and per-cycle digests.
-   When no checkpoint cadence is given, a fast-tier probe run sizes it
-   first (~run/25, floor 200 — the bench_campaign sweet spot).
+   checkpoints, the cycle-stamped access log and the per-cycle issue
+   frontier; it serves CCF and transient batches alike.  When no checkpoint cadence is given, a
+   probe run on the campaign's tier sizes it first (~run/25, floor
+   200 — the bench_campaign sweet spot).
 2. ``sample_ccf()/sample_transient()`` — a seeded
    :class:`random.Random` draws the trial grid into a
    :class:`~repro.montecarlo.batch.TrialBatch`.  Sampling happens in
    the parent only, so the grid is a pure function of the seed.
 3. ``run()`` — :func:`~repro.montecarlo.golden.classify_batch`
-   resolves provably-masked trials analytically (typically the large
-   majority), labelling those the static masking proofs also cover
+   (for a CCF batch, after one walk over the golden run on the
+   campaign's tier to the cycles the batch samples) resolves
+   provably-masked trials analytically (typically the large
+   majority), and labels those the static
+   masking proofs also cover
    (:class:`~repro.lint.masking.StaticMaskFilter`); the remaining
    live trials go, in ascending trial order, through the scalar
    campaign's trial loop
@@ -168,11 +172,10 @@ class BatchedCampaign:
         return max(MIN_CADENCE, probe.cycles // 25)
 
     def prepare(self, kind: str = "ccf") -> McGoldenArtifact:
-        """The instrumented golden run (memoized).  A transient
-        recording has no per-cycle CCF digests, so a CCF batch after
-        one records again."""
-        if self.artifact is not None and (kind != "ccf"
-                                          or self.artifact.diversity):
+        """The instrumented golden run (memoized).  One recording
+        serves CCF and transient batches alike, so ``kind`` changes
+        nothing."""
+        if self.artifact is not None:
             return self.artifact
         start = time.perf_counter()
         if self.checkpoint_every <= 0:
@@ -181,8 +184,7 @@ class BatchedCampaign:
             self.program, config=self.config,
             max_cycles=self.max_cycles,
             checkpoint_every=self.checkpoint_every,
-            benchmark=self.benchmark,
-            record_ccf=(kind == "ccf"))
+            benchmark=self.benchmark)
         if self.mask_filter is None:
             # Static masking proofs are per-program, not per-run; a
             # program the CFG builder cannot analyze simply gets no
@@ -212,7 +214,7 @@ class BatchedCampaign:
         ``[1, end)``, uniform 32-bit stimulus.  Parent-side
         :class:`random.Random` only — the grid is a pure function of
         the seed, independent of jobs."""
-        artifact = self.prepare("ccf")
+        artifact = self.prepare()
         rng = random.Random(seed)
         batch = TrialBatch("ccf", trials, golden_checksum=artifact.checksum)
         last = self._last_cycle(artifact)
@@ -224,7 +226,7 @@ class BatchedCampaign:
     def sample_transient(self, trials: int, seed: int = 0) -> TrialBatch:
         """``trials`` single-core transients: uniform cycle, core,
         architectural register (x1..x31), bit."""
-        artifact = self.prepare("transient")
+        artifact = self.prepare()
         rng = random.Random(seed)
         batch = TrialBatch("transient", trials,
                            golden_checksum=artifact.checksum)
@@ -247,13 +249,14 @@ class BatchedCampaign:
     def run(self, batch: TrialBatch, jobs: Optional[int] = 1,
             seed: int = 0, metrics=None) -> McCampaignResult:
         """Classify analytically, simulate the live rest, aggregate."""
-        artifact = self.prepare(batch.kind)
+        artifact = self.prepare()
         base = artifact.base
         jobs = resolve_jobs(jobs)
 
         start = time.perf_counter()
         live = classify_batch(artifact, batch,
-                              static_filter=self.mask_filter)
+                              static_filter=self.mask_filter,
+                              engine=self.engine)
         static = batch.count_status(STATUS_STATIC)
         classify_wall = time.perf_counter() - start
 

@@ -17,13 +17,18 @@ of the checkpoint artifact a scalar campaign forks from:
   ``(1, r)`` write entries of
   :class:`~repro.fault.injector._RecordingRegisterFile` — indexed as an
   :class:`AccessIndex`,
-* per-cycle ``state_digest``/``_activity_digest`` values for both
-  cores, so a common-cause fault's concrete corruption (which is a
-  pure function of post-step golden state, see
-  :meth:`repro.fault.models.CommonCauseFault.effect_on`) can be
-  computed *without* simulating anything,
-* SafeDM's per-cycle diversity verdict (what ``after_step`` injection
-  would have observed).
+* per core, the issue frontier at the start of every cycle (where the
+  static masking proofs are checked).
+
+A common-cause fault's concrete corruption is a pure function of the
+post-step golden state at its cycle (see
+:meth:`repro.fault.models.CommonCauseFault.effect_on`), and SafeDM's
+verdict there is what the ``after_step`` injection hook would observe.
+Neither is recorded: for a CCF batch, :func:`classify_batch` asks
+:meth:`~repro.fault.injector.ForkEngine.observe` for the cycles the
+batch samples, in one walk over the golden checkpoints on the
+campaign's engine tier, so nothing is digested on cycles no trial
+samples.  A transient batch needs no walk.
 
 :func:`classify_batch` then resolves every trial whose corruption is
 provably dead — first access at/after the effective cycle is a write,
@@ -43,7 +48,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..fault.injector import GoldenArtifact, record_golden_run
+from ..fault.injector import ForkEngine, GoldenArtifact, record_golden_run
 from ..fault.models import ccf_target
 from ..isa.program import Program
 from ..isa.registers import NUM_REGISTERS
@@ -113,18 +118,20 @@ class McGoldenArtifact:
     analytic classifier needs.
 
     ``base`` is the plain fork artifact (snapshots, exemption masks) —
-    it alone is shipped to campaign pool workers; the digest columns
-    and access indexes stay in the parent, where classification runs.
-    The columns are :class:`~repro.fault.injector.GoldenRecording`'s.
+    it alone is shipped to campaign pool workers; the access indexes
+    and frontier columns stay in the parent, where classification runs.
+    ``program`` and ``config`` let the classifier walk the golden run
+    again (:meth:`~repro.fault.injector.ForkEngine.observe`).
     """
 
     base: GoldenArtifact
     #: Per monitored core: first-access index over its access log.
     access: Tuple[AccessIndex, AccessIndex]
-    state_digests: Tuple[List[int], List[int]]
-    activity_digests: Tuple[List[int], List[int]]
-    diversity: List[int]
+    #: :attr:`GoldenRecording.frontier
+    #: <repro.fault.injector.GoldenRecording>`.
     frontier: Tuple[List[int], List[int]]
+    program: Program
+    config: Optional[SocConfig] = None
 
     @property
     def checksum(self) -> int:
@@ -140,39 +147,36 @@ def mc_golden_run(program: Program,
                   max_cycles: int = 2_000_000,
                   checkpoint_every: int = 0,
                   benchmark: str = "program",
-                  sim_key: str = "",
-                  record_ccf: bool = True) -> McGoldenArtifact:
+                  sim_key: str = "") -> McGoldenArtifact:
     """The instrumented golden run (see module docstring):
     :func:`~repro.fault.injector.record_golden_run` with its access
     logs indexed for first-access queries."""
     recording = record_golden_run(
         program, config=config, max_cycles=max_cycles,
         checkpoint_every=checkpoint_every, benchmark=benchmark,
-        sim_key=sim_key, record_ccf=record_ccf)
+        sim_key=sim_key)
     base = recording.base
     return McGoldenArtifact(
         base, tuple(AccessIndex(log, base.end_cycle)
                     for log in recording.logs),
-        recording.state_digests, recording.activity_digests,
-        recording.diversity, recording.frontier)
+        recording.frontier, program, config)
 
 
 # -- analytic CCF effects ------------------------------------------------------
 
-def ccf_effects(artifact: McGoldenArtifact, cycles: List[int],
-                stimuli: List[int]
+def ccf_effects(digests: List[tuple], stimuli: List[int]
                 ) -> Tuple[List[int], List[int], List[int], List[int]]:
     """Concrete per-core corruptions of CCF trials, no simulation:
     :func:`~repro.fault.models.ccf_target` (the arithmetic of
-    :meth:`CommonCauseFault.effect_on`) over the recorded digests.
+    :meth:`CommonCauseFault.effect_on`) over each trial's two
+    ``(state digest, activity digest)`` pairs
+    (:attr:`GoldenPoint.digests <repro.fault.injector.GoldenPoint>`).
     Returns ``(reg0, bit0, reg1, bit1)``."""
     out: Tuple[List[int], List[int], List[int], List[int]] = (
         [], [], [], [])
-    for cycle, stimulus in zip(cycles, stimuli):
-        for core in (0, 1):
-            register, bit = ccf_target(
-                artifact.state_digests[core][cycle],
-                artifact.activity_digests[core][cycle], stimulus)
+    for pair, stimulus in zip(digests, stimuli):
+        for core, (state, activity) in enumerate(pair):
+            register, bit = ccf_target(state, activity, stimulus)
             out[2 * core].append(register)
             out[2 * core + 1].append(bit)
     return out
@@ -182,7 +186,8 @@ def ccf_effects(artifact: McGoldenArtifact, cycles: List[int],
 
 def classify_batch(artifact: McGoldenArtifact,
                    batch: TrialBatch,
-                   static_filter=None) -> List[int]:
+                   static_filter=None,
+                   engine: str = "reference") -> List[int]:
     """Resolve provably-masked trials analytically; return the rest.
 
     Fills the effect/diversity columns for every trial and the full
@@ -194,6 +199,10 @@ def classify_batch(artifact: McGoldenArtifact,
     corrupts *before* the step at its fault cycle ``c`` (first
     observable access at cycle >= c), a CCF corrupts on the clock edge
     *ending* cycle ``c`` (first observable access at cycle >= c + 1).
+    A CCF's digests and SafeDM verdict come from one
+    :meth:`~repro.fault.injector.ForkEngine.observe` walk on the
+    ``engine`` tier (the results do not depend on the tier).  A fault
+    cycle outside ``[0, end_cycle)`` raises ``ValueError``.
 
     With a ``static_filter`` (:class:`repro.lint.masking.
     StaticMaskFilter`), a masked trial whose corruptions the static
@@ -204,7 +213,12 @@ def classify_batch(artifact: McGoldenArtifact,
     """
     cols = batch.columns
     base = artifact.base
+    end = base.end_cycle
     cycles = batch.column("cycle")
+    for i, cycle in enumerate(cycles):
+        if not 0 <= cycle < end:
+            raise ValueError("trial %d: fault cycle %d is outside the "
+                             "golden run [0, %d)" % (i, cycle, end))
     live: List[int] = []
     golden_class = CLASS_MASKED if base.finished else CLASS_HANG
     if not base.finished:
@@ -226,14 +240,18 @@ def classify_batch(artifact: McGoldenArtifact,
         return static_filter.is_masked(point, register)
 
     if batch.kind == "ccf":
+        golden = ForkEngine(artifact.program, base,
+                            config=artifact.config)
+        points = golden.observe(cycles, engine)
+        seen = [points[cycle] for cycle in cycles]
         reg0, bit0, reg1, bit1 = ccf_effects(
-            artifact, cycles, batch.column("stimulus"))
+            [point.digests for point in seen], batch.column("stimulus"))
         for i in range(batch.n):
             cols["eff_reg0"][i] = reg0[i]
             cols["eff_bit0"][i] = bit0[i]
             cols["eff_reg1"][i] = reg1[i]
             cols["eff_bit1"][i] = bit1[i]
-            cols["diversity"][i] = artifact.diversity[cycles[i]]
+            cols["diversity"][i] = seen[i].diversity
             effective = cycles[i] + 1
             dead0, death0 = artifact.access[0].corruption_fate(
                 reg0[i], effective)

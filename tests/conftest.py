@@ -83,6 +83,34 @@ def run_asm_redundant(source: str, max_cycles: int = 200_000,
     return soc
 
 
+def golden_points(program, config: SocConfig = None,
+                  max_cycles: int = 2_000_000) -> list:
+    """The per-cycle golden loop: step a fresh SoC on the reference
+    tier exactly as a fault-free run of ``max_cycles`` goes and, after
+    the step ending each cycle c, record what a common-cause fault at c
+    sees: both cores' state and activity digests and SafeDM's verdict.
+    Entry c is the oracle :meth:`repro.fault.ForkEngine.observe` is
+    checked against; every field is computed from the primitives, on
+    every cycle."""
+    from repro.fault.injector import GoldenPoint, _activity_digest
+    from repro.fault.models import state_digest
+    soc = MPSoC(config=config)
+    soc.start_redundant(program)
+    watched = [soc.cores[index] for index in soc._watched_indices()]
+    core0, core1 = (soc.cores[index] for index in soc.monitored)
+    points = []
+    while soc.cycle < max_cycles:
+        if all(core.finished for core in watched):
+            break
+        soc.step()
+        report = soc.safedm.last_report
+        points.append(GoldenPoint(
+            ((state_digest(core0), _activity_digest(soc, 0)),
+             (state_digest(core1), _activity_digest(soc, 1))),
+            -1 if report is None else int(report.diversity)))
+    return points
+
+
 @pytest.fixture
 def soc():
     """A fresh default MPSoC."""

@@ -35,6 +35,8 @@ from repro.soc.experiment import run_redundant
 from repro.soc.mpsoc import MPSoC
 from repro.workloads import all_names, program
 
+from conftest import golden_points
+
 #: Truncated so the 29-kernel property sweep stays test-suite cheap;
 #: every kernel still exercises thousands of monitored cycles.
 MAX_CYCLES = 4000
@@ -261,6 +263,76 @@ def test_fork_equals_scratch_single_injection(artifact):
     forked = inject_common_cause(prog, cycle, 0x5EED,
                                  golden=artifact.checksum, fork=fork)
     assert dataclasses.asdict(forked) == dataclasses.asdict(base)
+
+
+# --- on-demand observation: the walk == the per-cycle golden loop ----------
+
+#: (kernel, shared-address config, checkpoint cadence, max_cycles).
+OBSERVED = [
+    ("countnegative", True, 547, 2_000_000),
+    ("cosf", False, 500, 2_000_000),
+    ("ludcmp", True, 400, 2_000_000),
+    ("fft", False, 600, 2_000_000),
+    ("md5", True, 500, 3_000),  # truncated mid-run
+]
+
+
+@pytest.fixture(scope="module", params=OBSERVED,
+                ids=lambda case: "%s-%s-%d" % (
+                    case[0], "shared" if case[1] else "default",
+                    case[3]))
+def observed(request):
+    """A checkpointed golden run and its per-cycle oracle points."""
+    kernel, shared, every, max_cycles = request.param
+    prog = program(kernel)
+    config = shared_address_config() if shared else None
+    artifact = golden_run_with_checkpoints(
+        prog, config=config, max_cycles=max_cycles,
+        checkpoint_every=every, benchmark=kernel)
+    return prog, config, artifact, golden_points(prog, config,
+                                                 max_cycles)
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+def test_observe_matches_per_cycle_golden_loop(observed, engine,
+                                               monkeypatch):
+    """:meth:`ForkEngine.observe` returns what the per-cycle loop
+    records, at every cycle: densely (the walk only steps forward),
+    every seventh cycle (engine spans follow reference steps with no
+    restore in between) and sparsely (gaps span more than a cadence,
+    so the walk restores checkpoints ahead of itself)."""
+    prog, config, artifact, oracle = observed
+    restores = []
+    load = MPSoC.load_state_dict
+    monkeypatch.setattr(MPSoC, "load_state_dict", lambda soc, state: (
+        restores.append(state["cycle"]), load(soc, state)))
+    end = artifact.end_cycle
+    assert len(oracle) == end
+    fork = ForkEngine(prog, artifact, config=config)
+    dense = fork.observe(range(end), engine)
+    wrong = [c for c in range(end) if dense[c] != oracle[c]]
+    assert not wrong, "dense walk differs at cycles %s" % wrong[:5]
+    assert restores == []
+    medium = list(range(0, end, 7))
+    seen = fork.observe(medium, engine)
+    wrong = [c for c in medium if seen[c] != oracle[c]]
+    assert not wrong, "7-cycle walk differs at cycles %s" % wrong[:5]
+    restores.clear()
+    gap = 2 * artifact.checkpoint_every + 13
+    sparse = list(range(0, end - 1, gap)) + [end - 1]
+    seen = fork.observe(reversed(sparse), engine)
+    assert sorted(seen) == sparse
+    wrong = [c for c in sparse if seen[c] != oracle[c]]
+    assert not wrong, "sparse walk differs at cycles %s" % wrong[:5]
+    assert len(restores) >= len(sparse) - 2
+
+
+def test_observe_rejects_cycles_outside_the_golden_run(artifact):
+    fork = ForkEngine(program(PROGRAM), artifact)
+    assert fork.observe([]) == {}
+    for cycle in (-1, artifact.end_cycle):
+        with pytest.raises(ValueError, match="golden cycles"):
+            fork.observe([cycle])
 
 
 # --- campaigns: fork == scratch == parallel ---------------------------------

@@ -10,6 +10,7 @@ semantics tier.
 """
 
 import dataclasses
+from functools import lru_cache
 
 import pytest
 
@@ -228,6 +229,39 @@ def test_fault_injection_fork_cross_tier():
                                  golden=artifact.checksum, fork=fork,
                                  engine="fast")
     assert dataclasses.asdict(forked) == dataclasses.asdict(base)
+
+
+@lru_cache(maxsize=1)
+def _checkpointed_golden():
+    return golden_run_with_checkpoints(program(KERNEL),
+                                       checkpoint_every=500)
+
+
+@pytest.mark.parametrize("forked", [False, True],
+                         ids=["scratch", "fork"])
+@pytest.mark.parametrize("kind", ["ccf", "transient"])
+def test_fault_at_golden_end_cycle_fast_equals_reference(kind, forked):
+    """A fault at the golden end cycle strikes a finished SoC: no tier
+    applies it or steps past the end, so a fast-tier span must report
+    cores that finish on its stop cycle as finished."""
+    prog = program(KERNEL)
+    artifact = _checkpointed_golden()
+    end = artifact.end_cycle
+    results = []
+    for engine in ("reference", "fast"):
+        fork = ForkEngine(prog, artifact) if forked else None
+        if kind == "ccf":
+            result = inject_common_cause(prog, end, 7,
+                                         golden=artifact.checksum,
+                                         fork=fork, engine=engine)
+        else:
+            result = inject_transient(prog, end, core=0, register=5,
+                                      bit=3, golden=artifact.checksum,
+                                      fork=fork, engine=engine)
+        results.append(dataclasses.asdict(result))
+    assert results[1] == results[0]
+    assert results[0]["effects"] == ()
+    assert results[0]["end_cycle"] == end
 
 
 # --- engine behaviour -------------------------------------------------------

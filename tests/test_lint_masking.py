@@ -115,7 +115,7 @@ class TestStaticSubsetOfDynamic:
         # truncated runs).
         prog = program(name)
         proofs = MaskingProofs(prog)
-        artifact = mc_golden_run(prog, record_ccf=False)
+        artifact = mc_golden_run(prog)
         assert artifact.base.finished
         checked = proven = 0
         for core in (0, 1):
@@ -146,8 +146,7 @@ class TestStaticSubsetOfDynamic:
         from repro.montecarlo.golden import classify_batch
 
         prog = program("binarysearch")
-        artifact = mc_golden_run(prog, max_cycles=500,
-                                 record_ccf=False)
+        artifact = mc_golden_run(prog, max_cycles=500)
         assert not artifact.base.finished
         filt = StaticMaskFilter.from_program(prog)
         # The static proof legitimately claims s0 dead at the entry

@@ -12,10 +12,10 @@ the worker count and the execution tier.
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from functools import lru_cache
-from types import SimpleNamespace
 
 import pytest
 
@@ -156,14 +156,17 @@ class TestDeterminism:
         assert b1.as_dict() == b2.as_dict()
 
     def test_ccf_batch_after_transient_batch(self):
-        """A transient recording has no CCF digests: a CCF batch on the
-        same campaign records again and matches a fresh campaign."""
+        """One recording serves both kinds: a CCF batch after a
+        transient one reuses the campaign's golden run and matches a
+        fresh campaign."""
         campaign = BatchedCampaign(program(KERNEL), benchmark=KERNEL,
                                    config=shared_address_config(),
                                    max_cycles=MAX_CYCLES, engine="fast")
         campaign.run(campaign.sample_transient(4, seed=SEED), seed=SEED)
+        recorded = campaign.artifact
         batch = campaign.sample_ccf(TRIALS, seed=SEED)
         campaign.run(batch, seed=SEED)
+        assert campaign.artifact is recorded
         assert batch.as_dict() == ccf_run()[1].as_dict()
 
     def test_engine_tiers_identical(self):
@@ -183,6 +186,31 @@ class TestDeterminism:
         one = batch_statistics(batch, end_cycle=result.golden_cycles)
         two = batch_statistics(batch, end_cycle=result.golden_cycles)
         assert one == two
+
+
+class TestTrialsOutsideTheGoldenRun:
+    """The samplers draw fault cycles from ``[1, end)``; a hand-filled
+    row outside ``[0, end)`` has no golden state to classify against,
+    so the classifier refuses it by name instead of crashing (CCF) or
+    reporting an effect no scalar injector applies (transient)."""
+
+    @pytest.mark.parametrize("where", ["before", "end", "past"])
+    @pytest.mark.parametrize("kind", ["ccf", "transient"])
+    def test_cycle_outside_golden_run_rejected(self, kind, where):
+        campaign, _, _ = ccf_run()
+        artifact = campaign.artifact
+        end = artifact.end_cycle
+        cycle = {"before": -1, "end": end, "past": end + 5}[where]
+        batch = TrialBatch(kind, 3, golden_checksum=artifact.checksum)
+        for i, at in enumerate((1, cycle, 2)):
+            if kind == "ccf":
+                batch.set_ccf_trial(i, at, 7)
+            else:
+                batch.set_transient_trial(i, at, 0, 5, 3)
+        message = ("trial 1: fault cycle %d is outside the golden run "
+                   "[0, %d)" % (cycle, end))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            classify_batch(artifact, batch)
 
 
 def _result(finished=True, output0=1, output1=1, golden=1,
@@ -283,7 +311,7 @@ def test_checkpointed_golden_run_is_the_recording_base(kernel, shared,
         checkpoint_every=every, benchmark=kernel)
     recorded = mc_golden_run(
         program(kernel), config=config, max_cycles=max_cycles,
-        checkpoint_every=every, benchmark=kernel, record_ccf=False)
+        checkpoint_every=every, benchmark=kernel)
     assert dataclasses.asdict(plain) == dataclasses.asdict(recorded.base)
     assert plain.finished == (max_cycles == MAX_CYCLES)
 
@@ -317,20 +345,18 @@ class TestAccessIndex:
 
 
 class TestCcfEffects:
-    #: Digests near 2^32-1 exercise the mod-2^32 wraparound.
-    ARTIFACT = SimpleNamespace(
-        state_digests=([0xFFFFFFFF, 0x12345678, 7],
-                       [0x0BADF00D, 0xFFFFFFFF, 11]),
-        activity_digests=([0xDEADBEEF, 0xFFFFFFFF, 13],
-                          [0x12345678, 0x0BADF00D, 17]),
-    )
-    CYCLES = [0, 1, 2, 1]
+    #: Per trial, both cores' ``(state, activity)`` digests; values
+    #: near 2^32-1 exercise the mod-2^32 wraparound.
+    DIGESTS = [((0xFFFFFFFF, 0xDEADBEEF), (0x0BADF00D, 0x12345678)),
+               ((0x12345678, 0xFFFFFFFF), (0xFFFFFFFF, 0x0BADF00D)),
+               ((7, 13), (11, 17)),
+               ((0x12345678, 0xFFFFFFFF), (0xFFFFFFFF, 0x0BADF00D))]
     STIMULI = [0xFFFFFFFF, 0, 0x5EED, 0xFFFFFFFF]
 
     def test_matches_fault_model_arithmetic(self):
         # Pinned values, so any change to the mixing function that
         # the injector and the classifier share shows up here.
-        assert ccf_effects(self.ARTIFACT, self.CYCLES, self.STIMULI) \
+        assert ccf_effects(self.DIGESTS, self.STIMULI) \
             == ([9, 14, 15, 13], [12, 5, 31, 5],
                 [29, 14, 22, 13], [35, 40, 58, 40])
 
