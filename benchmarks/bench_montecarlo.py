@@ -28,10 +28,11 @@ golden-run cost, so the reported speedup is end-to-end, not marginal.
 
 Per kernel it also reports the golden-recording layer's cost,
 ``golden_overhead_x``: :func:`repro.montecarlo.mc_golden_run` at the
-campaign's checkpoint cadence over a plain reference-tier
+campaign's checkpoint cadence over a plain
 :func:`repro.soc.experiment.run_redundant` of the same kernel, config
-and cycle cap (the repository benchmark's
-``montecarlo.golden_overhead_x``).  ``golden_seconds`` and
+and cycle cap, both on the campaign's tier (``--engine``).  The
+repository benchmark's ``montecarlo.golden_overhead_x`` times the
+reference tier for both.  ``golden_seconds`` and
 ``classify_seconds`` split the batched campaign's own time between
 the recording and the classifier, which observes the sampled golden
 cycles on demand.
@@ -149,18 +150,18 @@ def bench_kernel(name, trials, baseline_trials, cadence_override,
             "%r\n scratch: %r" % (i, got, want)
     scratch_s = time.perf_counter() - scratch_start
 
-    # -- layer cost: the recording golden run against a plain
-    # reference run of the same kernel, config and cycle cap, at the
+    # -- layer cost: the recording golden run against a plain run of
+    # the same kernel, config and cycle cap on the same tier, at the
     # cadence the campaign chose. ------------------------------------
     golden_start = time.perf_counter()
     mc_golden_run(prog, config=config, max_cycles=MAX_CYCLES,
                   checkpoint_every=campaign.checkpoint_every,
-                  benchmark=name)
+                  benchmark=name, engine=engine)
     golden_s = time.perf_counter() - golden_start
-    reference_start = time.perf_counter()
+    plain_start = time.perf_counter()
     run_redundant(prog, benchmark=name, config=config,
-                  max_cycles=MAX_CYCLES, engine="reference")
-    golden_overhead = golden_s / (time.perf_counter() - reference_start)
+                  max_cycles=MAX_CYCLES, engine=engine)
+    golden_overhead = golden_s / (time.perf_counter() - plain_start)
 
     batched_rate = trials / batched_s
     fork_rate = len(sampled) / fork_s
@@ -230,8 +231,10 @@ def main():
                              "full golden run plus a corrupted run)")
     parser.add_argument("--checkpoint-every", type=int, default=None,
                         metavar="N",
-                        help="checkpoint cadence (default: "
-                             "run_cycles // 25, floor 200)")
+                        help="checkpoint cadence (default: automatic; "
+                             "the recording starts at 200 cycles and "
+                             "doubles the cadence whenever 50 "
+                             "snapshots exist)")
     parser.add_argument("--engine", default="fast",
                         choices=("reference", "fast"),
                         help="execution tier for the batched campaign "
@@ -259,8 +262,8 @@ def main():
     parser.add_argument("--max-golden-overhead", type=float,
                         default=None, metavar="X",
                         help="exit non-zero if any kernel's recording "
-                             "golden run costs more than X plain "
-                             "reference runs")
+                             "golden run costs more than X plain runs "
+                             "on the campaign's tier")
     parser.add_argument("--out", default=None, metavar="FILE",
                         help="report path (default: "
                              "BENCH_montecarlo.json at the repo root)")
@@ -303,8 +306,8 @@ def main():
                     if scratch_rate else "scratch skipped")
     print("aggregate %.1f trials/s batched vs %s and %.1f fork (%.1fx)"
           % (batched_rate, scratch_part, fork_rate, speedup_fork))
-    print("golden recording: at most %.2fx a plain reference run"
-          % golden_overhead)
+    print("golden recording: at most %.2fx a plain %s-tier run"
+          % (golden_overhead, args.engine))
 
     report = {
         "kernels": rows,

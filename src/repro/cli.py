@@ -124,9 +124,9 @@ def _jobs_or_all_cores(text: str):
 
 
 def _check_args(args):
-    """Reject unknown kernel names, and job, trial and bin counts
-    below 1, before any work starts (raises ``ValueError`` with a
-    one-line reason)."""
+    """Reject unknown kernel names, job, trial and bin counts below 1,
+    and a negative checkpoint cadence, before any work starts (raises
+    ``ValueError`` with a one-line reason)."""
     from .workloads import workload
     for attr in ("kernel", "kernel_a", "kernel_b", "kernels"):
         value = getattr(args, attr, None) or ()
@@ -143,6 +143,10 @@ def _check_args(args):
         if value is not None and value < 1:
             raise ValueError("%s must be at least 1, got %d"
                              % (attr, value))
+    every = getattr(args, "checkpoint_every", None)
+    if every is not None and every < 0:
+        raise ValueError("checkpoint-every must be at least 0, got %d"
+                         % every)
 
 
 def _make_telemetry(args):
@@ -997,7 +1001,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--checkpoint-every", type=int, default=0,
                       metavar="N",
                       help="golden checkpoint cadence (default 0 = "
-                           "auto, ~25 snapshots per run)")
+                           "auto: start at 200 cycles and, whenever 50 "
+                           "snapshots exist, drop every other one and "
+                           "double the cadence)")
     p_mc.add_argument("--bins", type=int, default=10,
                       help="fault-cycle bins for the coverage table")
     p_mc.add_argument("--format", choices=("text", "json"),

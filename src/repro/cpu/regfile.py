@@ -10,7 +10,9 @@ NOEL-V register file ports are exercised.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from array import array
+from collections import deque
+from typing import Deque, List, Optional, Tuple
 
 from ..isa.registers import NUM_REGISTERS, XMASK
 
@@ -123,3 +125,48 @@ class RegisterFile:
         # Samples must restore as tuples: signature rows hash them.
         self.read_samples = [(int(en), int(val)) for en, val in reads]
         self.write_samples = [(int(en), int(val)) for en, val in writes]
+
+
+class RecordingRegisterFile(RegisterFile):
+    """A :class:`RegisterFile` that logs architectural accesses.
+
+    Used only on the golden run (:func:`repro.fault.injector.
+    record_golden_run`), to drive the dead-register analysis:
+    ``(0, r)`` = read of ``r``, ``(1, r)`` = write, ``(3, c)`` = cycle
+    ``c`` starts.  The recorder appends the cycle markers and, per
+    cycle, the owning core's issue frontier to :attr:`frontier` (a
+    packed ``array``: a campaign keeps it for its lifetime); both
+    engine tiers produce the same log (the fast tier logs in its
+    generated code).  Behaviour is bit-identical to the base class —
+    the overrides only append to the log.
+
+    The log is a ``deque``, which grows in fixed-size blocks.  A list
+    would grow one buffer by reallocation, and freeing a long
+    recording's buffer raises glibc's threshold for mapping large
+    blocks: later recordings in the process would grow theirs inside
+    the heap and fragment it, so a campaign's peak memory would depend
+    on the campaigns run before it.
+    """
+
+    __slots__ = ("log", "frontier")
+
+    def __init__(self, source: RegisterFile):
+        super().__init__(num_read_ports=source.num_read_ports,
+                         num_write_ports=source.num_write_ports)
+        self.values = list(source.values)
+        self.ready_cycle = list(source.ready_cycle)
+        self.read_samples = list(source.read_samples)
+        self.write_samples = list(source.write_samples)
+        self.log: Deque[Tuple[int, int]] = deque()
+        self.frontier = array("q")
+
+    def read(self, index: int) -> int:
+        if index:
+            self.log.append((0, index))
+            return self.values[index]
+        return 0
+
+    def write(self, index: int, value: int):
+        if index:
+            self.log.append((1, index))
+            self.values[index] = value & XMASK

@@ -19,10 +19,12 @@ Two tiers drive the same :class:`~repro.soc.mpsoc.MPSoC` objects:
 :func:`repro.soc.experiment.run_redundant` and everything above it;
 it and the fault injector share :func:`select_tier`.  Every topology
 — the monitored pair, extra cores, multiple monitored pairs, scheme
-taps — runs the same generated span.  SoCs the fast tier does not
-model (instrumented register files, nonstandard monitor geometry on
-any monitor) silently fall back to the reference tier, recording
-``fallback_reason``.
+taps — runs the same generated span.  A core whose register file is
+the golden recorder's :class:`~repro.cpu.regfile.RecordingRegisterFile`
+runs fast too: the generated code appends the same access log.  SoCs
+the fast tier does not model (any other register-file subclass,
+nonstandard monitor geometry on any monitor) silently fall back to the
+reference tier, recording ``fallback_reason``.
 """
 
 from __future__ import annotations
@@ -32,12 +34,17 @@ from typing import Dict, Optional, Tuple
 
 from ..core import signatures
 from ..core.signatures import IsVariant
-from ..cpu.regfile import RegisterFile
+from ..cpu.regfile import RecordingRegisterFile, RegisterFile
 
 from .plan import ProgramPlan  # noqa: F401  (re-export)
 
 #: Engines accepted by ``run_soc`` / the ``--engine`` CLI flag.
 ENGINES: Tuple[str, ...] = ("reference", "fast")
+
+#: Register-file classes the generated code models exactly.  A
+#: recording register file's accesses are logged by the generated code
+#: itself (``repro.engine.fast``), so a golden recording runs fast too.
+_MODELLED_REGFILES = (RegisterFile, RecordingRegisterFile)
 
 
 def resolve_engine(name: Optional[str]) -> str:
@@ -168,7 +175,7 @@ def _fast_supported(soc) -> Optional[str]:
     for core in cores:
         if len(core.stages) != 7:
             return "fast tier assumes the 7-stage pipeline"
-        if type(core.regfile) is not RegisterFile:
+        if type(core.regfile) not in _MODELLED_REGFILES:
             return "instrumented register file (%s)" \
                 % type(core.regfile).__name__
     if signatures.DEBUG_SIGNATURE_CHECKS:

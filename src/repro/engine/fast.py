@@ -36,16 +36,24 @@ Design contract (see DESIGN.md "Tiered execution"):
   memory-stage hazards the in-line L1 probe cannot retire.  Each
   delegation calls the corresponding reference method on the same
   objects, so the result is bit-identical by construction.
-* **Checkpoints**: ``state_dict``/``load_state_dict`` replace interior
-  lists and dicts, which invalidates captured locals —
+* **Checkpoints**: ``load_state_dict`` replaces interior lists and
+  dicts, which invalidates captured locals —
   :meth:`FastRunner._rebuild` recreates every closure after any
   checkpoint callback, and forks build fresh runners.
+* **Golden recordings**: a core whose register file is a
+  :class:`~repro.cpu.regfile.RecordingRegisterFile` gets logging
+  issue handlers and load closures, and the span stamps its cycle
+  marker and issue frontier every cycle, so the access log equals the
+  reference recorder's.  These are separate cache entries: other runs
+  keep the plain generated code.
 """
 
 from __future__ import annotations
 
 from ..core.monitor import ReportingMode
 from ..core.signatures import _DIGEST_BASE, _DIGEST_MOD
+from ..cpu.regfile import RecordingRegisterFile
+from ..lint.masking import FRONTIER_HALTED
 from ..mem.store_buffer import StoreEntry
 from .plan import (
     ACC_BRANCH,
@@ -141,7 +149,7 @@ def _make_retire(instrs, core, acc, writes):
     return retire
 
 
-def _make_init_me(instrs, core):
+def _make_init_me(instrs, core, log):
     """Specialized Core._initiate_me for one instruction-words shape.
 
     Returns ``None`` when the group has no load or store (the caller
@@ -159,7 +167,8 @@ def _make_init_me(instrs, core):
     replays via the reference.
 
     ``can_pair`` admits at most one memory operation per group, so the
-    per-shape record is a single slot.
+    per-shape record is a single slot.  ``log`` is the core's recording
+    register-file log, or None.
     """
     rec = None
     for slot, instr in enumerate(instrs):
@@ -254,6 +263,9 @@ def _make_init_me(instrs, core):
             if rd:
                 ready[rd] = rdy
             return True
+
+        if log is not None and rd:
+            return _logged_load(init_me, log, rd)
     else:
         def init_me(group, cycle, slot=slot, amask=amask, smask=smask,
                     sb=sb, sb_entries=sb_entries, sb_depth=sb_depth,
@@ -313,6 +325,22 @@ def _make_init_me(instrs, core):
     return init_me
 
 
+def _logged_load(init_me, log, rd):
+    """A load's ``init_me`` that also logs the write-back the way
+    Core._initiate_load's ``RegisterFile.write`` does on a recording
+    register file: the load reads memory (``me_initiated``) unless it
+    waits on the store buffer."""
+    access = (1, rd)
+
+    def logged(group, cycle):
+        init_me(group, cycle)
+        if group.me_initiated:
+            log.append(access)
+        return True
+
+    return logged
+
+
 def _make_core_engine(core, plan, estats):
     """Per-core runtime for the generated span loop.
 
@@ -335,6 +363,9 @@ def _make_core_engine(core, plan, estats):
     stats = core.stats
     regfile = core.regfile
     values = regfile.values
+    # A golden recording's register file: generated code appends the
+    # accesses its reference methods would log.
+    log = regfile.log if type(regfile) is RecordingRegisterFile else None
     ready = regfile.ready_cycle
     reads = regfile.read_samples
     writes = regfile.write_samples
@@ -385,21 +416,21 @@ def _make_core_engine(core, plan, estats):
     #: as the cold helpers' link-return channel.
     fbox = [None]
 
+    def _issue_rec(entry):
+        maker = build_issue_maker(entry, log is not None)
+        return (entry.words, maker(core, values, ready, reads, log),
+                1 if entry.n == 2 else 0)
+
     def _issue_fn(entry):
         rec = issue_recs.get(entry.pc)
         if rec is None or rec[0] != entry.words:
-            maker = entry.issue_maker
-            if maker is None:
-                maker = build_issue_maker(entry)
-            rec = (entry.words, maker(core, values, ready, reads),
-                   1 if entry.n == 2 else 0)
-            issue_recs[entry.pc] = rec
+            rec = issue_recs[entry.pc] = _issue_rec(entry)
         return rec[1]
 
     def _me_fn(instrs, words):
         fn = me_shapes.get(words, _MISS)
         if fn is _MISS:
-            fn = me_shapes[words] = _make_init_me(instrs, core)
+            fn = me_shapes[words] = _make_init_me(instrs, core, log)
         # Attached handlers use False for "no memory op" (None means
         # "dispatch cold" on reference-created and restored groups).
         return False if fn is None else fn
@@ -590,15 +621,8 @@ def _make_core_engine(core, plan, estats):
             entry = entries.get(pc, _MISS)
             if entry is _MISS:
                 entry = entry_at(pc)
-            if entry is None:
-                rec = None
-            else:
-                maker = entry.issue_maker
-                if maker is None:
-                    maker = build_issue_maker(entry)
-                rec = (entry.words, maker(core, values, ready, reads),
-                       1 if entry.n == 2 else 0)
-            issue_recs[pc] = rec
+            rec = issue_recs[pc] = (None if entry is None
+                                    else _issue_rec(entry))
         if rec is not None and rec[0] == group.words_cache:
             if rec[1](group, cycle):
                 stages[2] = None
@@ -1055,11 +1079,31 @@ def _pair_observe_lines(kind, has_record, has_history):
     return lines
 
 
+# The golden recorder's per-cycle stamp of a core with a recording
+# register file, before the cores step: the ``(3, cycle)`` log marker,
+# then the issue frontier (repro.fault.injector._frontier_pc: the pc
+# of the oldest group in RA, DE, FE, else the halt marker or fetch_pc).
+_RECORD_CORE = """\
+log_N.append((3, cycle))
+g = stages_N[2]
+if g is None:
+    g = stages_N[1]
+    if g is None:
+        g = stages_N[0]
+if g is not None:
+    front_N.append(g.instrs[0].pc)
+elif core_N.halted:
+    front_N.append(HALTED)
+else:
+    front_N.append(core_N.fetch_pc)
+""".replace("HALTED", str(FRONTIER_HALTED))
+
+
 def _fin(n):
     return _FIN.replace("_N", "_%d" % n)
 
 
-def _build_span_source(num_cores, watched, pairs, num_taps):
+def _build_span_source(num_cores, watched, pairs, num_taps, recorded):
     """Span source for one SoC shape.
 
     Steps ``num_cores`` cores and the bus, then observes every pair in
@@ -1071,11 +1115,15 @@ def _build_span_source(num_cores, watched, pairs, num_taps):
     pair-suffixed locals, seeded at span entry and written back at span
     exit) or ``"irq"`` (interrupt reporting: inlined sampling, then the
     monitor's own ``_tick``).  The span terminates when every core in
-    ``watched`` has finished.
+    ``watched`` has finished.  Each core in ``recorded`` (its register
+    file records a golden run) is stamped every cycle before the cores
+    step, into its log and its frontier column.
     """
     args = []
     for n in range(num_cores):
         args.extend("%s_%d" % (name, n) for name in _CORE_ARGS)
+    for n in recorded:
+        args.extend(("log_%d" % n, "front_%d" % n))
     args.extend(["bus", "bus_step"])
     for p, pair in enumerate(pairs):
         args.extend("%s_%d" % (name, p)
@@ -1107,6 +1155,9 @@ def _build_span_source(num_cores, watched, pairs, num_taps):
     lines.append("        while cycle < stop:")
     lines.append("            if %s:" % all_finished)
     lines.append("                break")
+    for n in recorded:
+        for line in _RECORD_CORE.replace("_N", "_%d" % n).splitlines():
+            lines.append("            " + line)
     body = _CORE_BODY.replace("AMEM", str(ACC_MEM))
     for n in range(num_cores):
         lines.append("            if fin_%d:" % n)
@@ -1143,12 +1194,14 @@ def _build_span_source(num_cores, watched, pairs, num_taps):
     return "\n".join(lines)
 
 
-#: (num_cores, watched, pairs, num_taps) -> compiled _make_span.
+#: (num_cores, watched, pairs, num_taps, recorded) -> compiled
+#: _make_span.
 _SPAN_CACHE = {}
 
 
-def _span_maker(num_cores, watched, pairs, num_taps):
-    key = (num_cores, tuple(watched), tuple(pairs), num_taps)
+def _span_maker(num_cores, watched, pairs, num_taps, recorded):
+    key = (num_cores, tuple(watched), tuple(pairs), num_taps,
+           tuple(recorded))
     make = _SPAN_CACHE.get(key)
     if make is None:
         namespace = {}
@@ -1217,10 +1270,16 @@ class FastRunner:
     def _build(self):
         soc = self.soc
         env = {"bus": soc.bus, "bus_step": soc.bus.step}
+        recorded = []
         for n, core in enumerate(soc.cores):
             engine = _make_core_engine(core, self.plan, self.estats)
             env.update(("%s_%d" % (name, n), value)
                        for name, value in zip(_CORE_ARGS, engine))
+            regfile = core.regfile
+            if type(regfile) is RecordingRegisterFile:
+                recorded.append(n)
+                env["log_%d" % n] = regfile.log
+                env["front_%d" % n] = regfile.frontier
         pairs = []
         for p, (monitor, (a, b)) in enumerate(zip(soc.monitors,
                                                   soc.monitor_pairs)):
@@ -1230,7 +1289,7 @@ class FastRunner:
         taps = soc._scheme_taps
         env.update(("tap_%d" % i, tap) for i, tap in enumerate(taps))
         make = _span_maker(len(soc.cores), soc._watched_indices(),
-                           pairs, len(taps))
+                           pairs, len(taps), recorded)
         self._span = make(**env)
 
     def _rebuild(self):

@@ -108,7 +108,7 @@ class PlanEntry:
 
     __slots__ = ("pc", "page", "version", "words", "i0", "i1", "n",
                  "fetch2", "kind", "next_pc", "btaken", "bfall", "bindex",
-                 "issue_maker", "fetch_makers")
+                 "issue_maker", "logged_issue_maker", "fetch_makers")
 
     def __init__(self, pc: int, page: int, version: int,
                  words: Tuple[int, ...], i0: Instruction,
@@ -135,7 +135,10 @@ class PlanEntry:
         #: Fetch factories are keyed by branch bias — True specializes
         #: the predicted-taken arm as the fall-through trace direction,
         #: False the not-taken arm; non-branch entries only use False.
+        #: The logged issue factory's handlers also append to a
+        #: recording register file's access log.
         self.issue_maker = None
+        self.logged_issue_maker = None
         self.fetch_makers: Dict[bool, object] = {}
 
 
@@ -248,6 +251,22 @@ def _emit_squash(lines: List[str], indent: str):
 
 
 _BRANCH_OPS = {"beq": "==", "bne": "!=", "bltu": "<", "bgeu": ">="}
+
+
+def _issue_log(slots) -> tuple:
+    """What Core._issue appends to a recording register file's log for
+    one group, slot by slot: each source operand twice (the read, then
+    the ``record_read`` port tap that reads again), then an ALU or
+    jump destination's write.  x0 is never logged."""
+    log = []
+    for _, instr, _ in slots:
+        for reg in (instr.rs1, instr.rs2):
+            if reg:
+                log += [(0, reg), (0, reg)]
+        if instr.rd and instr.iclass not in (CLASS_BRANCH, "load",
+                                             "store", "system"):
+            log.append((1, instr.rd))
+    return tuple(log)
 
 
 class _ConstPool:
@@ -497,12 +516,12 @@ class ProgramPlan:
 
     # -- issue-handler generation -----------------------------------------
 
-    def build_issue_maker(self, entry: PlanEntry):
+    def build_issue_maker(self, entry: PlanEntry, logged: bool = False):
         """The issue-handler factory for ``entry`` (cached on the entry).
 
         The factory has the contract::
 
-            maker(core, values, ready, reads) -> fn
+            maker(core, values, ready, reads, log) -> fn
             fn(group, cycle) -> bool
 
         where ``values``/``ready``/``reads`` are the core's *live*
@@ -513,21 +532,29 @@ class ProgramPlan:
         operands, targets, and port indices bound to per-entry
         constants.  Code is compiled once per *shape* (see
         :class:`_ConstPool`); each core instantiates its own closure.
+
+        A ``logged`` handler also extends ``log`` (the access log of a
+        :class:`~repro.cpu.regfile.RecordingRegisterFile`) with what
+        Core._issue logs through it; plain handlers ignore ``log``.
         """
-        maker = entry.issue_maker
+        maker = entry.logged_issue_maker if logged else entry.issue_maker
         if maker is not None:
             return maker
-        source, consts = self._issue_maker_source(entry)
+        source, consts = self._issue_maker_source(entry, logged)
         make = _shape_make(source)
         args = (execute_alu, entry.i0, entry.i1) + tuple(consts)
 
-        def maker(core, values, ready, reads, _make=make, _args=args):
-            return _make(core, values, ready, reads, *_args)
+        def maker(core, values, ready, reads, log, _make=make,
+                  _args=args):
+            return _make(core, values, ready, reads, log, *_args)
 
-        entry.issue_maker = maker
+        if logged:
+            entry.logged_issue_maker = maker
+        else:
+            entry.issue_maker = maker
         return maker
 
-    def _issue_maker_source(self, entry: PlanEntry):
+    def _issue_maker_source(self, entry: PlanEntry, logged: bool):
         """(source, constants) for the ``_make`` issue factory.
 
         The source depends only on the entry's structure; every
@@ -553,6 +580,10 @@ class ProgramPlan:
         for reg in guarded:
             lines.append("    if ready[%s] > cycle:" % sym(reg))
             lines.append("        return False")
+        if logged:
+            accesses = _issue_log(slots)
+            if accesses:
+                lines.append("    log += %s" % sym(accesses))
         lines.append("    group.ex_done_cycle = cycle + 1")
 
         squash_slot = None
@@ -666,8 +697,10 @@ class ProgramPlan:
         names = ["K%d" % index for index in range(len(pool.values))]
         tail = "".join(", %s" % name for name in names)
         rebind = "".join(", %s=%s" % (name, name) for name in names)
+        if logged:
+            rebind = ", log=log" + rebind
         source = (
-            "def _make(core, values, ready, reads, _alu, I0, I1%s):\n"
+            "def _make(core, values, ready, reads, log, _alu, I0, I1%s):\n"
             "    stats = core.stats\n"
             "    stages = core.stages\n"
             "    predictor = core.predictor\n"

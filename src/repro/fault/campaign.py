@@ -181,15 +181,16 @@ def _artifact_from_index(index: dict, sim_key: str, snapshots,
 
 def _golden_artifact(program: Program, config: Optional[SocConfig],
                      max_cycles: int, checkpoint_every: int,
-                     cache_dir, benchmark: str):
-    """(artifact, warm): run the checkpointed golden run, or warm-start
-    it from the persistent checkpoint store when ``cache_dir`` is set
-    (``cache_dir=True`` selects the default run-cache location)."""
+                     cache_dir, benchmark: str, engine: str):
+    """(artifact, warm): record the checkpointed golden run on
+    ``engine``'s tier, or warm-start it from the persistent checkpoint
+    store when ``cache_dir`` is set (``cache_dir=True`` selects the
+    default run-cache location)."""
     if not cache_dir:
         return golden_run_with_checkpoints(
             program, config=config, max_cycles=max_cycles,
             checkpoint_every=checkpoint_every,
-            benchmark=benchmark), False
+            benchmark=benchmark, engine=engine), False
     from ..runner.cache import (
         CheckpointIndexStore,
         CheckpointStore,
@@ -218,7 +219,7 @@ def _golden_artifact(program: Program, config: Optional[SocConfig],
     artifact = golden_run_with_checkpoints(
         program, config=config, max_cycles=max_cycles,
         checkpoint_every=checkpoint_every, benchmark=benchmark,
-        sim_key=sim_key)
+        sim_key=sim_key, engine=engine)
     for cycle, blob in zip(artifact.checkpoint_cycles,
                            artifact.snapshots):
         snapshots.put_blob(checkpoint_key(sim_key, cycle=cycle,
@@ -317,9 +318,9 @@ def run_ccf_campaign(program: Program, cycles: List[int],
     ``jobs=None`` means one worker per core (serial on boxes without
     real parallelism, see :func:`~repro.runner.executor.resolve_jobs`).
     ``engine`` selects the execution tier (:mod:`repro.engine`) for the
-    plain golden run and every fault-free stretch of the injected runs
-    (a checkpointed golden run records on the reference tier); results
-    are bit-identical across tiers.
+    golden run, plain or checkpointed (recorded), and every fault-free
+    stretch of the injected runs; results are bit-identical across
+    tiers.
     """
     if tracer is None:
         tracer = NULL_TRACER
@@ -335,7 +336,8 @@ def run_ccf_campaign(program: Program, cycles: List[int],
             artifact, warm = _golden_artifact(program, config,
                                               max_cycles,
                                               checkpoint_every,
-                                              cache_dir, benchmark)
+                                              cache_dir, benchmark,
+                                              engine)
         golden = artifact.checksum
     else:
         with tracer.span("golden_run"):

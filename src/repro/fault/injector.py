@@ -25,17 +25,19 @@ one (``tests/test_checkpoint.py`` asserts this over every kernel).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import (Deque, Dict, Iterable, List, NamedTuple, Optional,
+                    Tuple)
 
 from ..baselines.unaware import RedundancyOutcome, compare_outputs
 from ..checkpoint import Snapshot, dynamic_view, jsonable
 from ..cpu.core import SimulationError
 from ..cpu.pipeline import DE, FE, RA
-from ..cpu.regfile import RegisterFile
+from ..cpu.regfile import RecordingRegisterFile
 from ..mem.memory import MemoryError_
 from ..isa.program import Program
-from ..isa.registers import NUM_REGISTERS, XMASK
+from ..isa.registers import NUM_REGISTERS
 from ..lint.masking import FRONTIER_HALTED
 from ..soc.config import SocConfig
 from ..soc.mpsoc import MPSoC
@@ -145,11 +147,14 @@ def golden_run(program: Program, config: Optional[SocConfig] = None,
 
 # -- the one injected-run loop -------------------------------------------------
 
-def _tier_runner(soc: MPSoC, engine: str):
+def _tier_runner(soc: MPSoC, engine: str,
+                 program: Optional[Program] = None):
     """A :class:`~repro.engine.fast.FastRunner` for ``soc`` when
     :func:`repro.engine.select_tier` picks the fast tier, else ``None``
-    (the caller drives the reference interpreter).  Each injected run
-    compiles into a fresh :class:`~repro.engine.plan.ProgramPlan`.
+    (the caller drives the reference interpreter).  An injected run
+    (no ``program``) compiles into a fresh
+    :class:`~repro.engine.plan.ProgramPlan`; a run from the freshly
+    loaded ``program`` reuses its compiled template.
     """
     from ..engine import select_tier
     stats, fast = select_tier(soc, engine)
@@ -157,8 +162,8 @@ def _tier_runner(soc: MPSoC, engine: str):
         return None
     from ..engine.fast import FastRunner
     from ..engine.plan import ProgramPlan
-    return FastRunner(soc, ProgramPlan(soc.memory, soc.cores[0].config),
-                      stats)
+    plan = ProgramPlan.for_soc(soc.memory, soc.cores[0].config, program)
+    return FastRunner(soc, plan, stats)
 
 
 def _drive(soc: MPSoC, cycle: int, golden: int, max_cycles: int,
@@ -374,42 +379,17 @@ def inject_transient(program: Program, cycle: int, core: int,
 
 # -- golden run with checkpoints ----------------------------------------------
 
-class _RecordingRegisterFile(RegisterFile):
-    """A :class:`RegisterFile` that logs architectural accesses.
+#: Starting cadence of an automatic checkpoint schedule (cycles); below
+#: this, snapshot overhead beats the saved simulation (the
+#: bench_campaign sweet spot).
+MIN_CADENCE = 200
 
-    Used only on the golden run, to drive the dead-register analysis:
-    ``(0, r)`` = read of ``r``, ``(1, r)`` = write, ``(2, i)`` =
-    checkpoint ``i`` was taken at this point in the access stream,
-    ``(3, c)`` = cycle ``c`` starts (appended by
-    :func:`record_golden_run`).
-    Behaviour is bit-identical to the base class — the overrides only
-    append to a list.
-    """
-
-    __slots__ = ("log",)
-
-    def __init__(self, source: RegisterFile):
-        super().__init__(num_read_ports=source.num_read_ports,
-                         num_write_ports=source.num_write_ports)
-        self.values = list(source.values)
-        self.ready_cycle = list(source.ready_cycle)
-        self.read_samples = list(source.read_samples)
-        self.write_samples = list(source.write_samples)
-        self.log: List[Tuple[int, int]] = []
-
-    def read(self, index: int) -> int:
-        if index:
-            self.log.append((0, index))
-            return self.values[index]
-        return 0
-
-    def write(self, index: int, value: int):
-        if index:
-            self.log.append((1, index))
-            self.values[index] = value & XMASK
+#: An automatic schedule thins its snapshots whenever it holds this
+#: many: every other one goes and the cadence doubles.
+MAX_AUTO_SNAPSHOTS = 50
 
 
-def _exempt_masks(log, num_checkpoints: int):
+def _exempt_masks(log, checkpoint_cycles):
     """Per-checkpoint dead registers from one core's access log.
 
     Walking the log backwards, a register is exempt at a checkpoint iff
@@ -418,17 +398,22 @@ def _exempt_masks(log, num_checkpoints: int):
     observable, so a forked run may differ from the golden run in that
     register and still be bisimilar from the checkpoint on.
 
-    Log kinds >= 3 (the per-cycle markers of
-    :func:`record_golden_run`) are ignored here.
+    The checkpoint at cycle ``k`` is taken after the step ending cycle
+    ``k``, so in the log it sits immediately before the ``(3, k)``
+    cycle marker: the mask is read off at that marker.
     """
-    masks = [()] * num_checkpoints
+    index_of = {cycle: index
+                for index, cycle in enumerate(checkpoint_cycles)}
+    masks = [()] * len(checkpoint_cycles)
     next_kind: Dict[int, int] = {}
     for kind, value in reversed(log):
-        if kind == 2:
-            masks[value] = tuple(
-                register for register in range(1, NUM_REGISTERS)
-                if next_kind.get(register, 1) != 0)
-        elif kind < 2:
+        if kind == 3:
+            index = index_of.get(value)
+            if index is not None:
+                masks[index] = tuple(
+                    register for register in range(1, NUM_REGISTERS)
+                    if next_kind.get(register, 1) != 0)
+        else:
             next_kind[value] = kind
     return masks
 
@@ -447,6 +432,8 @@ class GoldenArtifact:
     finished: bool
     no_diversity_cycles: int
     monitored: Tuple[int, int]
+    #: The cadence of :attr:`checkpoint_cycles` (an automatic
+    #: schedule's final one).
     checkpoint_every: int
     #: Cycle each snapshot was taken at (ascending).
     checkpoint_cycles: Tuple[int, ...]
@@ -465,11 +452,13 @@ class GoldenRecording:
     (:meth:`ForkEngine.observe`)."""
 
     base: GoldenArtifact
-    #: Per monitored core: the access log, ``(3, c)`` marking cycle c.
-    logs: Tuple[list, list]
+    #: Per monitored core: the access log of its
+    #: :class:`~repro.cpu.regfile.RecordingRegisterFile`, ``(3, c)``
+    #: marking cycle c.
+    logs: Tuple[Deque[Tuple[int, int]], Deque[Tuple[int, int]]]
     #: Per core: pc of the oldest unissued instruction at the start of
     #: cycle c (:data:`~repro.lint.masking.FRONTIER_HALTED` once none).
-    frontier: Tuple[List[int], List[int]]
+    frontier: Tuple[array, array]
 
 
 def _frontier_pc(core) -> int:
@@ -503,19 +492,29 @@ def _frontier_pc(core) -> int:
 def record_golden_run(program: Program,
                       config: Optional[SocConfig] = None,
                       max_cycles: int = 2_000_000,
-                      checkpoint_every: int = 0,
+                      checkpoint_every: Optional[int] = 0,
                       benchmark: str = "program",
-                      sim_key: str = "") -> GoldenRecording:
+                      sim_key: str = "",
+                      engine: str = "reference") -> GoldenRecording:
     """The one golden-run recording loop.
 
-    A fault-free run on the reference interpreter (the recording
-    register files need its ``RegisterFile.read``/``write`` calls) that
-    drops a snapshot every ``checkpoint_every`` cycles — post-step,
-    like :meth:`MPSoC.run` — stamps each cycle into the access logs,
-    and derives each checkpoint's dead-register map from them.  Per
-    cycle it keeps only the access logs and the cheap issue frontiers;
-    the digests and verdict a common-cause fault sees at its cycle come
-    from :meth:`ForkEngine.observe`.
+    A fault-free run on ``engine``'s tier (picked by
+    :func:`repro.engine.select_tier`; the reference interpreter is the
+    fallback and the oracle) with
+    :class:`~repro.cpu.regfile.RecordingRegisterFile` on the monitored
+    cores.  It advances to the next checkpoint cycle, drops a snapshot
+    there — post-step, like :meth:`MPSoC.run` — and repeats, while
+    every cycle is stamped into the access logs along with the cheap
+    issue frontiers.  Each checkpoint's dead-register map is derived
+    from the logs at the end.  The digests and verdict a common-cause
+    fault sees at its cycle come from :meth:`ForkEngine.observe`.
+
+    ``checkpoint_every`` is a fixed cadence (``0``: no snapshots) or
+    ``None`` for an automatic one: start at :data:`MIN_CADENCE` and,
+    whenever :data:`MAX_AUTO_SNAPSHOTS` snapshots exist, drop every
+    other one and double the cadence.  The recording then equals one
+    at the final cadence, which the artifact reports; each snapshot's
+    metadata keeps the cadence it was taken at.
     """
     soc = MPSoC(config=config)
     soc.start_redundant(program)
@@ -526,16 +525,70 @@ def record_golden_run(program: Program,
     # dead-register analysis should see.
     core0, core1 = (soc.cores[index] for index in soc.monitored)
     for core in (core0, core1):
-        core.regfile = _RecordingRegisterFile(core.regfile)
-    log0, log1 = core0.regfile.log, core1.regfile.log
+        core.regfile = RecordingRegisterFile(core.regfile)
+    runner = _tier_runner(soc, engine, program)
     watched = [soc.cores[idx] for idx in soc._watched_indices()]
+    auto = checkpoint_every is None
+    every = MIN_CADENCE if auto else checkpoint_every
     blobs: List[bytes] = []
     cycles: List[int] = []
-    frontier0: List[int] = []
-    frontier1: List[int] = []
+    finished = False
+    while not finished and soc.cycle < max_cycles:
+        stop = max_cycles
+        if every > 0:
+            stop = min(stop, (soc.cycle // every + 1) * every)
+        if runner is not None:
+            finished = runner.run_span(stop)
+        else:
+            finished = _record_steps(soc, stop, watched, core0, core1)
+        if every > 0 and soc.cycle == stop and stop % every == 0:
+            cycles.append(stop)
+            blobs.append(soc.snapshot(
+                benchmark=benchmark, checkpoint_every=every,
+                sim_key=sim_key).encode())
+            if auto and len(blobs) == MAX_AUTO_SNAPSHOTS:
+                del blobs[::2], cycles[::2]
+                every *= 2
+    for monitor in soc.monitors:
+        monitor.finish()
+    # The halt-time checksum readout is an architectural read, stamped
+    # at the end cycle so result-register faults stay live to the end.
+    end_cycle = soc.cycle
+    logs = (core0.regfile.log, core1.regfile.log)
+    for log in logs:
+        log.append((3, end_cycle))
+        log.append((0, RESULT_REGISTER))
+    outputs = _core_outputs(soc)
+    if outputs[0] != outputs[1]:
+        raise RuntimeError("golden run is not deterministic")
+    masks = [_exempt_masks(log, cycles) for log in logs]
+    base = GoldenArtifact(
+        checksum=outputs[0],
+        outputs=outputs,
+        end_cycle=end_cycle,
+        finished=all(soc.cores[i].finished for i in soc.monitored),
+        no_diversity_cycles=soc.safedm.stats.no_diversity_cycles,
+        monitored=tuple(soc.monitored),
+        checkpoint_every=every,
+        checkpoint_cycles=tuple(cycles),
+        exempt_masks=tuple(zip(*masks)) if blobs else (),
+        snapshots=tuple(blobs),
+        sim_key=sim_key,
+    )
+    return GoldenRecording(
+        base=base, logs=logs,
+        frontier=(core0.regfile.frontier, core1.regfile.frontier))
+
+
+def _record_steps(soc: MPSoC, stop: int, watched, core0, core1) -> bool:
+    """The reference tier's recording span: step until ``stop`` or
+    until every watched core finishes, stamping each cycle into both
+    recording register files first (the generated span's stamp);
+    True when they all have finished."""
+    log0, log1 = core0.regfile.log, core1.regfile.log
+    frontier0, frontier1 = core0.regfile.frontier, core1.regfile.frontier
     step = soc.step
-    take_checkpoints = checkpoint_every > 0
-    while soc.cycle < max_cycles:
+    while soc.cycle < stop:
         if all(core.finished for core in watched):
             break
         now = soc.cycle
@@ -546,61 +599,36 @@ def record_golden_run(program: Program,
         frontier0.append(_frontier_pc(core0))
         frontier1.append(_frontier_pc(core1))
         step()
-        if take_checkpoints and soc.cycle % checkpoint_every == 0:
-            index = len(blobs)
-            log0.append((2, index))
-            log1.append((2, index))
-            cycles.append(soc.cycle)
-            blobs.append(soc.snapshot(
-                benchmark=benchmark, checkpoint_every=checkpoint_every,
-                sim_key=sim_key).encode())
-    for monitor in soc.monitors:
-        monitor.finish()
-    # The halt-time checksum readout is an architectural read, stamped
-    # at the end cycle so result-register faults stay live to the end.
-    end_cycle = soc.cycle
-    for log in (log0, log1):
-        log.append((3, end_cycle))
-        log.append((0, RESULT_REGISTER))
-    outputs = _core_outputs(soc)
-    if outputs[0] != outputs[1]:
-        raise RuntimeError("golden run is not deterministic")
-    masks = [_exempt_masks(log, len(blobs)) for log in (log0, log1)]
-    base = GoldenArtifact(
-        checksum=outputs[0],
-        outputs=outputs,
-        end_cycle=end_cycle,
-        finished=all(soc.cores[i].finished for i in soc.monitored),
-        no_diversity_cycles=soc.safedm.stats.no_diversity_cycles,
-        monitored=tuple(soc.monitored),
-        checkpoint_every=checkpoint_every,
-        checkpoint_cycles=tuple(cycles),
-        exempt_masks=tuple(zip(*masks)) if blobs else (),
-        snapshots=tuple(blobs),
-        sim_key=sim_key,
-    )
-    return GoldenRecording(base=base, logs=(log0, log1),
-                           frontier=(frontier0, frontier1))
+    return all(core.finished for core in watched)
 
 
 def golden_run_with_checkpoints(program: Program,
                                 config: Optional[SocConfig] = None,
                                 max_cycles: int = 2_000_000,
-                                checkpoint_every: int = 0,
+                                checkpoint_every: Optional[int] = 0,
                                 benchmark: str = "program",
-                                sim_key: str = ""
+                                sim_key: str = "",
+                                engine: str = "reference"
                                 ) -> GoldenArtifact:
     """Fault-free run that drops snapshots and a dead-register map:
-    the fork substrate of :func:`record_golden_run`.
+    the fork substrate of :func:`record_golden_run`, on ``engine``'s
+    tier.
 
     With ``checkpoint_every == 0`` no snapshots are taken and the
     artifact only carries the golden summary (``checksum`` replaces a
     separate :func:`golden_run`).
     """
-    return record_golden_run(program, config=config,
-                             max_cycles=max_cycles,
-                             checkpoint_every=checkpoint_every,
-                             benchmark=benchmark, sim_key=sim_key).base
+    recording = record_golden_run(program, config=config,
+                                  max_cycles=max_cycles,
+                                  checkpoint_every=checkpoint_every,
+                                  benchmark=benchmark, sim_key=sim_key,
+                                  engine=engine)
+    for log in recording.logs:
+        # The recording SoC is reference-cycle garbage that still
+        # holds the logs; empty them now, not at the collector's next
+        # full pass.
+        log.clear()
+    return recording.base
 
 
 # -- convergence views --------------------------------------------------------

@@ -2,12 +2,14 @@
 
 The drive train, per kernel:
 
-1. ``prepare()`` — one instrumented golden run
+1. ``prepare()`` — one instrumented golden run on the campaign's tier
    (:func:`~repro.montecarlo.golden.mc_golden_run`) records
    checkpoints, the cycle-stamped access log and the per-cycle issue
-   frontier; it serves CCF and transient batches alike.  When no checkpoint cadence is given, a
-   probe run on the campaign's tier sizes it first (~run/25, floor
-   200 — the bench_campaign sweet spot).
+   frontier; it serves CCF and transient batches alike.  When no
+   checkpoint cadence is given, the recording picks one by thinning
+   (start at :data:`~repro.fault.injector.MIN_CADENCE`; at 50
+   snapshots drop every other one and double the cadence), so no
+   run is spent measuring the kernel's length.
 2. ``sample_ccf()/sample_transient()`` — a seeded
    :class:`random.Random` draws the trial grid into a
    :class:`~repro.montecarlo.batch.TrialBatch`.  Sampling happens in
@@ -48,10 +50,6 @@ from ..runner.executor import resolve_jobs
 from ..soc.config import SocConfig
 from .batch import STATUS_SIMULATED, STATUS_STATIC, TrialBatch
 from .golden import McGoldenArtifact, classify_batch, mc_golden_run
-
-#: Checkpoint-cadence floor (cycles); below this, snapshot overhead
-#: beats the saved simulation (same constant as bench_campaign).
-MIN_CADENCE = 200
 
 
 # -- results ------------------------------------------------------------------
@@ -161,30 +159,22 @@ class BatchedCampaign:
 
     # -- golden run -------------------------------------------------------
 
-    def _auto_cadence(self) -> int:
-        """Probe the run length with the configured engine tier and
-        size the checkpoint cadence off it (~25 snapshots)."""
-        from ..soc.experiment import run_redundant
-        probe = run_redundant(self.program, benchmark=self.benchmark,
-                              config=self.config,
-                              max_cycles=self.max_cycles,
-                              engine=self.engine)
-        return max(MIN_CADENCE, probe.cycles // 25)
-
     def prepare(self, kind: str = "ccf") -> McGoldenArtifact:
-        """The instrumented golden run (memoized).  One recording
-        serves CCF and transient batches alike, so ``kind`` changes
-        nothing."""
+        """The instrumented golden run on the campaign's tier
+        (memoized).  One recording serves CCF and transient batches
+        alike, so ``kind`` changes nothing.  A cadence of 0 or less
+        asks the recording for an automatic one, and
+        ``checkpoint_every`` then holds the cadence it settled on."""
         if self.artifact is not None:
             return self.artifact
         start = time.perf_counter()
-        if self.checkpoint_every <= 0:
-            self.checkpoint_every = self._auto_cadence()
         self.artifact = mc_golden_run(
             self.program, config=self.config,
             max_cycles=self.max_cycles,
-            checkpoint_every=self.checkpoint_every,
-            benchmark=self.benchmark)
+            checkpoint_every=(self.checkpoint_every
+                              if self.checkpoint_every > 0 else None),
+            benchmark=self.benchmark, engine=self.engine)
+        self.checkpoint_every = self.artifact.base.checkpoint_every
         if self.mask_filter is None:
             # Static masking proofs are per-program, not per-run; a
             # program the CFG builder cannot analyze simply gets no

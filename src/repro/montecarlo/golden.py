@@ -9,13 +9,14 @@ before anything reads it.
 
 :func:`mc_golden_run` performs ONE instrumented fault-free run (the
 package's one recording loop,
-:func:`~repro.fault.injector.record_golden_run`) that captures, on top
-of the checkpoint artifact a scalar campaign forks from:
+:func:`~repro.fault.injector.record_golden_run`, on the campaign's
+engine tier) that captures, on top of the checkpoint artifact a scalar
+campaign forks from:
 
 * a cycle-stamped architectural access log per monitored core —
   ``(3, cycle)`` markers interleaved with the ``(0, r)`` read /
   ``(1, r)`` write entries of
-  :class:`~repro.fault.injector._RecordingRegisterFile` — indexed as an
+  :class:`~repro.cpu.regfile.RecordingRegisterFile` — indexed as an
   :class:`AccessIndex`,
 * per core, the issue frontier at the start of every cycle (where the
   static masking proofs are checked).
@@ -44,6 +45,7 @@ asserts field-for-field equality against that path).
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -70,23 +72,35 @@ class AccessIndex:
     hence sorted) cycles of its architectural accesses plus the access
     kinds.  ``first_access(r, c)`` answers "what happens to register
     ``r`` first, from cycle ``c`` on?" in O(log n).
+
+    A campaign holds its index for as long as it lives, so the columns
+    are packed, 5 bytes an access: an ``array`` of cycles and a
+    ``bytearray`` of kinds per register.  An access logged twice back
+    to back is kept once (``Core._issue`` reads each source, then the
+    port's ``record_read`` tap reads it again): the first copy answers
+    every query the second would.
     """
 
     __slots__ = ("cycles", "kinds", "end_cycle")
 
     def __init__(self, log, end_cycle: int):
         self.end_cycle = end_cycle
-        self.cycles: Dict[int, List[int]] = {
-            r: [] for r in range(1, NUM_REGISTERS)}
-        self.kinds: Dict[int, List[int]] = {
-            r: [] for r in range(1, NUM_REGISTERS)}
+        # No access comes after the end of the run.
+        typecode = "i" if end_cycle < 2 ** 31 else "q"
+        self.cycles: Dict[int, array] = {
+            r: array(typecode) for r in range(1, NUM_REGISTERS)}
+        self.kinds: Dict[int, bytearray] = {
+            r: bytearray() for r in range(1, NUM_REGISTERS)}
         current = 0
-        for kind, value in log:
+        previous = None
+        for entry in log:
+            kind, value = entry
             if kind == 3:
                 current = value
-            elif kind < 2:
+            elif kind < 2 and entry != previous:
                 self.cycles[value].append(current)
                 self.kinds[value].append(kind)
+            previous = entry
 
     def first_access(self, register: int,
                      cycle: int) -> Optional[Tuple[int, int]]:
@@ -129,7 +143,7 @@ class McGoldenArtifact:
     access: Tuple[AccessIndex, AccessIndex]
     #: :attr:`GoldenRecording.frontier
     #: <repro.fault.injector.GoldenRecording>`.
-    frontier: Tuple[List[int], List[int]]
+    frontier: Tuple[array, array]
     program: Program
     config: Optional[SocConfig] = None
 
@@ -145,21 +159,28 @@ class McGoldenArtifact:
 def mc_golden_run(program: Program,
                   config: Optional[SocConfig] = None,
                   max_cycles: int = 2_000_000,
-                  checkpoint_every: int = 0,
+                  checkpoint_every: Optional[int] = 0,
                   benchmark: str = "program",
-                  sim_key: str = "") -> McGoldenArtifact:
+                  sim_key: str = "",
+                  engine: str = "reference") -> McGoldenArtifact:
     """The instrumented golden run (see module docstring):
-    :func:`~repro.fault.injector.record_golden_run` with its access
-    logs indexed for first-access queries."""
+    :func:`~repro.fault.injector.record_golden_run` on ``engine``'s
+    tier (``checkpoint_every=None``: automatic cadence), with its
+    access logs indexed for first-access queries."""
     recording = record_golden_run(
         program, config=config, max_cycles=max_cycles,
         checkpoint_every=checkpoint_every, benchmark=benchmark,
-        sim_key=sim_key)
+        sim_key=sim_key, engine=engine)
     base = recording.base
-    return McGoldenArtifact(
-        base, tuple(AccessIndex(log, base.end_cycle)
-                    for log in recording.logs),
-        recording.frontier, program, config)
+    access = []
+    for log in recording.logs:
+        access.append(AccessIndex(log, base.end_cycle))
+        # The recording SoC is reference-cycle garbage that still
+        # holds the log; empty it now, not at the collector's next
+        # full pass.
+        log.clear()
+    return McGoldenArtifact(base, tuple(access), recording.frontier,
+                            program, config)
 
 
 # -- analytic CCF effects ------------------------------------------------------

@@ -136,6 +136,20 @@ class TestErrors:
         assert err == "error: jobs must be at least 1, got %d\n" \
             % int(argv[-1])
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "countnegative", "--checkpoint-every", "-5"],
+        ["campaign", "countnegative", "--injections", "2",
+         "--checkpoint-every", "-5"],
+        ["montecarlo", "countnegative", "--trials", "10",
+         "--checkpoint-every", "-7"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_checkpoint_cadence_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: checkpoint-every must be at " \
+            "least 0, got %d\n" % int(argv[-1])
+
     @pytest.mark.parametrize("flag,value,message", [
         ("--bins", "0", "bins must be at least 1, got 0"),
         ("--bins", "-2", "bins must be at least 1, got -2"),

@@ -317,8 +317,8 @@ def test_checkpointed_golden_run_is_the_recording_base(kernel, shared,
 
 
 class TestAccessIndex:
-    #: r5: write@0, read@4; r7: write@9; r9: untouched.  The (2, idx)
-    #: checkpoint marker must be ignored.
+    #: r5: write@0, read@4; r7: write@9; r9: untouched.  Any kind but
+    #: a read, a write or a cycle marker (here a 2) must be ignored.
     LOG = [(3, 0), (1, 5), (2, 0), (3, 4), (0, 5), (3, 9), (1, 7)]
 
     def index(self):
@@ -342,6 +342,22 @@ class TestAccessIndex:
         assert index.corruption_fate(5, 5) == (True, 20)
         assert index.corruption_fate(7, 3) == (True, 9)
         assert index.corruption_fate(9, 0) == (True, 20)
+
+    def test_back_to_back_repeat_kept_once(self):
+        index = AccessIndex([(3, 0), (0, 5), (0, 5), (1, 5), (3, 2),
+                             (0, 5), (0, 6), (0, 5)], end_cycle=4)
+        assert list(index.cycles[5]) == [0, 0, 2, 2]
+        assert list(index.kinds[5]) == [0, 1, 0, 0]
+        assert index.first_access(5, 0) == (0, 0)
+        assert index.first_access(5, 1) == (0, 2)
+
+    def test_cycles_past_32_bits(self):
+        # The packed cycle columns widen when a cycle needs it.
+        far = 2 ** 31 + 5
+        index = AccessIndex([(3, 0), (1, 5), (3, far), (0, 5)],
+                            end_cycle=far + 1)
+        assert index.first_access(5, 1) == (0, far)
+        assert index.corruption_fate(5, far + 1) == (True, far + 1)
 
 
 class TestCcfEffects:
