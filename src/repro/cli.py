@@ -124,9 +124,9 @@ def _jobs_or_all_cores(text: str):
 
 
 def _check_args(args):
-    """Reject unknown kernel names, job, trial and bin counts below 1,
-    and a negative checkpoint cadence, before any work starts (raises
-    ``ValueError`` with a one-line reason)."""
+    """Reject unknown kernel names, job, trial, bin, injection and
+    fault counts below 1, and a negative checkpoint cadence, before
+    any work starts (raises ``ValueError`` with a one-line reason)."""
     from .workloads import workload
     for attr in ("kernel", "kernel_a", "kernel_b", "kernels"):
         value = getattr(args, attr, None) or ()
@@ -138,7 +138,7 @@ def _check_args(args):
     if getattr(args, "jobs", None) is not None:
         from .runner.executor import resolve_jobs
         resolve_jobs(args.jobs)
-    for attr in ("trials", "bins"):
+    for attr in ("trials", "bins", "injections", "faults"):
         value = getattr(args, attr, None)
         if value is not None and value < 1:
             raise ValueError("%s must be at least 1, got %d"
@@ -485,20 +485,22 @@ def _cmd_campaign(args) -> int:
     from .workloads import program
     prog = program(args.kernel)
     if args.scheme:
-        if args.shared or args.checkpoint_every:
+        if args.shared or args.checkpoint_every or args.no_cache:
             print("error: --scheme trials use per-scheme topologies; "
-                  "--shared/--checkpoint-every apply only to the "
-                  "SafeDM pair campaign", file=sys.stderr)
+                  "--shared/--checkpoint-every/--no-cache apply only to "
+                  "the SafeDM pair campaign", file=sys.stderr)
             return 2
-        from .fault import run_scheme_matrix
-        from .schemes.matrix import matrix_table
+        from .schemes.matrix import DEFAULT_STIMULI, matrix_table
         metrics, tracer = _make_telemetry(args)
-        rows = run_scheme_matrix(prog, benchmark=args.kernel,
-                                 schemes=[args.scheme],
-                                 num_faults=args.injections,
-                                 stimuli=args.stimuli,
-                                 max_cycles=args.max_cycles,
-                                 metrics=metrics, tracer=tracer)
+        rows = _scheme_matrix(prog, benchmark=args.kernel,
+                              schemes=[args.scheme],
+                              num_faults=args.injections,
+                              stimuli=args.stimuli or DEFAULT_STIMULI,
+                              max_cycles=args.max_cycles,
+                              engine=args.engine, jobs=args.jobs,
+                              metrics=metrics, tracer=tracer)
+        if rows is None:
+            return 2
         print(matrix_table(rows))
         _save_telemetry(args, metrics, tracer, command="campaign",
                         kernel=args.kernel, scheme=args.scheme)
@@ -523,7 +525,6 @@ def _cmd_campaign(args) -> int:
                               engine=args.engine)
     print("%s over %d cycles:" % (args.kernel, probe.cycles))
     print(result.summary())
-    print("detected-or-flagged=%d" % result.detected_or_flagged)
     _save_telemetry(args, metrics, tracer, command="campaign",
                     kernel=args.kernel, injections=len(result.injections),
                     shared=bool(args.shared))
@@ -532,8 +533,19 @@ def _cmd_campaign(args) -> int:
     return 0 if result.silent_despite_diversity == 0 else 1
 
 
+def _scheme_matrix(prog, **kwargs):
+    """:func:`repro.schemes.matrix.scheme_matrix` rows, or ``None``
+    after a one-line error when a golden run cannot finish within
+    ``--max-cycles``."""
+    from .schemes.matrix import scheme_matrix
+    try:
+        return scheme_matrix(prog, **kwargs)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return None
+
+
 def _cmd_compare_schemes(args) -> int:
-    from .fault import run_scheme_matrix
     from .schemes.matrix import matrix_table
     from .workloads import program
     kernels = args.kernels or (list(_COMPARE_KERNELS) if args.all
@@ -542,12 +554,13 @@ def _cmd_compare_schemes(args) -> int:
     metrics, tracer = _make_telemetry(args)
     failures = 0
     for kernel in kernels:
-        rows = run_scheme_matrix(program(kernel), benchmark=kernel,
-                                 schemes=schemes,
-                                 num_faults=args.faults,
-                                 stimuli=args.stimuli,
-                                 max_cycles=args.max_cycles,
-                                 metrics=metrics, tracer=tracer)
+        rows = _scheme_matrix(program(kernel), benchmark=kernel,
+                              schemes=schemes, num_faults=args.faults,
+                              stimuli=args.stimuli,
+                              max_cycles=args.max_cycles,
+                              metrics=metrics, tracer=tracer)
+        if rows is None:
+            return 2
         print("%s (golden runs: %s cycles):"
               % (kernel, "/".join(str(r.golden_cycles) for r in rows)))
         print(matrix_table(rows))

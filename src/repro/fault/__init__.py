@@ -3,7 +3,6 @@
 from .campaign import (
     CampaignResult,
     run_ccf_campaign,
-    run_scheme_matrix,
     spread_cycles,
 )
 from .injector import (
@@ -31,7 +30,6 @@ __all__ = [
     "inject_common_cause",
     "inject_transient",
     "run_ccf_campaign",
-    "run_scheme_matrix",
     "shared_address_config",
     "spread_cycles",
     "state_digest",

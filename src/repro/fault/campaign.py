@@ -9,7 +9,8 @@ CCF cannot slip through a cycle SafeDM called diverse).
 
 Execution modes (all bit-identical in their results), all through one
 trial loop, :func:`run_trials`, which the batched Monte-Carlo driver
-(:mod:`repro.montecarlo`) shares for its live trials:
+(:mod:`repro.montecarlo`) and the scheme matrix
+(:mod:`repro.schemes.matrix`) share:
 
 * plain — every injection simulates its run from cycle 0,
 * ``checkpoint_every > 0`` — one golden run drops snapshots; each
@@ -29,13 +30,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..isa.program import Program
 from ..runner.executor import map_ordered, resolve_jobs
 from ..soc.config import SocConfig
 from ..telemetry import NULL_TRACER
 from .injector import (
+    CROSS_CHECKS,
+    OUTCOME_CLASSES,
     ForkEngine,
     GoldenArtifact,
     InjectionResult,
@@ -43,6 +46,7 @@ from .injector import (
     golden_run_with_checkpoints,
     inject_common_cause,
     inject_transient,
+    tally,
 )
 
 
@@ -52,9 +56,12 @@ class CampaignResult:
 
     injections: List[InjectionResult] = field(default_factory=list)
 
+    def counts(self) -> Dict[str, int]:
+        """Every outcome class and cross-check (:func:`tally`)."""
+        return tally(result.verdict for result in self.injections)
+
     def count(self, classification: str) -> int:
-        return sum(1 for r in self.injections
-                   if r.classification == classification)
+        return self.counts()[classification]
 
     @property
     def masked(self) -> int:
@@ -70,58 +77,32 @@ class CampaignResult:
 
     @property
     def silent_despite_diversity(self) -> int:
-        """Identical-effect silent escapes in cycles SafeDM called
-        diverse.  Must be zero for the paper's no-false-negative
-        property: identical corruption implies identical core state,
-        which SafeDM by construction reports as lack of diversity.
-        """
-        return sum(1 for r in self.injections
-                   if r.classification == "silent_ccf"
-                   and r.effects_identical
-                   and r.diversity_at_injection is True)
+        """Must be zero (see :data:`CROSS_CHECKS`)."""
+        return self.count("silent_despite_diversity")
 
     @property
     def silent_via_shared_state(self) -> int:
-        """Silent escapes where the corruptions *differed* but still
-        produced matching wrong outputs — only possible when replicas
-        share writable state (one core's corrupted store poisons the
-        data its twin reads).  A shared-input CCF channel outside any
-        diversity scheme's reach; flags an unsound redundancy setup.
-        """
-        return sum(1 for r in self.injections
-                   if r.classification == "silent_ccf"
-                   and not r.effects_identical)
+        return self.count("silent_via_shared_state")
 
     @property
     def detected_or_flagged(self) -> int:
-        """Faults either caught by comparison or flagged by SafeDM."""
-        return sum(1 for r in self.injections
-                   if r.classification == "detected"
-                   or (r.classification == "silent_ccf"
-                       and r.diversity_at_injection is False))
+        return self.count("detected_or_flagged")
 
     def summary(self) -> str:
-        total = len(self.injections)
-        return ("injections=%d masked=%d detected=%d silent_ccf=%d "
-                "silent_despite_diversity=%d silent_via_shared_state=%d"
-                % (total, self.masked, self.detected, self.silent_ccf,
-                   self.silent_despite_diversity,
-                   self.silent_via_shared_state))
+        return "injections=%d %s" % (len(self.injections), " ".join(
+            "%s=%d" % item for item in self.counts().items()))
 
     def to_metrics(self, registry):
         """Fold per-classification counts into a telemetry registry."""
-        for classification in ("masked", "detected", "silent_ccf",
-                               "hang"):
+        counts = self.counts()
+        for classification in OUTCOME_CLASSES:
             registry.counter(
                 "repro_fault_injections_total",
                 (("classification", classification),)
-            ).inc(self.count(classification))
-        registry.counter("repro_fault_silent_despite_diversity_total"
-                         ).inc(self.silent_despite_diversity)
-        registry.counter("repro_fault_silent_via_shared_state_total"
-                         ).inc(self.silent_via_shared_state)
-        registry.counter("repro_fault_detected_or_flagged_total"
-                         ).inc(self.detected_or_flagged)
+            ).inc(counts[classification])
+        for name in CROSS_CHECKS:
+            registry.counter("repro_fault_%s_total" % name).inc(
+                counts[name])
 
 
 # -- golden artifact acquisition (with warm start) ----------------------------
@@ -259,40 +240,47 @@ def _run_trial(context, task: tuple):
             seconds)
 
 
-def run_trials(program: Program, tasks: List[tuple], golden: int,
-               artifact: Optional[GoldenArtifact] = None,
-               kind: str = "ccf",
-               config: Optional[SocConfig] = None,
-               max_cycles: int = 2_000_000,
-               engine: str = "reference",
-               jobs: int = 1, tracer=NULL_TRACER) -> TrialRun:
-    """Inject one fault per task and fold the results in task order.
-
+def pair_injector(program: Program, golden: int,
+                  artifact: Optional[GoldenArtifact] = None,
+                  kind: str = "ccf",
+                  config: Optional[SocConfig] = None,
+                  max_cycles: int = 2_000_000,
+                  engine: str = "reference"):
+    """``(inject, fork)`` for :func:`run_trials` on the monitored pair:
     ``kind="ccf"`` tasks are ``(cycle, stimulus)`` common-cause faults,
-    ``kind="transient"`` tasks ``(cycle, core, register, bit)``
-    single-core flips.  With an ``artifact`` holding snapshots each
-    injection forks from its nearest checkpoint (see
-    :class:`ForkEngine`), otherwise it runs from cycle 0.  ``jobs`` (a
+    ``kind="transient"`` tasks ``(cycle, core, register, bit)`` flips.
+    With an ``artifact`` holding snapshots each injection forks from
+    its nearest checkpoint (``fork``), else it runs from cycle 0."""
+    fork = (ForkEngine(program, artifact, config=config)
+            if artifact is not None and artifact.snapshots else None)
+    injector = inject_common_cause if kind == "ccf" else inject_transient
+    return partial(injector, program, golden=golden, config=config,
+                   max_cycles=max_cycles, fork=fork, engine=engine), fork
+
+
+def run_trials(inject, tasks: List[tuple],
+               fork: Optional[ForkEngine] = None, jobs: int = 1,
+               tracer=NULL_TRACER) -> TrialRun:
+    """Call ``inject(*task)`` once per task and fold the results in
+    task order.
+
+    ``inject`` has every argument but the task bound: the pair's
+    (:func:`pair_injector`, with its ``fork`` engine) or a scheme's
+    (:func:`repro.schemes.matrix.inject_scheme_ccf`).  ``jobs`` (a
     resolved worker count) fans the injections out through
     :func:`~repro.runner.executor.map_ordered`; results and tallies
     are identical for any ``jobs``.  ``tracer`` gets one ``inject``
     span per injection.
     """
-    fork = (ForkEngine(program, artifact, config=config)
-            if artifact is not None and artifact.snapshots else None)
-    injector = inject_common_cause if kind == "ccf" else inject_transient
-    context = (partial(injector, program, golden=golden, config=config,
-                       max_cycles=max_cycles, fork=fork, engine=engine),
-               fork)
     run = TrialRun(results=[])
     for task, (result, converged, seconds) in zip(
-            tasks, map_ordered(_run_trial, context, tasks, jobs)):
+            tasks, map_ordered(_run_trial, (inject, fork), tasks, jobs)):
         tracer.add_event("inject", tracer.now() - seconds, seconds,
                          cycle=task[0])
         run.results.append(result)
         run.converged += converged
     if fork is not None:
-        first = artifact.checkpoint_cycles[0]
+        first = fork.artifact.checkpoint_cycles[0]
         run.forks = sum(1 for task in tasks if task[0] >= first)
     return run
 
@@ -346,9 +334,11 @@ def run_ccf_campaign(program: Program, cycles: List[int],
 
     tasks = [(cycle, stimulus) for stimulus in stimuli
              for cycle in cycles]
-    trials = run_trials(program, tasks, golden, artifact=artifact,
-                        config=config, max_cycles=max_cycles,
-                        engine=engine, jobs=jobs, tracer=tracer)
+    inject, fork = pair_injector(program, golden, artifact=artifact,
+                                 config=config, max_cycles=max_cycles,
+                                 engine=engine)
+    trials = run_trials(inject, tasks, fork=fork, jobs=jobs,
+                        tracer=tracer)
     result = CampaignResult(injections=trials.results)
 
     if metrics is not None:
@@ -368,35 +358,6 @@ def run_ccf_campaign(program: Program, cycles: List[int],
             metrics.counter("repro_checkpoint_converged_total").inc(
                 trials.converged)
     return result
-
-
-def run_scheme_matrix(program: Program, benchmark: str = "program",
-                      schemes=None, config: Optional[SocConfig] = None,
-                      num_faults: int = 8, stimuli=None,
-                      max_cycles: int = 2_000_000,
-                      metrics=None, tracer=None):
-    """The matrix-mode CCF campaign: one shared fault grid, one
-    coverage row per redundancy scheme.
-
-    Where :func:`run_ccf_campaign` asks how well SafeDM protects *one*
-    monitored pair, this asks the comparative question across every
-    scheme in :data:`repro.schemes.SCHEME_KINDS` (or the given subset):
-    each scheme replays the same (cycle fraction, stimulus) grid and
-    classifies each trial with its own checker.  Returns the list of
-    :class:`repro.schemes.matrix.SchemeMatrixRow`.
-    """
-    from ..schemes.matrix import DEFAULT_STIMULI, scheme_matrix
-    from ..schemes.spec import SCHEME_KINDS
-    if tracer is None:
-        tracer = NULL_TRACER
-    schemes = tuple(schemes) if schemes else SCHEME_KINDS
-    stimuli = tuple(stimuli) if stimuli else DEFAULT_STIMULI
-    with tracer.span("scheme_matrix", benchmark=benchmark,
-                     schemes=",".join(str(s) for s in schemes)):
-        return scheme_matrix(program, benchmark=benchmark,
-                             schemes=schemes, config=config,
-                             num_faults=num_faults, stimuli=stimuli,
-                             max_cycles=max_cycles, metrics=metrics)
 
 
 def spread_cycles(total_cycles: int, count: int,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from typing import (Deque, Dict, Iterable, List, NamedTuple, Optional,
                     Tuple)
 
@@ -130,14 +131,66 @@ class InjectionResult:
             return "detected"
         return "silent_ccf"
 
+    @property
+    def verdict(self) -> Tuple[str, bool, Optional[bool]]:
+        """``(classification, effects_identical,
+        diversity_at_injection)``: what :func:`tally` counts."""
+        return (self.classification, self.effects_identical,
+                self.diversity_at_injection)
+
+
+#: :attr:`InjectionResult.classification` values, in tally order.
+OUTCOME_CLASSES = ("masked", "detected", "silent_ccf", "hang", "trap")
+
+#: The paper's cross-checks: predicates over a trial's
+#: :attr:`InjectionResult.verdict` that a campaign counts.
+CROSS_CHECKS = {
+    # Identical-effect silent escapes in cycles SafeDM called diverse.
+    # Must be zero (the no-false-negative property): identical
+    # corruption implies identical core state, which SafeDM by
+    # construction reports as lack of diversity.
+    "silent_despite_diversity": lambda cls, identical, diversity: (
+        cls == "silent_ccf" and identical and diversity is True),
+    # Silent escapes whose corruptions *differed* but still produced
+    # matching wrong outputs — only possible when replicas share
+    # writable state (one core's corrupted store poisons the data its
+    # twin reads).  A shared-input CCF channel outside any diversity
+    # scheme's reach; flags an unsound redundancy setup.
+    "silent_via_shared_state": lambda cls, identical, diversity: (
+        cls == "silent_ccf" and not identical),
+    # Caught by comparison, or flagged by SafeDM at injection.
+    "detected_or_flagged": lambda cls, identical, diversity: (
+        cls == "detected"
+        or (cls == "silent_ccf" and diversity is False)),
+}
+
+
+def tally(verdicts: Iterable[tuple]) -> Dict[str, int]:
+    """How many :attr:`InjectionResult.verdict` tuples fall in each
+    outcome class and satisfy each cross-check: the one count every
+    campaign aggregate reports."""
+    counts = dict.fromkeys(OUTCOME_CLASSES + tuple(CROSS_CHECKS), 0)
+    for verdict in verdicts:
+        counts[verdict[0]] += 1
+        for name, check in CROSS_CHECKS.items():
+            counts[name] += check(*verdict)
+    return counts
+
+
+def _fresh_pair(program: Program,
+                config: Optional[SocConfig] = None) -> MPSoC:
+    """A new SoC with the monitored pair started on ``program``."""
+    soc = MPSoC(config=config)
+    soc.start_redundant(program)
+    return soc
+
 
 def golden_run(program: Program, config: Optional[SocConfig] = None,
                max_cycles: int = 2_000_000,
                engine: str = "reference") -> int:
     """Fault-free redundant run; returns the golden checksum."""
     from ..engine import run_soc
-    soc = MPSoC(config=config)
-    soc.start_redundant(program)
+    soc = _fresh_pair(program, config)
     run_soc(soc, engine, program=program, max_cycles=max_cycles)
     golden0, golden1 = _core_outputs(soc)
     if golden0 != golden1:
@@ -166,10 +219,29 @@ def _tier_runner(soc: MPSoC, engine: str,
     return FastRunner(soc, plan, stats)
 
 
-def _drive(soc: MPSoC, cycle: int, golden: int, max_cycles: int,
+class _ReferenceSpan:
+    """:meth:`~repro.engine.fast.FastRunner.run_span` on the reference
+    interpreter, so :func:`_drive` runs one loop on either tier."""
+
+    def __init__(self, soc: MPSoC):
+        self.soc = soc
+        self.watched = [soc.cores[i] for i in soc._watched_indices()]
+
+    def run_span(self, stop: int) -> bool:
+        soc, watched = self.soc, self.watched
+        while soc.cycle < stop:
+            if all(core.finished for core in watched):
+                return True
+            soc.step()
+        return all(core.finished for core in watched)
+
+    def _rebuild(self):
+        """Nothing to recapture: the interpreter reads live state."""
+
+
+def _drive(soc: MPSoC, cycle: int, max_cycles: int, result,
            before_step=None, after_step=None,
-           convergence=None, runner=None,
-           probe_cycles=()) -> InjectionResult:
+           convergence=None, runner=None, probe_cycles=()):
     """Drive one injected run to completion (or to convergence).
 
     ``before_step(soc)`` fires when ``soc.cycle == cycle`` — the
@@ -179,41 +251,34 @@ def _drive(soc: MPSoC, cycle: int, golden: int, max_cycles: int,
     SafeDM just sampled.  Either hook returns the fault effects.
 
     ``convergence(soc)`` (see :meth:`ForkEngine.convergence`) is
-    consulted only after the fault has been applied; a non-``None``
-    return is the analytically reconstructed
-    ``(no_diversity_cycles, finished, outputs, end_cycle)`` tail of
-    the run.
+    consulted after the fault cycle and at every cycle of
+    ``probe_cycles`` (the golden checkpoint cycles, the only ones at
+    which it can hold); a non-``None`` return is the analytically
+    reconstructed ``(no_diversity_cycles, finished, outputs,
+    end_cycle)`` tail of the run, which ends it there.
 
     ``runner`` (a :class:`~repro.engine.fast.FastRunner` over this SoC)
-    switches the fault-free stretches to the fast tier: spans run to
-    the fault cycle, between convergence probes, and to the budget.
-    The fault cycle itself always executes under the reference
-    interpreter so the injection hooks see mid-cycle reference state,
-    and the runner is rebuilt afterwards (hooks mutate state behind
-    the generated code's captured locals).  ``probe_cycles`` must list
-    every cycle at which ``convergence`` can possibly return
-    non-``None`` (the golden checkpoint cycles); the reference loop
-    consults it every cycle but it is a no-op off the probe grid.
+    runs the fault-free stretches as fast-tier spans: to the fault
+    cycle, between convergence probes, and to the budget; without
+    one, the reference interpreter runs them.  The fault cycle itself
+    always executes under the reference interpreter so the injection
+    hooks see mid-cycle reference state, and the runner is rebuilt
+    afterwards (hooks mutate state behind the generated code's
+    captured locals).  The run ends when every watched core has
+    finished.  Then every monitor is finished and
+    ``result(soc, effects, diversity_at_injection, trapped, tail)``
+    builds the return value (``tail`` is ``None`` unless the run
+    converged): the pair's :class:`InjectionResult`
+    (:func:`_pair_result`) or a redundancy scheme's own trial.
 
     The cycle budget is absolute (``soc.cycle < max_cycles``), so a SoC
     forked mid-run observes exactly the budget a from-scratch run would.
     """
-    cores = [soc.cores[i] for i in soc.monitored]
+    fast = runner is not None
+    span = runner if fast else _ReferenceSpan(soc)
     effects = ()
     diversity_at_injection = None
-
-    def reconstruct(tail):
-        no_diversity, finished, outputs, end_cycle = tail
-        return InjectionResult(
-            fault_cycle=cycle,
-            outcome=compare_outputs(outputs[0], outputs[1], golden),
-            diversity_at_injection=diversity_at_injection,
-            no_diversity_cycles=no_diversity,
-            effects=effects,
-            finished=finished,
-            end_cycle=end_cycle,
-        )
-
+    tail = None
     # A corruption can steer execution into an architectural trap
     # (misaligned access via a corrupted address register, illegal
     # instruction via a corrupted jump target).  The replica fails
@@ -223,56 +288,34 @@ def _drive(soc: MPSoC, cycle: int, golden: int, max_cycles: int,
     # deterministic across scratch/fork and reference/fast paths.
     trapped = False
     try:
-        if runner is not None:
-            finished = runner.run_span(min(cycle, max_cycles))
-            if not finished and soc.cycle == cycle \
-                    and soc.cycle < max_cycles:
-                if before_step is not None:
-                    effects = before_step(soc)
-                soc.step()
-                if after_step is not None:
-                    effects = after_step(soc)
-                    if soc.safedm.last_report is not None:
-                        diversity_at_injection = \
-                            soc.safedm.last_report.diversity
-                runner._rebuild()
-                if convergence is not None:
-                    tail = convergence(soc)
-                    if tail is not None:
-                        return reconstruct(tail)
-                    for probe in probe_cycles:
-                        if probe <= soc.cycle:
-                            continue
-                        if probe > max_cycles:
-                            break
-                        finished = runner.run_span(probe)
-                        # Like the reference loop, probe the cycle the
-                        # cores finish on too.
-                        if soc.cycle == probe:
-                            tail = convergence(soc)
-                            if tail is not None:
-                                return reconstruct(tail)
-                        if finished:
-                            break
-                runner.run_span(max_cycles)
-        else:
-            while soc.cycle < max_cycles:
-                if all(core.finished for core in cores):
-                    break
-                if before_step is not None and soc.cycle == cycle:
-                    effects = before_step(soc)
-                soc.step()
-                if after_step is not None and soc.cycle - 1 == cycle:
-                    effects = after_step(soc)
-                    if soc.safedm.last_report is not None:
-                        diversity_at_injection = \
-                            soc.safedm.last_report.diversity
-                if convergence is not None and soc.cycle > cycle:
-                    tail = convergence(soc)
-                    if tail is not None:
-                        return reconstruct(tail)
+        finished = span.run_span(min(cycle, max_cycles))
+        if not finished and soc.cycle == cycle and soc.cycle < max_cycles:
+            if before_step is not None:
+                effects = before_step(soc)
+            soc.step()
+            if after_step is not None:
+                effects = after_step(soc)
+                if soc.safedm.last_report is not None:
+                    diversity_at_injection = \
+                        soc.safedm.last_report.diversity
+            span._rebuild()
+            if convergence is not None:
+                tail = convergence(soc)
+                for probe in probe_cycles:
+                    if tail is not None or probe > max_cycles:
+                        break
+                    if probe <= soc.cycle:
+                        continue
+                    finished = span.run_span(probe)
+                    # Probe the cycle the cores finish on too.
+                    if soc.cycle == probe:
+                        tail = convergence(soc)
+                    if finished:
+                        break
+            if tail is None:
+                span.run_span(max_cycles)
     except (MemoryError_, SimulationError):
-        if runner is not None:
+        if fast:
             # The fast tier's block granularity surfaces the trap at a
             # tier-dependent cycle (e.g. a group's eager fetch decodes
             # the corrupted path early).  The reference interpreter is
@@ -280,17 +323,30 @@ def _drive(soc: MPSoC, cycle: int, golden: int, max_cycles: int,
             # this one trial without the fast tier.
             raise _FastTierTrap() from None
         trapped = True
-    soc.safedm.finish()
-    finished = all(core.finished for core in cores) and not trapped
-    output0, output1 = _core_outputs(soc)
+    for monitor in soc.monitors:
+        monitor.finish()
+    return result(soc, effects, diversity_at_injection, trapped, tail)
+
+
+def _pair_result(cycle: int, golden: int, soc: MPSoC, effects,
+                 diversity_at_injection, trapped: bool,
+                 tail) -> InjectionResult:
+    """The monitored pair's :func:`_drive` result callback (bind
+    ``cycle`` and the ``golden`` checksum)."""
+    if tail is None:
+        finished = not trapped and all(
+            soc.cores[i].finished for i in soc._watched_indices())
+        tail = (soc.safedm.stats.no_diversity_cycles, finished,
+                _core_outputs(soc), soc.cycle)
+    no_diversity, finished, outputs, end_cycle = tail
     return InjectionResult(
         fault_cycle=cycle,
-        outcome=compare_outputs(output0, output1, golden),
+        outcome=compare_outputs(outputs[0], outputs[1], golden),
         diversity_at_injection=diversity_at_injection,
-        no_diversity_cycles=soc.safedm.stats.no_diversity_cycles,
+        no_diversity_cycles=no_diversity,
         effects=effects,
         finished=finished,
-        end_cycle=soc.cycle,
+        end_cycle=end_cycle,
         trapped=trapped,
     )
 
@@ -303,36 +359,30 @@ class _FastTierTrap(Exception):
     """
 
 
-def _prepare(program: Program, cycle: int,
-             config: Optional[SocConfig], fork, engine: str):
-    """The SoC an injection runs on, its convergence probe, its tier."""
-    if fork is not None:
-        soc = fork.fork(cycle)
-        return (soc, fork.convergence(),
-                fork.artifact.checkpoint_cycles,
-                _tier_runner(soc, engine))
-    soc = MPSoC(config=config)
-    soc.start_redundant(program)
-    return soc, None, (), _tier_runner(soc, engine)
+def run_injection(start, cycle: int, max_cycles: int, result,
+                  fork: Optional["ForkEngine"] = None,
+                  engine: str = "reference", **hooks):
+    """One injected run with the given :func:`_drive` hooks and
+    ``result`` callback, on the SoC ``start()`` builds from scratch
+    or, with a ``fork`` engine, on one forked from the nearest golden
+    checkpoint.  A trap inside the fast tier replays the trial on the
+    reference tier."""
 
+    probes = {} if fork is None else {
+        "convergence": fork.convergence(),
+        "probe_cycles": fork.artifact.checkpoint_cycles}
 
-def _inject(program: Program, cycle: int, golden: int,
-            config: Optional[SocConfig], max_cycles: int, fork,
-            engine: str, **hooks) -> InjectionResult:
-    """One injected run with the given :func:`_drive` hooks; a trap
-    inside the fast tier replays the trial on the reference tier."""
-    soc, convergence, probes, runner = _prepare(program, cycle, config,
-                                                fork, engine)
+    def prepare(tier):
+        soc = start() if fork is None else fork.fork(cycle)
+        return soc, _tier_runner(soc, tier)
+
+    soc, runner = prepare(engine)
     try:
-        return _drive(soc, cycle, golden, max_cycles,
-                      convergence=convergence, runner=runner,
-                      probe_cycles=probes, **hooks)
+        return _drive(soc, cycle, max_cycles, result, runner=runner,
+                      **probes, **hooks)
     except _FastTierTrap:
-        soc, convergence, probes, _ = _prepare(program, cycle, config,
-                                               fork, "reference")
-        return _drive(soc, cycle, golden, max_cycles,
-                      convergence=convergence, probe_cycles=probes,
-                      **hooks)
+        soc, _ = prepare("reference")
+        return _drive(soc, cycle, max_cycles, result, **probes, **hooks)
 
 
 def inject_common_cause(program: Program, cycle: int, stimulus: int,
@@ -356,8 +406,9 @@ def inject_common_cause(program: Program, cycle: int, stimulus: int,
         core1 = soc.cores[soc.monitored[1]]
         return fault.inject(core0, core1, _ccf_digests(soc))
 
-    return _inject(program, cycle, golden, config, max_cycles, fork,
-                   engine, after_step=after_step)
+    return run_injection(partial(_fresh_pair, program, config), cycle,
+                         max_cycles, partial(_pair_result, cycle, golden),
+                         fork, engine, after_step=after_step)
 
 
 def inject_transient(program: Program, cycle: int, core: int,
@@ -373,8 +424,9 @@ def inject_transient(program: Program, cycle: int, core: int,
     def before_step(soc):
         return (fault.inject(soc.cores[core]),)
 
-    return _inject(program, cycle, golden, config, max_cycles, fork,
-                   engine, before_step=before_step)
+    return run_injection(partial(_fresh_pair, program, config), cycle,
+                         max_cycles, partial(_pair_result, cycle, golden),
+                         fork, engine, before_step=before_step)
 
 
 # -- golden run with checkpoints ----------------------------------------------
@@ -516,8 +568,7 @@ def record_golden_run(program: Program,
     at the final cadence, which the artifact reports; each snapshot's
     metadata keeps the cadence it was taken at.
     """
-    soc = MPSoC(config=config)
-    soc.start_redundant(program)
+    soc = _fresh_pair(program, config)
     if soc.cycle != 0:
         raise RuntimeError("fresh SoC expected at cycle 0")
     # Swap in recording register files AFTER start_redundant: the
@@ -765,9 +816,7 @@ class ForkEngine:
         if index is None:
             # Fault before the first checkpoint: plain from-scratch run.
             self.scratch_runs += 1
-            soc = MPSoC(config=self.config)
-            soc.start_redundant(self.program)
-            return soc
+            return _fresh_pair(self.program, self.config)
         soc = MPSoC(config=self.config)
         soc.load_state_dict(self._snapshot(index).state)
         self.forks += 1
@@ -792,8 +841,7 @@ class ForkEngine:
         if wanted and not 0 <= wanted[0] <= wanted[-1] < end:
             raise ValueError("golden cycles must lie in [0, %d), got "
                              "%d..%d" % (end, wanted[0], wanted[-1]))
-        soc = MPSoC(config=self.config)
-        soc.start_redundant(self.program)
+        soc = _fresh_pair(self.program, self.config)
         runner = _tier_runner(soc, engine)
         checkpoints = self.artifact.checkpoint_cycles
         observed: Dict[int, GoldenPoint] = {}

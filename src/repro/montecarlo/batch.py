@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..baselines.unaware import compare_outputs
-from ..fault.injector import InjectionResult
+from ..fault.injector import OUTCOME_CLASSES, InjectionResult, tally
 from ..fault.models import FaultEffect
 
 #: Trial kinds a batch can hold.
@@ -26,7 +26,7 @@ CLASS_DETECTED = 1
 CLASS_SILENT_CCF = 2
 CLASS_HANG = 3
 CLASS_TRAP = 4
-CLASS_NAMES = ("masked", "detected", "silent_ccf", "hang", "trap")
+CLASS_NAMES = OUTCOME_CLASSES
 
 #: Status codes (column ``status``).
 STATUS_PENDING = 0
@@ -174,12 +174,6 @@ class TrialBatch:
             trapped=(cols["classification"][i] == CLASS_TRAP),
         )
 
-    def effects_identical(self, i: int) -> bool:
-        cols = self.columns
-        return (cols["eff_reg0"][i] >= 0
-                and cols["eff_reg0"][i] == cols["eff_reg1"][i]
-                and cols["eff_bit0"][i] == cols["eff_bit1"][i])
-
     # -- aggregation -------------------------------------------------------
 
     def count_status(self, status: int) -> int:
@@ -211,59 +205,32 @@ class TrialBatch:
 
     @property
     def silent_despite_diversity(self) -> int:
-        """Identical-effect silent escapes SafeDM called diverse — must
-        be zero (the paper's no-false-negative property; see
-        :class:`repro.fault.CampaignResult`)."""
-        total = 0
-        cls = self.columns["classification"]
-        div = self.columns["diversity"]
-        for i in range(self.n):
-            if (cls[i] == CLASS_SILENT_CCF and div[i] == 1
-                    and self.effects_identical(i)):
-                total += 1
-        return total
+        """Must be zero (see :data:`~repro.fault.injector.CROSS_CHECKS`)."""
+        return self.counts()["silent_despite_diversity"]
 
     @property
     def silent_via_shared_state(self) -> int:
-        """Silent escapes with differing corruptions (only possible via
-        shared writable state between the replicas)."""
-        total = 0
-        cls = self.columns["classification"]
-        for i in range(self.n):
-            if (cls[i] == CLASS_SILENT_CCF
-                    and not self.effects_identical(i)):
-                total += 1
-        return total
+        return self.counts()["silent_via_shared_state"]
 
     @property
     def detected_or_flagged(self) -> int:
-        """Caught by comparison or flagged by SafeDM at injection."""
-        total = 0
-        cls = self.columns["classification"]
-        div = self.columns["diversity"]
-        for i in range(self.n):
-            code = cls[i]
-            if code == CLASS_DETECTED or (code == CLASS_SILENT_CCF
-                                          and div[i] == 0):
-                total += 1
-        return total
+        return self.counts()["detected_or_flagged"]
 
     def counts(self) -> Dict[str, int]:
-        """Classification counts plus the campaign cross-checks."""
-        out = {name: self.count(name) for name in CLASS_NAMES}
-        out["silent_despite_diversity"] = self.silent_despite_diversity
-        out["silent_via_shared_state"] = self.silent_via_shared_state
-        out["detected_or_flagged"] = self.detected_or_flagged
-        return out
+        """Classification counts plus the campaign cross-checks
+        (:func:`~repro.fault.injector.tally`) over the classified
+        trials, each in the class its ``classification`` column holds."""
+        verdicts = []
+        for i, code in enumerate(self.columns["classification"]):
+            if code != CLASS_PENDING:
+                verdicts.append((CLASS_NAMES[code],)
+                                + self.result(i).verdict[1:])
+        return tally(verdicts)
 
     def summary(self) -> str:
-        counts = self.counts()
-        return ("trials=%d masked=%d detected=%d silent_ccf=%d hang=%d "
-                "trap=%d silent_despite_diversity=%d static=%d "
-                "analytic=%d simulated=%d"
-                % (self.n, counts["masked"], counts["detected"],
-                   counts["silent_ccf"], counts["hang"], counts["trap"],
-                   counts["silent_despite_diversity"],
-                   self.count_status(STATUS_STATIC),
-                   self.count_status(STATUS_ANALYTIC),
-                   self.count_status(STATUS_SIMULATED)))
+        return "trials=%d %s static=%d analytic=%d simulated=%d" % (
+            self.n, " ".join("%s=%d" % item
+                             for item in self.counts().items()),
+            self.count_status(STATUS_STATIC),
+            self.count_status(STATUS_ANALYTIC),
+            self.count_status(STATUS_SIMULATED))

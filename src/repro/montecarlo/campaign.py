@@ -42,13 +42,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..fault.campaign import run_trials
+from ..fault.campaign import pair_injector, run_trials
 from ..isa.program import Program
 from ..isa.registers import NUM_REGISTERS
 from ..lint.masking import StaticMaskFilter
 from ..runner.executor import resolve_jobs
 from ..soc.config import SocConfig
-from .batch import STATUS_SIMULATED, STATUS_STATIC, TrialBatch
+from .batch import CLASS_NAMES, STATUS_SIMULATED, STATUS_STATIC, TrialBatch
 from .golden import McGoldenArtifact, classify_batch, mc_golden_run
 
 
@@ -110,8 +110,7 @@ class McCampaignResult:
 
     def to_metrics(self, registry):
         """Fold campaign tallies into a telemetry registry."""
-        for name in ("masked", "detected", "silent_ccf", "hang",
-                     "trap"):
+        for name in CLASS_NAMES:
             registry.counter(
                 "repro_montecarlo_trials_total",
                 (("classification", name),)).inc(self.counts[name])
@@ -251,12 +250,13 @@ class BatchedCampaign:
         classify_wall = time.perf_counter() - start
 
         start = time.perf_counter()
-        trials = run_trials(self.program,
-                            [self._task(batch, i) for i in live],
-                            base.checksum, artifact=base,
-                            kind=batch.kind, config=self.config,
-                            max_cycles=self.max_cycles,
-                            engine=self.engine, jobs=jobs)
+        inject, fork = pair_injector(self.program, base.checksum,
+                                     artifact=base, kind=batch.kind,
+                                     config=self.config,
+                                     max_cycles=self.max_cycles,
+                                     engine=self.engine)
+        trials = run_trials(inject, [self._task(batch, i) for i in live],
+                            fork=fork, jobs=jobs)
         for i, injection in zip(live, trials.results):
             batch.fill_from_result(i, injection, status=STATUS_SIMULATED)
         simulate_wall = time.perf_counter() - start

@@ -33,12 +33,15 @@ equal terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional, Sequence
 
-from ..cpu.core import SimulationError
-from ..fault.campaign import spread_cycles
+from ..fault.campaign import run_trials, spread_cycles
+from ..fault.injector import run_injection
 from ..fault.models import CommonCauseFault
-from ..mem.memory import MemoryError_
+from ..runner.executor import resolve_jobs
+from ..soc.experiment import run_redundant
+from ..telemetry import NULL_TRACER
 from .base import RedundancyScheme, build_scheme
 from .spec import SCHEME_KINDS
 
@@ -123,42 +126,26 @@ class SchemeMatrixRow:
         }
 
 
-def _run_watched(soc, scheme: RedundancyScheme, limit: int,
-                 stop_at: Optional[int] = None) -> bool:
-    """Step the reference interpreter until the scheme's replicas all
-    finish, ``limit`` is reached, or ``stop_at`` (when given).  Returns
-    True when every watched replica finished."""
-    cores = [soc.cores[idx] for idx in scheme.watched()]
-    step = soc.step
-    bound = limit if stop_at is None else min(limit, stop_at)
-    while soc.cycle < bound:
-        if all(core.finished for core in cores):
-            return True
-        step()
-    return all(core.finished for core in cores)
-
-
-def _golden(scheme: RedundancyScheme, program, benchmark, config,
-            max_cycles: int):
-    """Fault-free run: (soc, outputs, cycles)."""
-    soc = scheme.build(config)
-    scheme.start(soc, program, benchmark=benchmark)
-    finished = _run_watched(soc, scheme, max_cycles)
-    for monitor in soc.monitors:
-        monitor.finish()
-    scheme.finish(soc)
-    if not finished:
-        raise RuntimeError("golden %s run did not finish in %d cycles"
-                           % (scheme.kind, max_cycles))
-    if scheme.error_detected(soc):
+def _golden(sch: RedundancyScheme, program, benchmark, config,
+            max_cycles: int, engine: str):
+    """Fault-free run: (outputs, cycles).  ``ValueError`` when it
+    cannot finish within ``max_cycles``."""
+    run = run_redundant(program, benchmark=benchmark, config=config,
+                        max_cycles=max_cycles, engine=engine, scheme=sch)
+    if not run.finished:
+        raise ValueError("the golden %s run of %s did not finish within "
+                         "%d cycles" % (sch.kind, benchmark, max_cycles))
+    if run.scheme_stats["detected"]:
         raise RuntimeError("golden %s run raised its error signal"
-                           % scheme.kind)
-    return soc, scheme.outputs(soc), soc.cycle
+                           % sch.kind)
+    return tuple(run.scheme_stats["outputs"]), run.cycles
 
 
-def _classify(scheme: RedundancyScheme, soc, finished: bool,
-              trapped: bool, golden_outputs, fault_cycle: int
-              ) -> SchemeTrial:
+def _classify(scheme: RedundancyScheme, soc, trapped: bool,
+              golden_outputs, fault_cycle: int, stimulus: int,
+              effects: tuple) -> SchemeTrial:
+    """The scheme checker's verdict on a finished trial SoC."""
+    finished = all(soc.cores[idx].finished for idx in scheme.watched())
     detection = scheme.detection_cycle(soc)
     latency = detection - fault_cycle if detection >= 0 else -1
     outputs = scheme.outputs(soc) if not trapped else ()
@@ -181,73 +168,84 @@ def _classify(scheme: RedundancyScheme, soc, finished: bool,
         classification = "detected"
     else:
         classification = "hang"
-    return SchemeTrial(fault_cycle=fault_cycle, stimulus=0,
+    return SchemeTrial(fault_cycle=fault_cycle, stimulus=stimulus,
                        classification=classification, latency=latency,
-                       outputs=tuple(outputs), effects=())
+                       outputs=tuple(outputs), effects=effects)
+
+
+def inject_scheme_ccf(scheme, program, cycle: int, stimulus: int,
+                      golden_outputs, benchmark: str = "program",
+                      config=None, max_cycles: int = 2_000_000,
+                      engine: str = "reference") -> SchemeTrial:
+    """One scheme trial: a common-cause fault at ``cycle`` on a fresh
+    SoC of ``scheme`` (anything :func:`build_scheme` accepts), driven
+    by the pair campaign's injected-run loop
+    (:func:`repro.fault.injector._drive`) on ``engine``'s tier and
+    classified by the scheme's own checker.
+
+    The fault cycle is stepped first and the corruption applied to
+    every watched replica on its closing clock edge, matching the pair
+    campaign's after-step semantics.
+    """
+    sch = build_scheme(scheme)
+    fault = CommonCauseFault(cycle=cycle, stimulus=stimulus)
+
+    def start():
+        soc = sch.build(config)
+        sch.start(soc, program, benchmark=benchmark)
+        return soc
+
+    def after_step(soc):
+        effects = []
+        for idx in sch.watched():
+            effect = fault.effect_on(soc.cores[idx], activity=0)
+            effect.apply(soc.cores[idx])
+            effects.append((effect.register, effect.bit))
+        return tuple(effects)
+
+    def result(soc, effects, diversity_at_injection, trapped, tail):
+        sch.finish(soc)
+        return _classify(sch, soc, trapped, golden_outputs, cycle,
+                         stimulus, effects)
+
+    return run_injection(start, cycle, max_cycles, result,
+                         engine=engine, after_step=after_step)
 
 
 def run_scheme_trials(scheme, program, benchmark: str = "program",
                       config=None, num_faults: int = 8,
                       stimuli: Sequence[int] = DEFAULT_STIMULI,
-                      max_cycles: int = 2_000_000) -> SchemeMatrixRow:
+                      max_cycles: int = 2_000_000,
+                      engine: str = "reference", jobs: Optional[int] = 1,
+                      tracer=NULL_TRACER) -> SchemeMatrixRow:
     """CCF trials of one scheme on one kernel.
 
     ``scheme`` is anything :func:`repro.schemes.base.build_scheme`
     accepts (a kind string, a :class:`SchemeSpec`, or an instance).
-    Every trial uses a fresh SoC; the fault cycle is stepped first and
-    the corruption applied on its closing clock edge, matching the
-    pair campaign's after-step semantics.
+    The golden run and the trials run on ``engine``'s tier; the trials
+    go through :func:`~repro.fault.campaign.run_trials`, over ``jobs``
+    workers and with one ``tracer`` event each.  Rows are identical
+    for either tier and any ``jobs``.
     """
     sch = build_scheme(scheme)
-    _, golden_outputs, golden_cycles = _golden(
-        sch, program, benchmark, config, max_cycles)
+    golden_outputs, golden_cycles = _golden(
+        sch, program, benchmark, config, max_cycles, engine)
     row = SchemeMatrixRow(scheme=sch.kind, benchmark=benchmark,
                           golden_cycles=golden_cycles,
                           golden_output=golden_outputs[0],
                           hardware=sch.hardware_cost())
-    cycles = spread_cycles(golden_cycles, num_faults)
     # A corrupted replica can loop essentially forever; a few golden
     # lengths is ample for every legitimate post-fault path, and hangs
     # are classified, not simulated to the bitter end.
     budget = min(max_cycles, 4 * golden_cycles + 20_000)
-    for stimulus in stimuli:
-        for fault_cycle in cycles:
-            row.trials.append(_one_trial(
-                sch, program, benchmark, config, fault_cycle,
-                stimulus, golden_outputs, budget))
+    inject = partial(inject_scheme_ccf, scheme, program,
+                     golden_outputs=golden_outputs, benchmark=benchmark,
+                     config=config, max_cycles=budget, engine=engine)
+    tasks = [(cycle, stimulus) for stimulus in stimuli
+             for cycle in spread_cycles(golden_cycles, num_faults)]
+    row.trials = run_trials(inject, tasks, jobs=resolve_jobs(jobs),
+                            tracer=tracer).results
     return row
-
-
-def _one_trial(sch: RedundancyScheme, program, benchmark, config,
-               fault_cycle: int, stimulus: int, golden_outputs,
-               max_cycles: int) -> SchemeTrial:
-    fault = CommonCauseFault(cycle=fault_cycle, stimulus=stimulus)
-    soc = sch.build(config)
-    sch.start(soc, program, benchmark=benchmark)
-    trapped = False
-    finished = False
-    effects = []
-    try:
-        finished = _run_watched(soc, sch, max_cycles,
-                                stop_at=fault_cycle)
-        if not finished and soc.cycle == fault_cycle \
-                and soc.cycle < max_cycles:
-            soc.step()
-            for idx in sch.watched():
-                effect = fault.effect_on(soc.cores[idx], activity=0)
-                effect.apply(soc.cores[idx])
-                effects.append((effect.register, effect.bit))
-            finished = _run_watched(soc, sch, max_cycles)
-    except (MemoryError_, SimulationError):
-        trapped = True
-    for monitor in soc.monitors:
-        monitor.finish()
-    sch.finish(soc)
-    trial = _classify(sch, soc, finished, trapped, golden_outputs,
-                      fault_cycle)
-    trial.stimulus = stimulus
-    trial.effects = tuple(effects)
-    return trial
 
 
 def scheme_matrix(program, benchmark: str = "program",
@@ -255,17 +253,25 @@ def scheme_matrix(program, benchmark: str = "program",
                   num_faults: int = 8,
                   stimuli: Sequence[int] = DEFAULT_STIMULI,
                   max_cycles: int = 2_000_000,
-                  metrics=None) -> List[SchemeMatrixRow]:
-    """One :class:`SchemeMatrixRow` per scheme, same kernel and fault
-    grid throughout (fault *cycles* follow each scheme's own golden
-    timeline; stimuli are shared)."""
-    rows = []
-    for scheme in schemes:
-        row = run_scheme_trials(scheme, program, benchmark=benchmark,
-                                config=config, num_faults=num_faults,
-                                stimuli=stimuli, max_cycles=max_cycles)
-        rows.append(row)
-        if metrics is not None:
+                  metrics=None, engine: str = "reference",
+                  jobs: Optional[int] = 1,
+                  tracer=None) -> List[SchemeMatrixRow]:
+    """The matrix-mode CCF campaign: one :class:`SchemeMatrixRow` per
+    scheme, same kernel and fault grid throughout (fault *cycles*
+    follow each scheme's own golden timeline; stimuli are shared).
+    ``metrics`` gets the ``repro_scheme_*`` tallies, ``tracer`` a
+    ``scheme_matrix`` span around the trials' events."""
+    if tracer is None:
+        tracer = NULL_TRACER
+    with tracer.span("scheme_matrix", benchmark=benchmark,
+                     schemes=",".join(str(s) for s in schemes)):
+        rows = [run_scheme_trials(scheme, program, benchmark=benchmark,
+                                  config=config, num_faults=num_faults,
+                                  stimuli=stimuli, max_cycles=max_cycles,
+                                  engine=engine, jobs=jobs, tracer=tracer)
+                for scheme in schemes]
+    if metrics is not None:
+        for row in rows:
             _row_to_metrics(row, metrics)
     return rows
 

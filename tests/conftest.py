@@ -111,6 +111,57 @@ def golden_points(program, config: SocConfig = None,
     return points
 
 
+def _run_watched(soc, scheme, limit: int, stop_at: int = None) -> bool:
+    """Step the reference interpreter until the scheme's replicas all
+    finish, ``limit`` is reached, or ``stop_at`` (when given).  Returns
+    True when every watched replica finished."""
+    cores = [soc.cores[idx] for idx in scheme.watched()]
+    bound = limit if stop_at is None else min(limit, stop_at)
+    while soc.cycle < bound:
+        if all(core.finished for core in cores):
+            return True
+        soc.step()
+    return all(core.finished for core in cores)
+
+
+def scheme_trial_oracle(sch, program, benchmark, config, fault_cycle: int,
+                        stimulus: int, golden_outputs, max_cycles: int):
+    """One scheme trial on its own reference-tier loop: a fresh scheme
+    SoC stepped to ``fault_cycle``, the fault cycle stepped and every
+    watched replica corrupted on its closing edge (activity digest 0),
+    then stepped to the end or to ``max_cycles`` and classified by the
+    scheme's checker.  The oracle
+    :func:`repro.schemes.matrix.inject_scheme_ccf` is checked
+    against, on either tier."""
+    from repro.cpu.core import SimulationError
+    from repro.fault.models import CommonCauseFault
+    from repro.mem.memory import MemoryError_
+    from repro.schemes.matrix import _classify
+    fault = CommonCauseFault(cycle=fault_cycle, stimulus=stimulus)
+    soc = sch.build(config)
+    sch.start(soc, program, benchmark=benchmark)
+    trapped = False
+    finished = False
+    effects = []
+    try:
+        finished = _run_watched(soc, sch, max_cycles, stop_at=fault_cycle)
+        if not finished and soc.cycle == fault_cycle \
+                and soc.cycle < max_cycles:
+            soc.step()
+            for idx in sch.watched():
+                effect = fault.effect_on(soc.cores[idx], activity=0)
+                effect.apply(soc.cores[idx])
+                effects.append((effect.register, effect.bit))
+            finished = _run_watched(soc, sch, max_cycles)
+    except (MemoryError_, SimulationError):
+        trapped = True
+    for monitor in soc.monitors:
+        monitor.finish()
+    sch.finish(soc)
+    return _classify(sch, soc, trapped, golden_outputs, fault_cycle,
+                     stimulus, tuple(effects))
+
+
 @pytest.fixture
 def soc():
     """A fresh default MPSoC."""

@@ -164,3 +164,51 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: %s\n" % message
+
+    @pytest.mark.parametrize("argv,message", [
+        (["campaign", "cosf", "--injections", "0"],
+         "injections must be at least 1, got 0"),
+        (["campaign", "cosf", "--scheme", "tmr", "--injections", "-2"],
+         "injections must be at least 1, got -2"),
+        (["compare-schemes", "cosf", "--faults", "0"],
+         "faults must be at least 1, got 0"),
+        (["compare-schemes", "cosf", "--max-cycles", "100"],
+         "the golden safedm run of cosf did not finish within 100 "
+         "cycles"),
+        (["campaign", "cosf", "--scheme", "tmr", "--max-cycles", "100"],
+         "the golden tmr run of cosf did not finish within 100 cycles"),
+        (["campaign", "cosf", "--scheme", "tmr", "--no-cache"],
+         "--scheme trials use per-scheme topologies; "
+         "--shared/--checkpoint-every/--no-cache apply only to the "
+         "SafeDM pair campaign"),
+    ], ids=["injections-0", "scheme-injections-negative", "faults-0",
+            "compare-max-cycles-100", "scheme-max-cycles-100",
+            "scheme-no-cache"])
+    def test_bad_campaign_input_rejected(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % message
+
+
+class TestSchemeCampaign:
+    def test_engine_and_jobs_reach_the_trials(self, monkeypatch, capsys):
+        """``campaign --scheme`` runs its trials on ``--engine``'s tier
+        over ``--jobs`` workers, with the same table either way."""
+        import repro.schemes.matrix as matrix
+        seen = []
+        real = matrix.scheme_matrix
+
+        def spy(*args, **kwargs):
+            seen.append((kwargs["engine"], kwargs["jobs"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(matrix, "scheme_matrix", spy)
+        argv = ["campaign", "cosf", "--scheme", "lockstep",
+                "--injections", "2", "--stimuli", "0x5eed"]
+        assert main(argv) == 0
+        reference = capsys.readouterr().out
+        assert main(argv + ["--engine", "fast", "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == reference
+        assert seen == [("reference", 1), ("fast", 2)]
+

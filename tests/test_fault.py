@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.fault.campaign import run_ccf_campaign, spread_cycles
+from repro.baselines.unaware import compare_outputs
+from repro.fault.campaign import (
+    CampaignResult,
+    run_ccf_campaign,
+    spread_cycles,
+)
 from repro.fault.injector import (
+    InjectionResult,
     golden_run,
     inject_common_cause,
     inject_transient,
@@ -131,3 +137,61 @@ class TestCampaign:
     def test_summary_text(self):
         result = run_ccf_campaign(program(PROGRAM), [100])
         assert "injections=1" in result.summary()
+
+
+def _injection(outputs=(1, 1), finished=True, trapped=False,
+               diversity=True, same_effects=True):
+    effects = (FaultEffect(3, 7),
+               FaultEffect(3, 7) if same_effects else FaultEffect(4, 7))
+    return InjectionResult(
+        fault_cycle=10, outcome=compare_outputs(*outputs, 1),
+        diversity_at_injection=diversity, no_diversity_cycles=0,
+        effects=effects, finished=finished, end_cycle=100,
+        trapped=trapped)
+
+
+class TestTally:
+    """Every outcome class and cross-check is counted once, by the
+    same :class:`InjectionResult` predicates, in both aggregates."""
+
+    MIX = [
+        _injection(),                                    # masked
+        _injection(outputs=(1, 2)),                      # detected
+        _injection(outputs=(5, 5)),                      # despite diversity
+        _injection(outputs=(5, 5), same_effects=False),  # shared state
+        _injection(outputs=(5, 5), diversity=False),     # flagged
+        _injection(finished=False),                      # hang
+        _injection(finished=False, trapped=True),        # trap
+    ]
+
+    def test_trap_and_hang_are_counted(self):
+        from repro.telemetry import MetricsRegistry
+        result = CampaignResult(injections=self.MIX[-2:])
+        assert result.summary() == (
+            "injections=2 masked=0 detected=0 silent_ccf=0 hang=1 trap=1 "
+            "silent_despite_diversity=0 silent_via_shared_state=0 "
+            "detected_or_flagged=0")
+        registry = MetricsRegistry()
+        result.to_metrics(registry)
+        for classification in ("hang", "trap"):
+            assert registry.value(
+                "repro_fault_injections_total",
+                (("classification", classification),)) == 1
+
+    def test_cross_checks(self):
+        result = CampaignResult(injections=self.MIX)
+        assert result.counts() == {
+            "masked": 1, "detected": 1, "silent_ccf": 3, "hang": 1,
+            "trap": 1, "silent_despite_diversity": 1,
+            "silent_via_shared_state": 1, "detected_or_flagged": 2}
+
+    def test_batch_sums_the_same_predicates(self):
+        from repro.montecarlo import TrialBatch
+        batch = TrialBatch("ccf", len(self.MIX), golden_checksum=1)
+        for i, injection in enumerate(self.MIX):
+            batch.fill_from_result(i, injection)
+        assert batch.counts() == CampaignResult(injections=self.MIX).counts()
+        assert (batch.silent_despite_diversity,
+                batch.silent_via_shared_state,
+                batch.detected_or_flagged) == (1, 1, 2)
+

@@ -9,6 +9,7 @@ honest on a fast kernel subset.
 import dataclasses
 
 import pytest
+from conftest import scheme_trial_oracle
 
 from repro.checkpoint import jsonable
 from repro.schemes import SCHEME_KINDS, SchemeSpec, make_scheme
@@ -23,7 +24,11 @@ from repro.schemes.dme import (
     dme_register_map,
     dme_transform_report,
 )
-from repro.schemes.matrix import matrix_table, run_scheme_trials
+from repro.schemes.matrix import (
+    inject_scheme_ccf,
+    matrix_table,
+    run_scheme_trials,
+)
 from repro.schemes.tmr import MajorityVoter, majority_value
 from repro.soc.config import SocConfig
 from repro.soc.experiment import run_redundant
@@ -335,6 +340,68 @@ class TestSchemeMatrix:
         payload = row.to_dict()
         assert payload["trials"] == 1
         assert payload["hardware"]["cores"] == 2
+
+
+class TestSchemeTrialOracle:
+    """Scheme trials run the pair campaign's injected-run loop; the
+    scheme matrix's former reference-only loop
+    (``conftest.scheme_trial_oracle``) is the oracle, on either tier."""
+
+    @staticmethod
+    def _golden(kind, prog, kernel):
+        """Golden outputs and the trials' hang budget."""
+        golden = run_redundant(prog, benchmark=kernel, scheme=kind,
+                               engine="fast")
+        return (tuple(golden.scheme_stats["outputs"]),
+                golden.cycles, 4 * golden.cycles + 20_000)
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    def test_rows_match_oracle_on_both_tiers(self, kind):
+        prog = program("cosf")
+        rows = [run_scheme_trials(kind, prog, benchmark="cosf",
+                                  num_faults=2, stimuli=(0x5EED,),
+                                  engine=engine)
+                for engine in ("reference", "fast")]
+        assert dataclasses.asdict(rows[0]) == dataclasses.asdict(rows[1])
+        outputs, cycles, budget = self._golden(kind, prog, "cosf")
+        assert (rows[0].golden_output, rows[0].golden_cycles) \
+            == (outputs[0], cycles)
+        sch = build_scheme(kind)
+        assert rows[0].trials == [
+            scheme_trial_oracle(sch, prog, "cosf", None, trial.fault_cycle,
+                                trial.stimulus, outputs, budget)
+            for trial in rows[0].trials]
+
+    @pytest.mark.parametrize("kernel,kind,cycle,stimulus,expected", [
+        ("binarysearch", "lockstep", 10412, 0xC0FFEE, "trap"),
+        ("cosf", "tmr", 8740, 0x5EED, "corrected"),
+        ("cosf", "multipair", 4953, 0x5EED, "silent"),
+    ], ids=["trap", "corrected", "silent"])
+    def test_rare_classes_match_oracle(self, kernel, kind, cycle,
+                                       stimulus, expected):
+        prog = program(kernel)
+        outputs, _, budget = self._golden(kind, prog, kernel)
+        sch = build_scheme(kind)
+        oracle = scheme_trial_oracle(sch, prog, kernel, None, cycle,
+                                     stimulus, outputs, budget)
+        assert oracle.classification == expected
+        for engine in ("reference", "fast"):
+            assert inject_scheme_ccf(sch, prog, cycle, stimulus, outputs,
+                                     benchmark=kernel, max_cycles=budget,
+                                     engine=engine) == oracle
+
+    def test_jobs_do_not_change_rows(self):
+        rows = [run_scheme_trials("lockstep", program("cosf"),
+                                  benchmark="cosf", num_faults=2,
+                                  stimuli=(0x5EED,), engine="fast",
+                                  jobs=jobs)
+                for jobs in (1, 2)]
+        assert dataclasses.asdict(rows[0]) == dataclasses.asdict(rows[1])
+
+    def test_golden_run_past_the_budget_is_a_value_error(self):
+        with pytest.raises(ValueError, match="did not finish within 100"):
+            run_scheme_trials("tmr", program("cosf"), benchmark="cosf",
+                              num_faults=1, max_cycles=100)
 
 
 class TestWatchedCores:
