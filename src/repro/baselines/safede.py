@@ -74,8 +74,22 @@ def run_with_enforcement(soc, max_cycles: int = 2_000_000,
     enforcer = SafeDeEnforcer(threshold=threshold,
                               head=soc.monitored[0],
                               trail=soc.monitored[1])
-    head = soc.cores[enforcer.head]
-    trail = soc.cores[enforcer.trail]
+    return run_staggered(soc, enforcer, max_cycles)
+
+
+def run_staggered(soc, sampler, max_cycles: int = 2_000_000):
+    """Run the monitored pair (head ``monitored[0]``, trail
+    ``monitored[1]``) under a staggering ``sampler``: its
+    ``sample(head_commits, trail_commits)`` clocks every cycle and
+    returns True to hold the trail core for the next one.  Returns
+    ``sampler``.
+
+    The one core-stepping loop behind both staggering baselines
+    (:class:`SafeDeEnforcer` and
+    :class:`~repro.baselines.sw_stagger.SoftwareStaggerer`).
+    """
+    head = soc.cores[soc.monitored[0]]
+    trail = soc.cores[soc.monitored[1]]
     stall_next = False
     start = soc.cycle
     while soc.cycle - start < max_cycles:
@@ -95,8 +109,8 @@ def run_with_enforcement(soc, max_cycles: int = 2_000_000,
         soc.bus.step(cycle)
         if not (head.finished or trail.finished):
             soc.safedm.observe(cycle, head, trail)
-        stall_next = enforcer.sample(head.commits_this_cycle,
-                                     trail.commits_this_cycle)
+        stall_next = sampler.sample(head.commits_this_cycle,
+                                    trail.commits_this_cycle)
         soc.cycle += 1
     soc.safedm.finish()
-    return enforcer
+    return sampler

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .safede import run_staggered
+
 
 @dataclass
 class SwStaggerStats:
@@ -71,28 +73,4 @@ def run_with_sw_staggering(soc, max_cycles: int = 2_000_000,
     """Run an MPSoC under software staggering; returns the staggerer."""
     staggerer = SoftwareStaggerer(threshold=threshold,
                                   check_interval=check_interval)
-    head = soc.cores[soc.monitored[0]]
-    trail = soc.cores[soc.monitored[1]]
-    stall_next = False
-    start = soc.cycle
-    while soc.cycle - start < max_cycles:
-        if head.finished and trail.finished:
-            break
-        cycle = soc.cycle
-        if not head.finished:
-            head.step(cycle)
-        else:
-            head.commits_this_cycle = 0
-        if not trail.finished and (not stall_next or head.finished):
-            trail.step(cycle)
-        else:
-            trail.commits_this_cycle = 0
-            trail.hold = True
-        soc.bus.step(cycle)
-        if not (head.finished or trail.finished):
-            soc.safedm.observe(cycle, head, trail)
-        stall_next = staggerer.sample(head.commits_this_cycle,
-                                      trail.commits_this_cycle)
-        soc.cycle += 1
-    soc.safedm.finish()
-    return staggerer
+    return run_staggered(soc, staggerer, max_cycles)

@@ -512,6 +512,12 @@ def _cmd_campaign(args) -> int:
     probe = run_redundant(prog, benchmark=args.kernel, config=config,
                           max_cycles=args.max_cycles, tracer=tracer,
                           engine=args.engine)
+    if not probe.finished:
+        # Every injection would be judged against a truncated run's
+        # checksum.
+        print("error: the golden run of %s did not finish within %d "
+              "cycles" % (args.kernel, args.max_cycles), file=sys.stderr)
+        return 2
     cycles = spread_cycles(probe.cycles, args.injections)
     result = run_ccf_campaign(prog, cycles, stimuli=args.stimuli,
                               config=config, max_cycles=args.max_cycles,

@@ -2,10 +2,11 @@
 
 Two tiers drive the same :class:`~repro.soc.mpsoc.MPSoC` objects:
 
-* ``reference`` — :meth:`MPSoC.run`, the interpreter in
-  :mod:`repro.cpu`.  It is the oracle: every observable (architectural
-  state, signatures, monitor statistics, histograms, telemetry
-  counters, checkpoints, capture streams) is defined by it.
+* ``reference`` — :class:`ReferenceRunner`, which steps the platform
+  with :meth:`MPSoC.step` over the interpreter in :mod:`repro.cpu`.
+  It is the oracle: every observable (architectural state, signatures,
+  monitor statistics, histograms, telemetry counters, checkpoints,
+  capture streams) is defined by it.
 * ``fast`` — :class:`repro.engine.fast.FastRunner` over a
   :class:`repro.engine.plan.ProgramPlan`.  Straight-line fetch groups
   are specialized into generated per-PC step code operating on the
@@ -15,16 +16,23 @@ Two tiers drive the same :class:`~repro.soc.mpsoc.MPSoC` objects:
   The fast tier is bit-identical by construction — it never skips a
   cycle, because SafeDM samples signatures every cycle.
 
-:func:`run_soc` is the engine selector used by
-:func:`repro.soc.experiment.run_redundant` and everything above it;
-it and the fault injector share :func:`select_tier`.  Every topology
-— the monitored pair, extra cores, multiple monitored pairs, scheme
-taps — runs the same generated span.  A core whose register file is
-the golden recorder's :class:`~repro.cpu.regfile.RecordingRegisterFile`
-runs fast too: the generated code appends the same access log.  SoCs
-the fast tier does not model (any other register-file subclass,
-nonstandard monitor geometry on any monitor) silently fall back to the
-reference tier, recording ``fallback_reason``.
+Both runners share one interface: ``run_span(stop)`` advances the SoC
+to cycle ``stop`` or until its watched cores finish (True when they
+have), and ``_rebuild()`` recaptures live state after a restore.
+:func:`make_runner` is the one tier decision (through
+:func:`select_tier`), and every loop that advances a SoC — the chunked
+run loop of :func:`run_soc` (behind
+:func:`repro.soc.experiment.run_redundant` and :meth:`MPSoC.run`), the
+fault injector, the golden recorder and the golden-run walk — calls
+``run_span`` on the runner it returns.  Every topology — the monitored
+pair, extra cores, multiple monitored pairs, scheme taps — runs the
+same generated span.  A core whose register file is the golden
+recorder's :class:`~repro.cpu.regfile.RecordingRegisterFile` runs on
+either tier: both stamp its cycle markers and issue frontier, and the
+generated code appends the same access log.  SoCs the fast tier does
+not model (any other register-file subclass, nonstandard monitor
+geometry on any monitor) silently fall back to the reference tier,
+recording ``fallback_reason``.
 """
 
 from __future__ import annotations
@@ -34,7 +42,9 @@ from typing import Dict, Optional, Tuple
 
 from ..core import signatures
 from ..core.signatures import IsVariant
+from ..cpu.pipeline import DE, FE, RA
 from ..cpu.regfile import RecordingRegisterFile, RegisterFile
+from ..lint.masking import FRONTIER_HALTED
 
 from .plan import ProgramPlan  # noqa: F401  (re-export)
 
@@ -194,14 +204,13 @@ def _fast_supported(soc) -> Optional[str]:
 
 
 def select_tier(soc, engine: Optional[str]) -> Tuple[EngineStats, bool]:
-    """The tier decision every engine entry point shares.
+    """The tier decision behind :func:`make_runner`.
 
     Resolves ``engine``, attaches a fresh :class:`EngineStats` as
     ``soc.engine_stats``, and returns it with True when the fast tier
     should run.  A fast request for a SoC the fast tier does not model
-    records ``fallback_reason`` and returns False: the caller then
-    drives the reference interpreter.  Building the fast tier's
-    :class:`ProgramPlan` stays with the caller.
+    records ``fallback_reason`` and returns False: the reference
+    interpreter then runs it.
     """
     engine = resolve_engine(engine)
     stats = EngineStats(engine=engine)
@@ -212,29 +221,123 @@ def select_tier(soc, engine: Optional[str]) -> Tuple[EngineStats, bool]:
     return stats, stats.fallback_reason is None
 
 
+def _frontier_pc(core) -> int:
+    """The pc of ``core``'s oldest **not-yet-issued** instruction.
+
+    Functional register reads and writes both happen at issue time
+    (``Core._issue`` is the single ``RegisterFile.read`` call site), so
+    the oldest unissued instruction is the first program point whose
+    architectural accesses can still be influenced by a corruption
+    landing now.  Instructions already past RA have read *and* written;
+    crediting their kills would be unsound, so they are ignored.
+
+    Pre-issue stages, oldest first: RA, then DE, then FE.  With all
+    three empty, the next instruction to issue is the one at
+    ``fetch_pc`` — which is architecturally correct here, because any
+    in-flight mispredicted path would still have its branch in a
+    pre-issue stage (in-order issue), and issue-time redirects have
+    already fixed ``fetch_pc``.  A halted core never issues again:
+    :data:`~repro.lint.masking.FRONTIER_HALTED`.
+    """
+    stages = core.stages
+    for stage in (RA, DE, FE):
+        group = stages[stage]
+        if group is not None:
+            return group.instrs[0].pc
+    if core.halted:
+        return FRONTIER_HALTED
+    return core.fetch_pc
+
+
+class ReferenceRunner:
+    """The reference interpreter behind
+    :class:`~repro.engine.fast.FastRunner`'s interface.
+
+    Like the generated span, :meth:`run_span` stamps every core whose
+    register file is a :class:`~repro.cpu.regfile.RecordingRegisterFile`
+    before the cores step: the ``(3, cycle)`` log marker and the issue
+    frontier (:func:`_frontier_pc`).
+    """
+
+    def __init__(self, soc):
+        self.soc = soc
+        self.watched = [soc.cores[i] for i in soc._watched_indices()]
+        self.recorded = [core for core in soc.cores
+                         if isinstance(core.regfile, RecordingRegisterFile)]
+
+    def run_span(self, stop: int) -> bool:
+        """Step the platform until ``soc.cycle == stop`` or every
+        watched core finishes.  Returns True when they all have,
+        whichever ended the span (they may finish on ``stop`` itself).
+        """
+        soc, watched, recorded = self.soc, self.watched, self.recorded
+        step = soc.step
+        while soc.cycle < stop:
+            if all(core.finished for core in watched):
+                return True
+            if recorded:
+                cycle = soc.cycle
+                for core in recorded:
+                    core.regfile.log.append((3, cycle))
+                    # Sampled before the step, like the before-step
+                    # transient injection hook the frontier models.
+                    core.regfile.frontier.append(_frontier_pc(core))
+            step()
+        return all(core.finished for core in watched)
+
+    def _rebuild(self):
+        """Nothing to recapture: the interpreter reads live state."""
+
+
+def make_runner(soc, engine: Optional[str], program=None):
+    """The runner for ``soc`` on the tier :func:`select_tier` picks: a
+    :class:`~repro.engine.fast.FastRunner` or a :class:`ReferenceRunner`.
+
+    A run from a freshly loaded ``program`` reuses its compiled
+    :class:`ProgramPlan` template; without one (a forked or restored
+    SoC) the fast tier compiles lazily into a fresh plan.
+    """
+    stats, fast = select_tier(soc, engine)
+    if not fast:
+        return ReferenceRunner(soc)
+    from .fast import FastRunner
+    plan = ProgramPlan.for_soc(soc.memory, soc.cores[0].config, program)
+    return FastRunner(soc, plan, stats)
+
+
 def run_soc(soc, engine: str = "reference", program=None,
             max_cycles: int = 2_000_000, checkpoint_every: int = 0,
             on_checkpoint=None):
-    """Run ``soc`` to completion under the selected engine.
+    """Run ``soc`` for up to ``max_cycles`` cycles, until its watched
+    cores finish, under the selected engine.
 
     Returns ``(cycles_run, EngineStats)`` and stores the stats on the
     SoC as ``soc.engine_stats``.  ``program`` (optional) lets the fast
     tier pre-compile every basic block up front; without it plans are
     built lazily per fetched PC.
-    """
-    stats, fast = select_tier(soc, engine)
-    if fast:
-        from .fast import FastRunner
 
-        plan = ProgramPlan.for_soc(soc.memory, soc.cores[0].config,
-                                   program)
-        runner = FastRunner(soc, plan, stats)
-        cycles = runner.run(max_cycles=max_cycles,
-                            checkpoint_every=checkpoint_every,
-                            on_checkpoint=on_checkpoint)
-        stats.blocks_compiled = plan.blocks_compiled
-        return cycles, stats
-    cycles = soc.run(max_cycles=max_cycles,
-                     checkpoint_every=checkpoint_every,
-                     on_checkpoint=on_checkpoint)
-    return cycles, stats
+    With ``checkpoint_every`` > 0 and an ``on_checkpoint`` callback,
+    the callback receives this SoC whenever its cycle reaches a
+    multiple of the cadence, post-step — including the cycle the cores
+    finish on.  Spans are chunked to the next multiple, and a span that
+    ends early (cores finished) cannot land on a multiple it did not
+    reach.  The runner is rebuilt after every callback, which may have
+    restored other state into the SoC.
+    """
+    runner = make_runner(soc, engine, program)
+    start = soc.cycle
+    limit = start + max_cycles
+    every = checkpoint_every if on_checkpoint is not None else 0
+    while soc.cycle < limit:
+        stop = limit
+        if every > 0:
+            stop = min(limit, (soc.cycle // every + 1) * every)
+        finished = runner.run_span(stop)
+        if every > 0 and soc.cycle == stop and stop % every == 0:
+            on_checkpoint(soc)
+            runner._rebuild()
+        if finished:
+            break
+    for monitor in soc.monitors:
+        monitor.finish()
+    return soc.cycle - start, soc.engine_stats

@@ -36,16 +36,23 @@ Design contract (see DESIGN.md "Tiered execution"):
   memory-stage hazards the in-line L1 probe cannot retire.  Each
   delegation calls the corresponding reference method on the same
   objects, so the result is bit-identical by construction.
+* **One runner interface**: :class:`FastRunner` offers only
+  ``run_span(stop)`` and ``_rebuild()``, the interface of
+  :class:`repro.engine.ReferenceRunner`; :func:`repro.engine.make_runner`
+  picks one, and every loop that advances a SoC (``run_soc``'s chunked
+  run loop, the fault injector, the golden recorder, the golden-run
+  walk) drives whichever it gets.
 * **Checkpoints**: ``load_state_dict`` replaces interior lists and
   dicts, which invalidates captured locals —
-  :meth:`FastRunner._rebuild` recreates every closure after any
-  checkpoint callback, and forks build fresh runners.
+  :meth:`FastRunner._rebuild` recreates every closure;
+  ``run_soc`` calls it after every checkpoint callback, and forks
+  build fresh runners.
 * **Golden recordings**: a core whose register file is a
   :class:`~repro.cpu.regfile.RecordingRegisterFile` gets logging
   issue handlers and load closures, and the span stamps its cycle
-  marker and issue frontier every cycle, so the access log equals the
-  reference recorder's.  These are separate cache entries: other runs
-  keep the plain generated code.
+  marker and issue frontier every cycle, as the reference runner
+  does, so the access log equals the reference recorder's.  These are
+  separate cache entries: other runs keep the plain generated code.
 """
 
 from __future__ import annotations
@@ -1081,7 +1088,7 @@ def _pair_observe_lines(kind, has_record, has_history):
 
 # The golden recorder's per-cycle stamp of a core with a recording
 # register file, before the cores step: the ``(3, cycle)`` log marker,
-# then the issue frontier (repro.fault.injector._frontier_pc: the pc
+# then the issue frontier (repro.engine._frontier_pc: the pc
 # of the oldest group in RA, DE, FE, else the halt marker or fetch_pc).
 _RECORD_CORE = """\
 log_N.append((3, cycle))
@@ -1317,35 +1324,7 @@ class FastRunner:
         cycle, finished = self._span(start, stop,
                                      soc.gate_monitor_on_finish)
         soc.cycle = cycle
-        self.estats.fast_cycles += cycle - start
+        estats = self.estats
+        estats.fast_cycles += cycle - start
+        estats.blocks_compiled = self.plan.blocks_compiled
         return finished
-
-    def run(self, max_cycles: int = 2_000_000, checkpoint_every: int = 0,
-            on_checkpoint=None) -> int:
-        """Fast-tier equivalent of :meth:`MPSoC.run`.
-
-        Checkpoint callbacks fire at exactly the same cycles: spans are
-        chunked to the next cadence multiple, and a span that ends early
-        (cores finished) cannot land on a multiple it did not reach.
-        """
-        soc = self.soc
-        start = soc.cycle
-        limit = start + max_cycles
-        if checkpoint_every > 0 and on_checkpoint is not None:
-            while soc.cycle < limit:
-                stop = min(limit, (soc.cycle // checkpoint_every + 1)
-                           * checkpoint_every)
-                finished = self.run_span(stop)
-                if soc.cycle % checkpoint_every == 0 \
-                        and soc.cycle == stop:
-                    on_checkpoint(soc)
-                    # The callback may have restored other state into
-                    # this SoC (fork/replay protocols); recapture.
-                    self._rebuild()
-                if finished:
-                    break
-        else:
-            self.run_span(limit)
-        for monitor in soc.monitors:
-            monitor.finish()
-        return soc.cycle - start

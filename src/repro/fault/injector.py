@@ -34,12 +34,11 @@ from typing import (Deque, Dict, Iterable, List, NamedTuple, Optional,
 from ..baselines.unaware import RedundancyOutcome, compare_outputs
 from ..checkpoint import Snapshot, dynamic_view, jsonable
 from ..cpu.core import SimulationError
-from ..cpu.pipeline import DE, FE, RA
 from ..cpu.regfile import RecordingRegisterFile
+from ..engine import ReferenceRunner, make_runner, run_soc
 from ..mem.memory import MemoryError_
 from ..isa.program import Program
 from ..isa.registers import NUM_REGISTERS
-from ..lint.masking import FRONTIER_HALTED
 from ..soc.config import SocConfig
 from ..soc.mpsoc import MPSoC
 from .models import CommonCauseFault, TransientFault, state_digest
@@ -189,7 +188,6 @@ def golden_run(program: Program, config: Optional[SocConfig] = None,
                max_cycles: int = 2_000_000,
                engine: str = "reference") -> int:
     """Fault-free redundant run; returns the golden checksum."""
-    from ..engine import run_soc
     soc = _fresh_pair(program, config)
     run_soc(soc, engine, program=program, max_cycles=max_cycles)
     golden0, golden1 = _core_outputs(soc)
@@ -200,48 +198,9 @@ def golden_run(program: Program, config: Optional[SocConfig] = None,
 
 # -- the one injected-run loop -------------------------------------------------
 
-def _tier_runner(soc: MPSoC, engine: str,
-                 program: Optional[Program] = None):
-    """A :class:`~repro.engine.fast.FastRunner` for ``soc`` when
-    :func:`repro.engine.select_tier` picks the fast tier, else ``None``
-    (the caller drives the reference interpreter).  An injected run
-    (no ``program``) compiles into a fresh
-    :class:`~repro.engine.plan.ProgramPlan`; a run from the freshly
-    loaded ``program`` reuses its compiled template.
-    """
-    from ..engine import select_tier
-    stats, fast = select_tier(soc, engine)
-    if not fast:
-        return None
-    from ..engine.fast import FastRunner
-    from ..engine.plan import ProgramPlan
-    plan = ProgramPlan.for_soc(soc.memory, soc.cores[0].config, program)
-    return FastRunner(soc, plan, stats)
-
-
-class _ReferenceSpan:
-    """:meth:`~repro.engine.fast.FastRunner.run_span` on the reference
-    interpreter, so :func:`_drive` runs one loop on either tier."""
-
-    def __init__(self, soc: MPSoC):
-        self.soc = soc
-        self.watched = [soc.cores[i] for i in soc._watched_indices()]
-
-    def run_span(self, stop: int) -> bool:
-        soc, watched = self.soc, self.watched
-        while soc.cycle < stop:
-            if all(core.finished for core in watched):
-                return True
-            soc.step()
-        return all(core.finished for core in watched)
-
-    def _rebuild(self):
-        """Nothing to recapture: the interpreter reads live state."""
-
-
-def _drive(soc: MPSoC, cycle: int, max_cycles: int, result,
+def _drive(soc: MPSoC, runner, cycle: int, max_cycles: int, result,
            before_step=None, after_step=None,
-           convergence=None, runner=None, probe_cycles=()):
+           convergence=None, probe_cycles=()):
     """Drive one injected run to completion (or to convergence).
 
     ``before_step(soc)`` fires when ``soc.cycle == cycle`` — the
@@ -257,10 +216,9 @@ def _drive(soc: MPSoC, cycle: int, max_cycles: int, result,
     reconstructed ``(no_diversity_cycles, finished, outputs,
     end_cycle)`` tail of the run, which ends it there.
 
-    ``runner`` (a :class:`~repro.engine.fast.FastRunner` over this SoC)
-    runs the fault-free stretches as fast-tier spans: to the fault
-    cycle, between convergence probes, and to the budget; without
-    one, the reference interpreter runs them.  The fault cycle itself
+    ``runner`` (:func:`repro.engine.make_runner` over this SoC) runs
+    the fault-free stretches as spans: to the fault cycle, between
+    convergence probes, and to the budget.  The fault cycle itself
     always executes under the reference interpreter so the injection
     hooks see mid-cycle reference state, and the runner is rebuilt
     afterwards (hooks mutate state behind the generated code's
@@ -274,8 +232,6 @@ def _drive(soc: MPSoC, cycle: int, max_cycles: int, result,
     The cycle budget is absolute (``soc.cycle < max_cycles``), so a SoC
     forked mid-run observes exactly the budget a from-scratch run would.
     """
-    fast = runner is not None
-    span = runner if fast else _ReferenceSpan(soc)
     effects = ()
     diversity_at_injection = None
     tail = None
@@ -288,7 +244,7 @@ def _drive(soc: MPSoC, cycle: int, max_cycles: int, result,
     # deterministic across scratch/fork and reference/fast paths.
     trapped = False
     try:
-        finished = span.run_span(min(cycle, max_cycles))
+        finished = runner.run_span(min(cycle, max_cycles))
         if not finished and soc.cycle == cycle and soc.cycle < max_cycles:
             if before_step is not None:
                 effects = before_step(soc)
@@ -298,7 +254,7 @@ def _drive(soc: MPSoC, cycle: int, max_cycles: int, result,
                 if soc.safedm.last_report is not None:
                     diversity_at_injection = \
                         soc.safedm.last_report.diversity
-            span._rebuild()
+            runner._rebuild()
             if convergence is not None:
                 tail = convergence(soc)
                 for probe in probe_cycles:
@@ -306,16 +262,16 @@ def _drive(soc: MPSoC, cycle: int, max_cycles: int, result,
                         break
                     if probe <= soc.cycle:
                         continue
-                    finished = span.run_span(probe)
+                    finished = runner.run_span(probe)
                     # Probe the cycle the cores finish on too.
                     if soc.cycle == probe:
                         tail = convergence(soc)
                     if finished:
                         break
             if tail is None:
-                span.run_span(max_cycles)
+                runner.run_span(max_cycles)
     except (MemoryError_, SimulationError):
-        if fast:
+        if not isinstance(runner, ReferenceRunner):
             # The fast tier's block granularity surfaces the trap at a
             # tier-dependent cycle (e.g. a group's eager fetch decodes
             # the corrupted path early).  The reference interpreter is
@@ -372,17 +328,15 @@ def run_injection(start, cycle: int, max_cycles: int, result,
         "convergence": fork.convergence(),
         "probe_cycles": fork.artifact.checkpoint_cycles}
 
-    def prepare(tier):
+    def attempt(tier):
         soc = start() if fork is None else fork.fork(cycle)
-        return soc, _tier_runner(soc, tier)
+        return _drive(soc, make_runner(soc, tier), cycle, max_cycles,
+                      result, **probes, **hooks)
 
-    soc, runner = prepare(engine)
     try:
-        return _drive(soc, cycle, max_cycles, result, runner=runner,
-                      **probes, **hooks)
+        return attempt(engine)
     except _FastTierTrap:
-        soc, _ = prepare("reference")
-        return _drive(soc, cycle, max_cycles, result, **probes, **hooks)
+        return attempt("reference")
 
 
 def inject_common_cause(program: Program, cycle: int, stimulus: int,
@@ -513,34 +467,6 @@ class GoldenRecording:
     frontier: Tuple[array, array]
 
 
-def _frontier_pc(core) -> int:
-    """The pc of ``core``'s oldest **not-yet-issued** instruction.
-
-    Functional register reads and writes both happen at issue time
-    (``Core._issue`` is the single ``RegisterFile.read`` call site), so
-    the oldest unissued instruction is the first program point whose
-    architectural accesses can still be influenced by a corruption
-    landing now.  Instructions already past RA have read *and* written;
-    crediting their kills would be unsound, so they are ignored.
-
-    Pre-issue stages, oldest first: RA, then DE, then FE.  With all
-    three empty, the next instruction to issue is the one at
-    ``fetch_pc`` — which is architecturally correct here, because any
-    in-flight mispredicted path would still have its branch in a
-    pre-issue stage (in-order issue), and issue-time redirects have
-    already fixed ``fetch_pc``.  A halted core never issues again:
-    :data:`~repro.lint.masking.FRONTIER_HALTED`.
-    """
-    stages = core.stages
-    for stage in (RA, DE, FE):
-        group = stages[stage]
-        if group is not None:
-            return group.instrs[0].pc
-    if core.halted:
-        return FRONTIER_HALTED
-    return core.fetch_pc
-
-
 def record_golden_run(program: Program,
                       config: Optional[SocConfig] = None,
                       max_cycles: int = 2_000_000,
@@ -550,16 +476,18 @@ def record_golden_run(program: Program,
                       engine: str = "reference") -> GoldenRecording:
     """The one golden-run recording loop.
 
-    A fault-free run on ``engine``'s tier (picked by
-    :func:`repro.engine.select_tier`; the reference interpreter is the
-    fallback and the oracle) with
-    :class:`~repro.cpu.regfile.RecordingRegisterFile` on the monitored
-    cores.  It advances to the next checkpoint cycle, drops a snapshot
-    there — post-step, like :meth:`MPSoC.run` — and repeats, while
-    every cycle is stamped into the access logs along with the cheap
-    issue frontiers.  Each checkpoint's dead-register map is derived
-    from the logs at the end.  The digests and verdict a common-cause
-    fault sees at its cycle come from :meth:`ForkEngine.observe`.
+    A fault-free run on the runner :func:`repro.engine.make_runner`
+    picks for ``engine`` (the reference interpreter is the fallback and
+    the oracle) with :class:`~repro.cpu.regfile.RecordingRegisterFile`
+    on the monitored cores.  It advances to the next checkpoint cycle,
+    drops a snapshot there — post-step, like the checkpoint callbacks
+    of :func:`repro.engine.run_soc`, whose loop it does not share
+    because thinning changes the cadence mid-run — and repeats, while
+    the runner stamps every cycle into the access logs along with the
+    cheap issue frontiers.  Each checkpoint's dead-register map is
+    derived from the logs at the end.  The digests and verdict a
+    common-cause fault sees at its cycle come from
+    :meth:`ForkEngine.observe`.
 
     ``checkpoint_every`` is a fixed cadence (``0``: no snapshots) or
     ``None`` for an automatic one: start at :data:`MIN_CADENCE` and,
@@ -577,8 +505,7 @@ def record_golden_run(program: Program,
     core0, core1 = (soc.cores[index] for index in soc.monitored)
     for core in (core0, core1):
         core.regfile = RecordingRegisterFile(core.regfile)
-    runner = _tier_runner(soc, engine, program)
-    watched = [soc.cores[idx] for idx in soc._watched_indices()]
+    runner = make_runner(soc, engine, program)
     auto = checkpoint_every is None
     every = MIN_CADENCE if auto else checkpoint_every
     blobs: List[bytes] = []
@@ -588,10 +515,7 @@ def record_golden_run(program: Program,
         stop = max_cycles
         if every > 0:
             stop = min(stop, (soc.cycle // every + 1) * every)
-        if runner is not None:
-            finished = runner.run_span(stop)
-        else:
-            finished = _record_steps(soc, stop, watched, core0, core1)
+        finished = runner.run_span(stop)
         if every > 0 and soc.cycle == stop and stop % every == 0:
             cycles.append(stop)
             blobs.append(soc.snapshot(
@@ -629,28 +553,6 @@ def record_golden_run(program: Program,
     return GoldenRecording(
         base=base, logs=logs,
         frontier=(core0.regfile.frontier, core1.regfile.frontier))
-
-
-def _record_steps(soc: MPSoC, stop: int, watched, core0, core1) -> bool:
-    """The reference tier's recording span: step until ``stop`` or
-    until every watched core finishes, stamping each cycle into both
-    recording register files first (the generated span's stamp);
-    True when they all have finished."""
-    log0, log1 = core0.regfile.log, core1.regfile.log
-    frontier0, frontier1 = core0.regfile.frontier, core1.regfile.frontier
-    step = soc.step
-    while soc.cycle < stop:
-        if all(core.finished for core in watched):
-            break
-        now = soc.cycle
-        log0.append((3, now))
-        log1.append((3, now))
-        # Frontier points are sampled before the step, like the
-        # before-step transient injection hook they model.
-        frontier0.append(_frontier_pc(core0))
-        frontier1.append(_frontier_pc(core1))
-        step()
-    return all(core.finished for core in watched)
 
 
 def golden_run_with_checkpoints(program: Program,
@@ -842,22 +744,21 @@ class ForkEngine:
             raise ValueError("golden cycles must lie in [0, %d), got "
                              "%d..%d" % (end, wanted[0], wanted[-1]))
         soc = _fresh_pair(self.program, self.config)
-        runner = _tier_runner(soc, engine)
+        runner = make_runner(soc, engine)
         checkpoints = self.artifact.checkpoint_cycles
         observed: Dict[int, GoldenPoint] = {}
         for cycle in wanted:
             index = self.nearest_checkpoint(cycle)
             if index is not None and checkpoints[index] > soc.cycle:
                 soc.load_state_dict(self._snapshot(index).state)
-                if runner is not None:
-                    # A restore replaces the objects the generated code
-                    # captured.  A reference step mutates them in place
-                    # and the span re-checks its carried fetch link
-                    # against ``fetch_pc``, so only a restore needs a
-                    # rebuild (one per sampled cycle would double a
-                    # dense walk).
-                    runner._rebuild()
-            if runner is not None and soc.cycle < cycle:
+                # A restore replaces the objects the generated code
+                # captured.  A reference step mutates them in place
+                # and the span re-checks its carried fetch link
+                # against ``fetch_pc``, so only a restore needs a
+                # rebuild (one per sampled cycle would double a
+                # dense walk).
+                runner._rebuild()
+            if soc.cycle < cycle:
                 runner.run_span(cycle)
             while soc.cycle <= cycle:
                 soc.step()

@@ -195,6 +195,16 @@ def run_key(program_dig: str, config: Optional[SocConfig] = None, *,
                        mode_value=mode_value, threshold=threshold)
 
 
+def _json_entry(raw: bytes, field: str):
+    """``field`` of a JSON store entry; anything but a current-schema
+    object is a dead entry."""
+    payload = json.loads(raw)
+    if not isinstance(payload, dict) \
+            or payload.get("schema") != CACHE_SCHEMA_VERSION:
+        raise ValueError("schema mismatch")
+    return payload[field]
+
+
 class _DiskStore:
     """Shared plumbing: atomic one-file-per-key stores under ``root``.
 
@@ -217,12 +227,37 @@ class _DiskStore:
     def _path(self, key: str) -> pathlib.Path:
         return self.root / (key + self.SUFFIX)
 
-    def _read(self, key: str) -> Optional[bytes]:
-        """Raw entry bytes, or None (a plain miss) when absent."""
+    def get(self, key: str):
+        """The entry under ``key``, or None (counted as a miss).
+
+        Corrupt or stale-schema entries — whatever the store's
+        :meth:`_decode` rejects — are deleted on the spot and counted
+        in :attr:`evictions` (surfaced as the
+        ``repro_runner_cache_evictions_total`` telemetry counter).
+        """
+        return self._load(key, self._decode)
+
+    def _load(self, key: str, decode):
+        """The one read path: read, ``decode``, evict on failure, and
+        count a hit or a miss."""
         try:
-            return self._path(key).read_bytes()
+            raw = self._path(key).read_bytes()
         except OSError:
+            self.misses += 1
             return None
+        try:
+            entry = decode(raw)
+        except (ValueError, TypeError, KeyError, EOFError):
+            self._evict(key)
+            self.misses += 1
+            return None
+        self.hits += 1
+        return entry
+
+    def _decode(self, raw: bytes):
+        """The cached value encoded in ``raw``; raises ValueError,
+        TypeError, KeyError or EOFError for a dead entry."""
+        raise NotImplementedError
 
     def _evict(self, key: str):
         """Drop a dead entry so it cannot keep missing forever."""
@@ -268,28 +303,8 @@ class RunCache(_DiskStore):
 
     SUFFIX = ".json"
 
-    def get(self, key: str) -> Optional[RunResult]:
-        """Cached result for ``key``, or None (counted as a miss).
-
-        Corrupt or stale-schema entries are deleted on the spot and
-        counted in :attr:`evictions` (surfaced as the
-        ``repro_runner_cache_evictions_total`` telemetry counter).
-        """
-        raw = self._read(key)
-        if raw is None:
-            self.misses += 1
-            return None
-        try:
-            payload = json.loads(raw)
-            if payload.get("schema") != CACHE_SCHEMA_VERSION:
-                raise ValueError("schema mismatch")
-            result = RunResult(**payload["result"])
-        except (ValueError, TypeError, KeyError):
-            self._evict(key)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
+    def _decode(self, raw: bytes) -> RunResult:
+        return RunResult(**_json_entry(raw, "result"))
 
     def put(self, key: str, result: RunResult):
         """Persist ``result`` under ``key`` (atomic)."""
@@ -311,20 +326,8 @@ class TraceCache(_DiskStore):
 
     SUFFIX = ".trace"
 
-    def get(self, sim_key: str) -> Optional[StreamTrace]:
-        """Cached trace for ``sim_key``, or None (counted as a miss)."""
-        raw = self._read(sim_key)
-        if raw is None:
-            self.misses += 1
-            return None
-        try:
-            trace = StreamTrace.decode(raw)
-        except (ValueError, TypeError, KeyError, EOFError):
-            self._evict(sim_key)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return trace
+    def _decode(self, raw: bytes) -> StreamTrace:
+        return StreamTrace.decode(raw)
 
     def put(self, sim_key: str, trace: StreamTrace):
         """Persist ``trace`` under its simulation key (atomic)."""
@@ -346,21 +349,9 @@ class CheckpointStore(_DiskStore):
         super().__init__(root)
         self.bytes_written = 0
 
-    def get(self, key: str):
-        """Cached snapshot for ``key``, or None (counted as a miss)."""
+    def _decode(self, raw: bytes):
         from ..checkpoint import Snapshot
-        raw = self._read(key)
-        if raw is None:
-            self.misses += 1
-            return None
-        try:
-            snapshot = Snapshot.decode(raw)
-        except (ValueError, TypeError, KeyError, EOFError):
-            self._evict(key)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return snapshot
+        return Snapshot.decode(raw)
 
     def get_blob(self, key: str) -> Optional[bytes]:
         """Like :meth:`get`, but return the validated encoded form.
@@ -368,18 +359,10 @@ class CheckpointStore(_DiskStore):
         Used by consumers that decode lazily (e.g. the fork engine,
         which ships encoded snapshots to pool workers).
         """
-        from ..checkpoint import Snapshot
-        raw = self._read(key)
-        if raw is None:
-            self.misses += 1
-            return None
-        try:
-            Snapshot.decode(raw)
-        except (ValueError, TypeError, KeyError, EOFError):
-            self._evict(key)
-            self.misses += 1
-            return None
-        self.hits += 1
+        return self._load(key, self._validated)
+
+    def _validated(self, raw: bytes) -> bytes:
+        self._decode(raw)
         return raw
 
     def put(self, key: str, snapshot):
@@ -403,23 +386,8 @@ class CheckpointIndexStore(_DiskStore):
 
     SUFFIX = ".ckidx"
 
-    def get(self, key: str) -> Optional[dict]:
-        """Cached index payload for ``key``, or None."""
-        raw = self._read(key)
-        if raw is None:
-            self.misses += 1
-            return None
-        try:
-            payload = json.loads(raw)
-            if payload.get("schema") != CACHE_SCHEMA_VERSION:
-                raise ValueError("schema mismatch")
-            index = payload["index"]
-        except (ValueError, TypeError, KeyError):
-            self._evict(key)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return index
+    def _decode(self, raw: bytes) -> dict:
+        return _json_entry(raw, "index")
 
     def put(self, key: str, index: dict):
         """Persist ``index`` under ``key`` (atomic)."""

@@ -100,8 +100,10 @@ def run_redundant(program: Program, benchmark: str = "program",
     observational.
 
     ``checkpoint_every``/``on_checkpoint`` forward to
-    :meth:`MPSoC.run`: the callback receives the SoC at every cadence
-    multiple (snapshot it via ``soc.snapshot()``).  ``resume_from`` (a
+    :func:`repro.engine.run_soc`, whose one loop drives either tier:
+    the callback receives the SoC at every cadence multiple the run
+    reaches, at the same cycles on both tiers (snapshot it via
+    ``soc.snapshot()``).  ``resume_from`` (a
     :class:`repro.checkpoint.Snapshot`) restores a previous run's state
     instead of loading the program; counters and the cycle budget are
     then *absolute* — the returned result equals the uninterrupted

@@ -2,10 +2,11 @@
 
 :class:`MPSoC` owns the functional memory, the shared bus (with the L2
 inside it), the cores, the APB bridge, and the SafeDM instance wired to
-cores 0 and 1.  Its :meth:`step`/:meth:`run` methods advance the whole
-platform cycle by cycle; SafeDM observes the cores *after* they have
-been stepped each cycle, exactly like the hardware samples pipeline
-registers on the clock edge.
+cores 0 and 1.  Its :meth:`step` method advances the whole platform
+one clock cycle (every engine tier follows its order, and :meth:`run`
+repeats it to completion); SafeDM observes the cores *after* they
+have been stepped each cycle, exactly like the hardware samples
+pipeline registers on the clock edge.
 """
 
 from __future__ import annotations
@@ -206,35 +207,12 @@ class MPSoC:
                 tap(cycle)
         self.cycle = cycle + 1
 
-    def run(self, max_cycles: int = 2_000_000, checkpoint_every: int = 0,
-            on_checkpoint=None) -> int:
-        """Run until every monitored core finishes (or ``max_cycles``).
-
-        With ``checkpoint_every`` > 0 and an ``on_checkpoint`` callback,
-        the callback receives this SoC whenever ``cycle`` reaches a
-        multiple of the cadence (checkpoint-taking lives in a separate
-        loop so the common path stays hot-loop tight).  Returns the
-        number of cycles simulated.
-        """
-        start = self.cycle
-        watched = [self.cores[idx] for idx in self._watched_indices()]
-        step = self.step
-        limit = start + max_cycles
-        if checkpoint_every > 0 and on_checkpoint is not None:
-            while self.cycle < limit:
-                if all(core.finished for core in watched):
-                    break
-                step()
-                if self.cycle % checkpoint_every == 0:
-                    on_checkpoint(self)
-        else:
-            while self.cycle < limit:
-                if all(core.finished for core in watched):
-                    break
-                step()
-        for monitor in self.monitors:
-            monitor.finish()
-        return self.cycle - start
+    def run(self, max_cycles: int = 2_000_000) -> int:
+        """Run until every watched core finishes (or ``max_cycles``) on
+        the reference tier: :func:`repro.engine.run_soc`.  Returns the
+        number of cycles simulated."""
+        from ..engine import run_soc
+        return run_soc(self, "reference", max_cycles=max_cycles)[0]
 
     # -- snapshot protocol ------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Baseline-technique tests: lockstep, SafeDE, software staggering."""
 
+import dataclasses
+
 import pytest
 
 from repro.baselines.lockstep import LockstepComparator
@@ -155,6 +157,18 @@ class TestSafeDeOnSoc:
         assert soc.memory.read(soc.config.data_bases[0], 8) == expected
         assert soc.memory.read(soc.config.data_bases[1], 8) == expected
 
+    def test_pinned_countnegative_run(self):
+        """Stats, end cycle and SafeDM's residual verdicts of one
+        enforced run, as the per-baseline loop produced them."""
+        soc = MPSoC()
+        soc.start_redundant(program("countnegative"))
+        enforcer = run_with_enforcement(soc, threshold=20)
+        assert dataclasses.asdict(enforcer.stats) == {
+            "cycles": 13727, "stall_cycles": 166,
+            "min_observed_stagger": 0}
+        assert soc.cycle == 13727
+        assert soc.safedm.stats.no_diversity_cycles == 1
+
 
 class TestSoftwareStaggerer:
     def test_checkpoint_granularity(self):
@@ -183,6 +197,19 @@ class TestSoftwareStaggerer:
                                            check_interval=100)
         assert all(soc.cores[i].finished for i in soc.monitored)
         assert staggerer.stats.checkpoints > 0
+
+    def test_pinned_countnegative_run(self):
+        """Stats, end cycle and SafeDM's residual verdicts of one
+        software-staggered run, as the per-baseline loop produced
+        them."""
+        soc = MPSoC()
+        soc.start_redundant(program("countnegative"))
+        staggerer = run_with_sw_staggering(soc, threshold=50,
+                                           check_interval=100)
+        assert dataclasses.asdict(staggerer.stats) == {
+            "cycles": 13784, "stall_cycles": 113, "checkpoints": 123}
+        assert soc.cycle == 13784
+        assert soc.safedm.stats.no_diversity_cycles == 44
 
 
 class TestUnawareRedundancy:

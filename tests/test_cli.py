@@ -181,9 +181,11 @@ class TestErrors:
          "--scheme trials use per-scheme topologies; "
          "--shared/--checkpoint-every/--no-cache apply only to the "
          "SafeDM pair campaign"),
+        (["campaign", "cosf", "--max-cycles", "100", "--injections", "2"],
+         "the golden run of cosf did not finish within 100 cycles"),
     ], ids=["injections-0", "scheme-injections-negative", "faults-0",
             "compare-max-cycles-100", "scheme-max-cycles-100",
-            "scheme-no-cache"])
+            "scheme-no-cache", "max-cycles-100"])
     def test_bad_campaign_input_rejected(self, argv, message, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()

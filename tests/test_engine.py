@@ -17,7 +17,14 @@ import pytest
 from repro.checkpoint import Snapshot, jsonable
 from repro.core.monitor import ReportingMode
 from repro.core.signatures import IsVariant, SignatureConfig
-from repro.engine import EngineStats, resolve_engine, run_soc
+from repro.engine import (
+    EngineStats,
+    ReferenceRunner,
+    make_runner,
+    resolve_engine,
+    run_soc,
+)
+from repro.engine.fast import FastRunner
 from repro.fault import (
     ForkEngine,
     golden_run,
@@ -197,6 +204,66 @@ def test_shared_decode_cache_links_pair_and_survives_restore():
     soc.run(max_cycles=400)
     restored.run(max_cycles=400)
     assert jsonable(restored.state_dict()) == jsonable(soc.state_dict())
+
+
+# --- the one run loop -------------------------------------------------------
+
+#: Cycle countnegative's monitored pair finishes on under the default
+#: config: 71 x 193, so cadence 193 ends on a checkpoint.
+KERNEL_END = 13_703
+
+
+@pytest.mark.parametrize("every,calls", [(193, 71), (500, 27)])
+def test_checkpoint_callbacks_fire_at_the_same_cycles_on_both_tiers(
+        every, calls):
+    """``run_soc``'s chunk loop calls back at every cadence multiple
+    the run reaches, post-step, on either tier — including the cycle
+    the watched cores finish on."""
+    prog = program(KERNEL)
+    seen = {}
+    for engine in ("reference", "fast"):
+        soc = MPSoC()
+        soc.start_redundant(prog)
+        cycles = []
+        ran, stats = run_soc(soc, engine, program=prog,
+                             checkpoint_every=every,
+                             on_checkpoint=lambda s: cycles.append(s.cycle))
+        assert ran == soc.cycle == KERNEL_END
+        assert stats.fallback_reason is None
+        seen[engine] = cycles
+    assert seen["fast"] == seen["reference"] \
+        == list(range(every, KERNEL_END + 1, every))
+    assert len(seen["reference"]) == calls
+
+
+@pytest.mark.parametrize("engine,kind", [("reference", ReferenceRunner),
+                                         ("fast", FastRunner)])
+def test_run_span_reports_cores_that_finish_on_stop(engine, kind):
+    prog = program(KERNEL)
+    soc = MPSoC()
+    soc.start_redundant(prog)
+    runner = make_runner(soc, engine, prog)
+    assert type(runner) is kind
+    assert runner.run_span(KERNEL_END - 1) is False
+    assert soc.cycle == KERNEL_END - 1
+    assert runner.run_span(KERNEL_END) is True
+    assert soc.cycle == KERNEL_END
+    # A finished SoC stays where it is.
+    assert runner.run_span(KERNEL_END + 10) is True
+    assert soc.cycle == KERNEL_END
+
+
+@pytest.mark.parametrize("max_cycles", [5_000, 2_000_000],
+                         ids=["truncated", "complete"])
+def test_mpsoc_run_is_run_soc_on_the_reference_tier(max_cycles):
+    prog = program(KERNEL)
+    socs = [MPSoC(), MPSoC()]
+    for soc in socs:
+        soc.start_redundant(prog, stagger_nops=100)
+    cycles = socs[0].run(max_cycles=max_cycles)
+    ran, _ = run_soc(socs[1], "reference", max_cycles=max_cycles)
+    assert cycles == ran == socs[1].cycle
+    assert jsonable(socs[0].state_dict()) == jsonable(socs[1].state_dict())
 
 
 # --- fault injection --------------------------------------------------------

@@ -226,6 +226,16 @@ def test_cache_evicts_stale_schema_entry(tmp_path):
     assert not (tmp_path / "oldkey.json").exists()
 
 
+@pytest.mark.parametrize("text", ["[]", "3", '"result"', "null"])
+def test_cache_evicts_json_that_is_not_an_entry(tmp_path, text):
+    """Valid JSON that is not an entry object is as dead as garbage."""
+    cache = RunCache(tmp_path)
+    (tmp_path / "oddkey.json").write_text(text)
+    assert cache.get("oddkey") is None
+    assert cache.evictions == 1
+    assert not (tmp_path / "oddkey.json").exists()
+
+
 @pytest.mark.slow
 def test_sweep_capture_then_replay(tmp_path):
     """A captured sweep's traces answer a later sweep with a different
