@@ -149,6 +149,14 @@ def _check_args(args):
                          % every)
 
 
+def _file_error(action: str, path: str, exc: Exception) -> int:
+    """One ``error:`` line for a file a command cannot use; exit 2."""
+    print("error: cannot %s %s: %s" % (
+        action, path, getattr(exc, "strerror", None) or exc),
+        file=sys.stderr)
+    return 2
+
+
 def _make_telemetry(args):
     """(metrics, tracer) per the ``--metrics``/``--trace`` flags."""
     metrics = tracer = None
@@ -278,7 +286,10 @@ def _cmd_run(args) -> int:
     if args.replay:
         from .replay import replay_run
         from .trace import StreamTrace
-        trace = StreamTrace.load(args.replay)
+        try:
+            trace = StreamTrace.load(args.replay)
+        except (OSError, ValueError) as exc:
+            return _file_error("read trace", args.replay, exc)
         meta = trace.meta
         if (meta.benchmark != args.kernel
                 or meta.stagger_nops != args.stagger
@@ -421,7 +432,8 @@ def _cmd_table1(args) -> int:
 def _cmd_sweep_monitor(args) -> int:
     from .core.monitor import ReportingMode
     from .core.signatures import IsVariant, SignatureConfig
-    from .replay import MonitorPoint, MonitorSweep
+    from .replay.monitor_sweep import MonitorPoint, MonitorSweep, check_points
+    from .soc.config import SocConfig
     metrics, tracer = _make_telemetry(args)
 
     signatures = [SignatureConfig(is_variant=IsVariant(variant),
@@ -434,6 +446,11 @@ def _cmd_sweep_monitor(args) -> int:
               for sig in signatures
               for mode in args.modes
               for thr in args.thresholds]
+    try:
+        check_points(points, SocConfig())
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
     sweep = MonitorSweep(use_cache=not args.no_cache,
                          metrics=metrics, tracer=tracer,
@@ -768,7 +785,10 @@ def _cmd_diversity_static(args) -> int:
 
 def _cmd_metrics(args) -> int:
     from .telemetry import load_snapshot, snapshot_rows
-    doc = load_snapshot(args.snapshot)
+    try:
+        doc = load_snapshot(args.snapshot)
+    except (OSError, ValueError) as exc:
+        return _file_error("read snapshot", args.snapshot, exc)
     meta = doc.get("meta") or {}
     if meta:
         print("# " + " ".join("%s=%s" % (k, meta[k])
@@ -816,11 +836,16 @@ def _cmd_vcd(args) -> int:
     from .soc.mpsoc import MPSoC
     from .trace.vcd import monitor_vcd
     from .workloads import program
-    soc = MPSoC()
-    soc.start_redundant(program(args.kernel),
-                        stagger_nops=args.stagger)
-    vcd = monitor_vcd(soc, max_cycles=args.max_cycles)
-    vcd.save(args.output)
+    # Open the output before simulating: an unwritable path fails now.
+    try:
+        handle = open(args.output, "w")
+    except OSError as exc:
+        return _file_error("write", args.output, exc)
+    with handle:
+        soc = MPSoC()
+        soc.start_redundant(program(args.kernel),
+                            stagger_nops=args.stagger)
+        handle.write(monitor_vcd(soc, max_cycles=args.max_cycles).render())
     print("wrote %s (%d cycles simulated)" % (args.output, soc.cycle))
     return 0
 

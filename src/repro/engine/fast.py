@@ -725,6 +725,7 @@ _FIN = ("(core_N.halted and stages_N[0] is None and stages_N[1] is None"
         " and sb_N._inflight is None)")
 
 _CORE_BODY = """\
+c_cycles_N += 1
 core_N.commits_this_cycle = 0
 cw_N = []
 core_N.committed_words = cw_N
@@ -885,7 +886,6 @@ if adv_N:
 else:
     core_N.hold = True
     c_hold_N += 1
-c_cycles_N += 1
 c_ev_N += ev_N
 """
 
@@ -1066,7 +1066,7 @@ def _pair_params(kind, has_record, has_history, has_mx):
 def _pair_observe_lines(kind, has_record, has_history):
     """The gated per-cycle observation of one pair (tokens as in
     :func:`_poll_tick_lines`)."""
-    lines = ["if not gate or not (fin_A or fin_B):"]
+    lines = ["if not (fin_A or fin_B):"]
     if has_record:
         lines.append("    record_P(cycle, core_A, core_B)")
     for core, side in (("_A", "_a_P"), ("_B", "_b_P")):
@@ -1126,7 +1126,7 @@ def _build_span_source(num_cores, watched, pairs, num_taps, recorded):
     file records a golden run) is stamped every cycle before the cores
     step, into its log and its frontier column.
     """
-    args = []
+    args = ["soc"]
     for n in range(num_cores):
         args.extend("%s_%d" % (name, n) for name in _CORE_ARGS)
     for n in recorded:
@@ -1139,9 +1139,10 @@ def _build_span_source(num_cores, watched, pairs, num_taps, recorded):
     rebind = ", ".join("%s=%s" % (a, a) for a in args)
     lines = [
         "def _make_span(%s):" % ", ".join(args),
-        "    def run_span(cycle, stop, gate, %s,"
+        "    def run_span(cycle, stop, %s,"
         " _tup=tuple, _hash=hash):" % rebind,
     ]
+    entry, loop, body = " " * 8, " " * 12, " " * 16
 
     def emit(indent, pair_lines, p, a, b):
         for line in pair_lines:
@@ -1152,51 +1153,54 @@ def _build_span_source(num_cores, watched, pairs, num_taps, recorded):
     for n in range(num_cores):
         for c in ("cycles", "hold", "dmem", "ifwait", "issued",
                   "dual", "chain", "ev"):
-            lines.append("        c_%s_%d = 0" % (c, n))
-        lines.append("        fcur_%d = fbox_%d[0]" % (n, n))
-        lines.append("        fin_%d = %s" % (n, _fin(n)))
+            lines.append(entry + "c_%s_%d = 0" % (c, n))
+        lines.append(entry + "fcur_%d = fbox_%d[0]" % (n, n))
+        lines.append(entry + "fin_%d = %s" % (n, _fin(n)))
     for p, (a, b, kind, _, has_history, _) in enumerate(pairs):
         if kind == "poll":
-            emit("        ", _poll_seed_lines(has_history), p, a, b)
+            emit(entry, _poll_seed_lines(has_history), p, a, b)
     all_finished = " and ".join("fin_%d" % i for i in watched)
-    lines.append("        while cycle < stop:")
-    lines.append("            if %s:" % all_finished)
-    lines.append("                break")
+    lines.append(entry + "try:")
+    lines.append(loop + "while cycle < stop:")
+    lines.append(body + "if %s:" % all_finished)
+    lines.append(body + "    break")
     for n in recorded:
         for line in _RECORD_CORE.replace("_N", "_%d" % n).splitlines():
-            lines.append("            " + line)
-    body = _CORE_BODY.replace("AMEM", str(ACC_MEM))
+            lines.append(body + line)
+    core_body = _CORE_BODY.replace("AMEM", str(ACC_MEM))
     for n in range(num_cores):
-        lines.append("            if fin_%d:" % n)
-        lines.append("                core_%d.commits_this_cycle = 0" % n)
-        lines.append("            else:")
-        for line in body.replace("_N", "_%d" % n).splitlines():
-            lines.append("                " + line if line else "")
-    lines.append("            if bus._inflight is not None or bus._queue:")
-    lines.append("                bus_step(cycle)")
+        lines.append(body + "if fin_%d:" % n)
+        lines.append(body + "    core_%d.commits_this_cycle = 0" % n)
+        lines.append(body + "else:")
+        for line in core_body.replace("_N", "_%d" % n).splitlines():
+            lines.append(body + "    " + line if line else "")
+    lines.append(body + "if bus._inflight is not None or bus._queue:")
+    lines.append(body + "    bus_step(cycle)")
     for n in range(num_cores):
-        lines.append("            if not fin_%d:" % n)
-        lines.append("                fin_%d = %s" % (n, _fin(n)))
+        lines.append(body + "if not fin_%d:" % n)
+        lines.append(body + "    fin_%d = %s" % (n, _fin(n)))
     # Each pair's gate re-evaluates finish state after the cores
     # stepped, exactly like MPSoC.step does.
     for p, (a, b, kind, has_record, has_history, _) in enumerate(pairs):
         if kind != "off":
-            emit("            ",
-                 _pair_observe_lines(kind, has_record, has_history),
+            emit(body, _pair_observe_lines(kind, has_record, has_history),
                  p, a, b)
     for i in range(num_taps):
-        lines.append("            tap_%d(cycle)" % i)
-    lines.append("            cycle += 1")
+        lines.append(body + "tap_%d(cycle)" % i)
+    lines.append(body + "cycle += 1")
+    # The exit write-back runs on a trap too, which then leaves the SoC
+    # exactly where MPSoC.step leaves it.
+    lines.append(entry + "finally:")
+    lines.append(loop + "soc.cycle = cycle")
     for n in range(num_cores):
-        lines.append("        fbox_%d[0] = fcur_%d" % (n, n))
-        lines.append("        flush_%d(c_cycles_%d, c_hold_%d,"
+        lines.append(loop + "fbox_%d[0] = fcur_%d" % (n, n))
+        lines.append(loop + "flush_%d(c_cycles_%d, c_hold_%d,"
                      " c_dmem_%d, c_ifwait_%d, c_issued_%d, c_dual_%d,"
                      " c_chain_%d, c_ev_%d)" % ((n,) * 9))
     for p, (a, b, kind, _, has_history, has_mx) in enumerate(pairs):
         if kind == "poll":
-            emit("        ", _poll_flush_lines(has_history, has_mx),
-                 p, a, b)
-    lines.append("        return cycle, %s" % all_finished)
+            emit(loop, _poll_flush_lines(has_history, has_mx), p, a, b)
+    lines.append(entry + "return %s" % all_finished)
     lines.append("    return run_span")
     return "\n".join(lines)
 
@@ -1276,7 +1280,7 @@ class FastRunner:
 
     def _build(self):
         soc = self.soc
-        env = {"bus": soc.bus, "bus_step": soc.bus.step}
+        env = {"soc": soc, "bus": soc.bus, "bus_step": soc.bus.step}
         recorded = []
         for n, core in enumerate(soc.cores):
             engine = _make_core_engine(core, self.plan, self.estats)
@@ -1318,13 +1322,13 @@ class FastRunner:
         """Step the platform until ``soc.cycle == stop`` or every
         watched core finishes.  Returns True when they all have,
         whichever ended the span (they may finish on ``stop`` itself).
+        A trap propagates with the SoC at the trapping cycle, as the
+        reference interpreter leaves it.
         """
-        soc = self.soc
+        soc, estats = self.soc, self.estats
         start = soc.cycle
-        cycle, finished = self._span(start, stop,
-                                     soc.gate_monitor_on_finish)
-        soc.cycle = cycle
-        estats = self.estats
-        estats.fast_cycles += cycle - start
-        estats.blocks_compiled = self.plan.blocks_compiled
-        return finished
+        try:
+            return self._span(start, stop)
+        finally:
+            estats.fast_cycles += soc.cycle - start
+            estats.blocks_compiled = self.plan.blocks_compiled

@@ -35,7 +35,7 @@ from ..baselines.unaware import RedundancyOutcome, compare_outputs
 from ..checkpoint import Snapshot, dynamic_view, jsonable
 from ..cpu.core import SimulationError
 from ..cpu.regfile import RecordingRegisterFile
-from ..engine import ReferenceRunner, make_runner, run_soc
+from ..engine import make_runner, run_soc
 from ..mem.memory import MemoryError_
 from ..isa.program import Program
 from ..isa.registers import NUM_REGISTERS
@@ -198,10 +198,13 @@ def golden_run(program: Program, config: Optional[SocConfig] = None,
 
 # -- the one injected-run loop -------------------------------------------------
 
-def _drive(soc: MPSoC, runner, cycle: int, max_cycles: int, result,
-           before_step=None, after_step=None,
-           convergence=None, probe_cycles=()):
-    """Drive one injected run to completion (or to convergence).
+def run_injection(start, cycle: int, max_cycles: int, result,
+                  fork: Optional["ForkEngine"] = None,
+                  engine: str = "reference",
+                  before_step=None, after_step=None):
+    """Drive one injected run to completion (or to convergence) on the
+    SoC ``start()`` builds from scratch or, with a ``fork`` engine, on
+    one forked from the nearest golden checkpoint.
 
     ``before_step(soc)`` fires when ``soc.cycle == cycle`` — the
     transient model corrupts state and then simulates the cycle.
@@ -209,14 +212,13 @@ def _drive(soc: MPSoC, runner, cycle: int, max_cycles: int, result,
     cycle — the common-cause corruption is modulated by the state
     SafeDM just sampled.  Either hook returns the fault effects.
 
-    ``convergence(soc)`` (see :meth:`ForkEngine.convergence`) is
-    consulted after the fault cycle and at every cycle of
-    ``probe_cycles`` (the golden checkpoint cycles, the only ones at
+    A forked run consults :meth:`ForkEngine.convergence` after the
+    fault cycle and at every golden checkpoint cycle (the only ones at
     which it can hold); a non-``None`` return is the analytically
     reconstructed ``(no_diversity_cycles, finished, outputs,
     end_cycle)`` tail of the run, which ends it there.
 
-    ``runner`` (:func:`repro.engine.make_runner` over this SoC) runs
+    One runner (:func:`repro.engine.make_runner` for ``engine``) runs
     the fault-free stretches as spans: to the fault cycle, between
     convergence probes, and to the budget.  The fault cycle itself
     always executes under the reference interpreter so the injection
@@ -232,6 +234,13 @@ def _drive(soc: MPSoC, runner, cycle: int, max_cycles: int, result,
     The cycle budget is absolute (``soc.cycle < max_cycles``), so a SoC
     forked mid-run observes exactly the budget a from-scratch run would.
     """
+    convergence = None
+    if fork is None:
+        soc = start()
+    else:
+        convergence = fork.convergence()
+        soc = fork.fork(cycle)
+    runner = make_runner(soc, engine)
     effects = ()
     diversity_at_injection = None
     tail = None
@@ -239,8 +248,9 @@ def _drive(soc: MPSoC, runner, cycle: int, max_cycles: int, result,
     # (misaligned access via a corrupted address register, illegal
     # instruction via a corrupted jump target).  The replica fails
     # loudly at that point: end the run there and report the trap as
-    # its own outcome class.  ``soc.cycle`` still holds the trapping
-    # cycle (it only advances on a completed step), so the result is
+    # its own outcome class.  Either tier leaves the SoC at the
+    # trapping cycle (``soc.cycle`` only advances on a completed step)
+    # with every completed cycle accounted, so the result is
     # deterministic across scratch/fork and reference/fast paths.
     trapped = False
     try:
@@ -257,7 +267,7 @@ def _drive(soc: MPSoC, runner, cycle: int, max_cycles: int, result,
             runner._rebuild()
             if convergence is not None:
                 tail = convergence(soc)
-                for probe in probe_cycles:
+                for probe in fork.artifact.checkpoint_cycles:
                     if tail is not None or probe > max_cycles:
                         break
                     if probe <= soc.cycle:
@@ -271,13 +281,6 @@ def _drive(soc: MPSoC, runner, cycle: int, max_cycles: int, result,
             if tail is None:
                 runner.run_span(max_cycles)
     except (MemoryError_, SimulationError):
-        if not isinstance(runner, ReferenceRunner):
-            # The fast tier's block granularity surfaces the trap at a
-            # tier-dependent cycle (e.g. a group's eager fetch decodes
-            # the corrupted path early).  The reference interpreter is
-            # the oracle for trap timing: signal the injector to replay
-            # this one trial without the fast tier.
-            raise _FastTierTrap() from None
         trapped = True
     for monitor in soc.monitors:
         monitor.finish()
@@ -287,7 +290,7 @@ def _drive(soc: MPSoC, runner, cycle: int, max_cycles: int, result,
 def _pair_result(cycle: int, golden: int, soc: MPSoC, effects,
                  diversity_at_injection, trapped: bool,
                  tail) -> InjectionResult:
-    """The monitored pair's :func:`_drive` result callback (bind
+    """The monitored pair's :func:`run_injection` result callback (bind
     ``cycle`` and the ``golden`` checksum)."""
     if tail is None:
         finished = not trapped and all(
@@ -305,38 +308,6 @@ def _pair_result(cycle: int, golden: int, soc: MPSoC, effects,
         end_cycle=end_cycle,
         trapped=trapped,
     )
-
-
-class _FastTierTrap(Exception):
-    """Internal: a corrupted run trapped inside the fast tier, where
-    the mid-block machine state is not the reference oracle's.  The
-    injectors catch this and replay the trial reference-tier (traps
-    are rare — a few percent of live trials — so the retry is cheap).
-    """
-
-
-def run_injection(start, cycle: int, max_cycles: int, result,
-                  fork: Optional["ForkEngine"] = None,
-                  engine: str = "reference", **hooks):
-    """One injected run with the given :func:`_drive` hooks and
-    ``result`` callback, on the SoC ``start()`` builds from scratch
-    or, with a ``fork`` engine, on one forked from the nearest golden
-    checkpoint.  A trap inside the fast tier replays the trial on the
-    reference tier."""
-
-    probes = {} if fork is None else {
-        "convergence": fork.convergence(),
-        "probe_cycles": fork.artifact.checkpoint_cycles}
-
-    def attempt(tier):
-        soc = start() if fork is None else fork.fork(cycle)
-        return _drive(soc, make_runner(soc, tier), cycle, max_cycles,
-                      result, **probes, **hooks)
-
-    try:
-        return attempt(engine)
-    except _FastTierTrap:
-        return attempt("reference")
 
 
 def inject_common_cause(program: Program, cycle: int, stimulus: int,
@@ -673,8 +644,8 @@ class ForkEngine:
 
     ``fork(cycle)`` restores the nearest golden snapshot at or before
     the fault cycle into a fresh :class:`MPSoC`; ``convergence()``
-    builds the probe :func:`_drive` consults to cut a forked run short
-    once its dynamic state provably rejoins the golden run's;
+    builds the probe :func:`run_injection` consults to cut a forked run
+    short once its dynamic state provably rejoins the golden run's;
     ``observe(cycles)`` walks the golden run to the cycles CCF trials
     sample.
     """
@@ -734,9 +705,10 @@ class ForkEngine:
         One forward walk in ascending order.  It restores the nearest
         checkpoint only when that checkpoint is ahead of where the walk
         already stands, runs ``engine``'s tier up to each cycle and
-        steps that cycle on the reference interpreter, as :func:`_drive`
-        does at a fault cycle, so the walk sees exactly the state the
-        ``after_step`` hook sees.  Cycles lie in ``[0, end_cycle)``.
+        steps that cycle on the reference interpreter, as
+        :func:`run_injection` does at a fault cycle, so the walk sees
+        exactly the state the ``after_step`` hook sees.  Cycles lie in
+        ``[0, end_cycle)``.
         """
         wanted = sorted(set(cycles))
         end = self.artifact.end_cycle
@@ -777,7 +749,7 @@ class ForkEngine:
         return view
 
     def convergence(self):
-        """A ``convergence(soc)`` callable for :func:`_drive`.
+        """A ``convergence(soc)`` callable for :func:`run_injection`.
 
         At every golden checkpoint cycle the fork reaches (after the
         fault), compare its dynamic state against the golden run's,

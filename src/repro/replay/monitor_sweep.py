@@ -67,6 +67,21 @@ def threshold_points(thresholds: Sequence[int],
                  for t in thresholds)
 
 
+def check_points(points: Sequence[MonitorPoint],
+                 config: SocConfig) -> None:
+    """Raise ``ValueError`` for a point whose signature geometry the
+    cores of ``config`` cannot fill."""
+    # A core samples two read ports and one write port per issue slot.
+    ports = 3 * config.core.issue_width
+    for sig in (point.signature for point in points):
+        if sig.ds_depth < 1:
+            raise ValueError("DS depth must be at least 1, got %d"
+                             % sig.ds_depth)
+        if not 1 <= sig.num_ports <= ports:
+            raise ValueError("the DS unit monitors 1 to %d register "
+                             "ports, got %d" % (ports, sig.num_ports))
+
+
 @dataclass
 class MonitorSweepResult:
     """Outcome of one monitor-parameter sweep over one simulation."""
@@ -153,6 +168,7 @@ class MonitorSweep:
             raise ValueError("monitor sweep needs at least one point")
         points = tuple(points)
         base_config = config if config is not None else SocConfig()
+        check_points(points, base_config)
         if program is None:
             from ..workloads import program as build_program
             program = build_program(benchmark)

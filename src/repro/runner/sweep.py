@@ -5,9 +5,9 @@ The paper's headline artefact is an embarrassingly parallel workload:
 independent simulation.  :class:`ParallelSweep` fans those runs out
 across worker processes and merges the results deterministically:
 
-* work is expressed as :class:`RunSpec` values whose canonical order
-  per cell mirrors the serial protocol in
-  :func:`repro.soc.experiment.run_cell` exactly,
+* work is expressed as :class:`RunSpec` values in a canonical order
+  per cell (:func:`cell_specs`, which the serial
+  :func:`repro.soc.experiment.run_cell` runs too),
 * results are merged by spec, never by completion order, so the
   produced :class:`CellResult` values are field-for-field identical to
   the serial path's no matter how the pool schedules the work,
@@ -71,11 +71,12 @@ class RunSpec:
 
 def cell_specs(benchmark: str, stagger_nops: int,
                max_cycles: int = 2_000_000) -> Tuple[RunSpec, ...]:
-    """The canonical run list for one Table I cell.
-
-    Mirrors :func:`repro.soc.experiment.run_cell`: without staggering,
-    repeated runs vary the arbiter start; with staggering, one run per
-    late-core choice.
+    """The canonical run list for one Table I cell, which
+    :func:`repro.soc.experiment.run_cell` and :class:`ParallelSweep`
+    both run.  Without staggering: repeated runs varying the arbiter
+    start (the paper runs 4 times).  With staggering: one run per
+    late-core choice (the paper runs "one with one core starting
+    first, and another one with the other core starting first").
     """
     if stagger_nops == 0:
         return tuple(RunSpec(benchmark, 0, 1, rr_start, max_cycles)

@@ -180,8 +180,8 @@ def inject_scheme_ccf(scheme, program, cycle: int, stimulus: int,
     """One scheme trial: a common-cause fault at ``cycle`` on a fresh
     SoC of ``scheme`` (anything :func:`build_scheme` accepts), driven
     by the pair campaign's injected-run loop
-    (:func:`repro.fault.injector._drive`) on ``engine``'s tier and
-    classified by the scheme's own checker.
+    (:func:`repro.fault.injector.run_injection`) on ``engine``'s tier
+    and classified by the scheme's own checker.
 
     The fault cycle is stepped first and the corruption applied to
     every watched replica on its closing clock edge, matching the pair

@@ -304,34 +304,13 @@ def run_cell(program: Program, benchmark: str, stagger_nops: int,
              config: Optional[SocConfig] = None,
              max_cycles: int = 2_000_000,
              engine: str = "reference") -> CellResult:
-    """Run the paper's repetition protocol for one Table I cell.
-
-    Without staggering: repeated runs varying the arbiter start (the
-    paper runs 4 times).  With staggering: one run per late-core choice
-    (the paper runs "one with one core starting first, and another one
-    with the other core starting first").
-    """
-    runs: List[RunResult] = []
-    if stagger_nops == 0:
-        for rr_start in (0, 1):
-            runs.append(run_redundant(program, benchmark=benchmark,
-                                      stagger_nops=0, config=config,
-                                      max_cycles=max_cycles,
-                                      rr_start=rr_start, engine=engine))
-    else:
-        for late_core in (0, 1):
-            runs.append(run_redundant(program, benchmark=benchmark,
-                                      stagger_nops=stagger_nops,
-                                      late_core=late_core, config=config,
-                                      max_cycles=max_cycles,
-                                      engine=engine))
-    return CellResult(
-        benchmark=benchmark,
-        stagger_nops=stagger_nops,
-        zero_staggering_cycles=max(r.zero_staggering_cycles for r in runs),
-        no_diversity_cycles=max(r.no_diversity_cycles for r in runs),
-        runs=runs,
-    )
+    """Run the paper's repetition protocol for one Table I cell: the
+    runs of :func:`repro.runner.sweep.cell_specs`, folded by
+    :func:`~repro.runner.sweep.merge_cell`."""
+    from ..runner.sweep import cell_specs, execute_spec, merge_cell
+    return merge_cell(benchmark, stagger_nops, [
+        execute_spec(spec, config=config, program=program, engine=engine)
+        for spec in cell_specs(benchmark, stagger_nops, max_cycles)])
 
 
 def run_row(program: Program, benchmark: str,

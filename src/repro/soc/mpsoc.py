@@ -83,8 +83,6 @@ class MPSoC:
         #: Pairs whose cores share one per-PC decode cache (see
         #: :meth:`start_redundant`); serialized so restores re-link.
         self._shared_fetch_pairs = set()
-        #: Sample each monitor only while its pair is fully live.
-        self.gate_monitor_on_finish = True
         #: Scheme check hooks, fired every cycle after the monitor taps
         #: (see :meth:`add_scheme_tap`).  Unlike monitors, scheme taps
         #: are not gated on finish: checkers like the lockstep
@@ -197,9 +195,8 @@ class MPSoC:
             else:
                 core.commits_this_cycle = 0
         self.bus.step(cycle)
-        gate = self.gate_monitor_on_finish
         for monitor, core_a, core_b in self._taps:
-            if not gate or not (core_a.finished or core_b.finished):
+            if not (core_a.finished or core_b.finished):
                 monitor.observe(cycle, core_a, core_b)
         staps = self._scheme_taps
         if staps:
@@ -223,7 +220,6 @@ class MPSoC:
         ctx = SnapshotContext()
         state = {
             "cycle": self.cycle,
-            "gate_monitor_on_finish": self.gate_monitor_on_finish,
             "shared_fetch_pairs": sorted(self._shared_fetch_pairs),
             "memory": self.memory.state_dict(),
             "cores": [core.state_dict(ctx) for core in self.cores],
@@ -247,7 +243,6 @@ class MPSoC:
             raise ValueError("snapshot monitor count mismatch")
         ctx = RestoreContext(state["requests"])
         self.cycle = int(state["cycle"])
-        self.gate_monitor_on_finish = bool(state["gate_monitor_on_finish"])
         # Memory first: core restore re-decodes fetch caches from it.
         self.memory.load_state_dict(state["memory"])
         for core, entry in zip(self.cores, state["cores"]):

@@ -131,6 +131,9 @@ def load_snapshot(path: str) -> dict:
     """Read a snapshot document written by :func:`write_snapshot`."""
     with open(path) as handle:
         doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise ValueError("not a telemetry snapshot (expected a JSON "
+                         "object)")
     if doc.get("schema") != SNAPSHOT_SCHEMA_VERSION:
         raise ValueError("unsupported snapshot schema %r"
                          % doc.get("schema"))

@@ -229,7 +229,10 @@ class StreamTrace:
             raise ValueError("unsupported trace schema %d" % version)
         meta = TraceMeta(**json.loads(
             reader.read(reader.varint()).decode("utf-8")))
-        reader = _Reader(zlib.decompress(data[reader.pos:]))
+        try:
+            reader = _Reader(zlib.decompress(data[reader.pos:]))
+        except zlib.error as exc:
+            raise ValueError("corrupt stream (%s)" % exc) from None
 
         samples: List[CycleSample] = []
         words_by_id: List[int] = []

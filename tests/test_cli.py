@@ -192,6 +192,76 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err == "error: %s\n" % message
 
+    @pytest.mark.parametrize("content,reason", [
+        (None, "No such file or directory"),
+        (b"hello\n", "not a stream trace (bad magic)"),
+        ("cut capture", "corrupt stream (Error -5 while decompressing "
+                        "data: incomplete or truncated stream)"),
+    ], ids=["missing", "not-a-trace", "truncated"])
+    def test_unreadable_replay_trace_rejected(self, content, reason,
+                                              tmp_path, capsys):
+        path = tmp_path / "cosf.trace"
+        if content == "cut capture":
+            from repro.soc.experiment import run_redundant_captured
+            from repro.workloads import program
+            _, trace = run_redundant_captured(program("cosf"),
+                                              benchmark="cosf",
+                                              max_cycles=2000)
+            trace.save(str(path))
+            path.write_bytes(path.read_bytes()[:200])
+        elif content is not None:
+            path.write_bytes(content)
+        assert main(["run", "cosf", "--replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot read trace %s: %s\n" \
+            % (path, reason)
+
+    @pytest.mark.parametrize("content,reason", [
+        (None, "No such file or directory"),
+        ('{"meta": {"command": "li',
+         "Unterminated string starting at: line 1 column 22 (char 21)"),
+        ("[]", "not a telemetry snapshot (expected a JSON object)"),
+    ], ids=["missing", "truncated", "array"])
+    def test_unreadable_metrics_snapshot_rejected(self, content, reason,
+                                                  tmp_path, capsys):
+        path = tmp_path / "metrics.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["metrics", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot read snapshot %s: %s\n" \
+            % (path, reason)
+
+    def test_unwritable_vcd_output_rejected_before_simulating(
+            self, tmp_path, capsys, monkeypatch):
+        import repro.trace.vcd as vcd
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("simulated before opening the output")
+
+        monkeypatch.setattr(vcd, "monitor_vcd", simulate)
+        path = tmp_path / "missing" / "out.vcd"
+        assert main(["vcd", "cosf", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot write %s: No such file or " \
+            "directory\n" % path
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--ds-depths", "0", "DS depth must be at least 1, got 0"),
+        ("--num-ports", "9",
+         "the DS unit monitors 1 to 6 register ports, got 9"),
+    ], ids=["ds-depth-0", "num-ports-9"])
+    def test_bad_monitor_geometry_rejected(self, flag, value, message,
+                                           capsys):
+        assert main(["sweep-monitor", "cosf", flag, value,
+                     "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % message
+
 
 class TestSchemeCampaign:
     def test_engine_and_jobs_reach_the_trials(self, monkeypatch, capsys):

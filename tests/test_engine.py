@@ -17,6 +17,7 @@ import pytest
 from repro.checkpoint import Snapshot, jsonable
 from repro.core.monitor import ReportingMode
 from repro.core.signatures import IsVariant, SignatureConfig
+from repro.cpu.core import SimulationError
 from repro.engine import (
     EngineStats,
     ReferenceRunner,
@@ -31,7 +32,11 @@ from repro.fault import (
     golden_run_with_checkpoints,
     inject_common_cause,
     inject_transient,
+    shared_address_config,
 )
+from repro.fault import injector
+from repro.fault.models import TransientFault
+from repro.mem.memory import MemoryError_
 from repro.schemes import make_scheme
 from repro.soc.config import SocConfig
 from repro.soc.experiment import run_redundant, run_redundant_captured
@@ -329,6 +334,101 @@ def test_fault_at_golden_end_cycle_fast_equals_reference(kind, forked):
     assert results[1] == results[0]
     assert results[0]["effects"] == ()
     assert results[0]["end_cycle"] == end
+
+
+#: ``(kernel, fault cycle, register, bit, trap cycle)``: transients on
+#: core 1 that trap, at the reference tier's cycle, on a misaligned
+#: 8-byte store, a misaligned instruction fetch and an undecodable word.
+TRAPS = [
+    pytest.param("cosf", 8657, 19, 2, 8668, id="misaligned-store"),
+    pytest.param("fac", 6804, 2, 3, 6834, id="misaligned-fetch"),
+    pytest.param("fac", 970, 2, 39, 1150, id="undecodable"),
+]
+
+
+def _trapped_run(name, cycle, register, bit, mode, engine):
+    """Drive a fresh pair to ``cycle`` on ``engine``'s runner, flip the
+    bit, step the fault cycle and run on until the trap.  Returns the
+    exception, the state it left and the run's engine statistics."""
+    soc = MPSoC(mode=mode, threshold=4)
+    soc.start_redundant(program(name))
+    runner = make_runner(soc, engine)
+    runner.run_span(cycle)
+    TransientFault(cycle=cycle, core=1, register=register,
+                   bit=bit).inject(soc.cores[1])
+    soc.step()
+    runner._rebuild()
+    with pytest.raises((MemoryError_, SimulationError)) as info:
+        runner.run_span(200_000)
+    return ((type(info.value), str(info.value)),
+            jsonable(soc.state_dict()), soc.engine_stats)
+
+
+@pytest.mark.parametrize("mode", [ReportingMode.POLLING,
+                                  ReportingMode.INTERRUPT_THRESHOLD])
+@pytest.mark.parametrize("name,cycle,register,bit,trap", TRAPS)
+def test_trap_leaves_the_same_state_on_both_tiers(name, cycle, register,
+                                                  bit, trap, mode):
+    """A trap inside a fast-tier span leaves the SoC where the
+    interpreter leaves it: the trapping cycle, the trapping core's
+    cycle counted, every completed cycle's deferred counters and
+    monitor accounting written back."""
+    ref_exc, ref_state, _ = _trapped_run(name, cycle, register, bit,
+                                         mode, "reference")
+    fast_exc, fast_state, stats = _trapped_run(name, cycle, register, bit,
+                                               mode, "fast")
+    assert ref_state["cycle"] == trap
+    assert fast_exc == ref_exc
+    assert fast_state == ref_state
+    assert stats.fallback_reason is None
+    # Every cycle but the injected one ran in a span, the trapping
+    # span's included.
+    assert stats.fast_cycles == trap - 1
+
+
+@lru_cache(maxsize=None)
+def _golden_artifact(name, shared):
+    config = shared_address_config() if shared else None
+    return golden_run_with_checkpoints(program(name), config=config,
+                                       checkpoint_every=500,
+                                       engine="fast")
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["scratch", "fork"])
+@pytest.mark.parametrize("name,shared,cycle,stimulus,trap", [
+    pytest.param("binarysearch", False, 27199, 3909215068, 31181,
+                 id="binarysearch"),
+    pytest.param("bsort", True, 21285, 2325348894, 21703,
+                 id="bsort-shared"),
+])
+def test_trapping_ccf_trial_runs_once_on_the_fast_tier(
+        monkeypatch, name, shared, cycle, stimulus, trap, forked):
+    """A CCF trial that traps on the fast tier equals the reference
+    trial field for field, from scratch and forked, and no reference
+    runner is built for it."""
+    prog = program(name)
+    config = shared_address_config() if shared else None
+    artifact = _golden_artifact(name, shared)
+    built = []
+
+    def spy(soc, engine, program=None):
+        runner = make_runner(soc, engine, program)
+        built.append(type(runner))
+        return runner
+
+    monkeypatch.setattr(injector, "make_runner", spy)
+    results = {}
+    for engine, kind in (("reference", ReferenceRunner),
+                         ("fast", FastRunner)):
+        built.clear()
+        fork = ForkEngine(prog, artifact, config=config) if forked else None
+        results[engine] = dataclasses.asdict(inject_common_cause(
+            prog, cycle, stimulus, golden=artifact.checksum,
+            config=config, fork=fork, engine=engine))
+        assert built == [kind]
+    assert results["reference"]["trapped"]
+    assert results["reference"]["end_cycle"] == trap
+    assert results["fast"] == results["reference"]
 
 
 # --- engine behaviour -------------------------------------------------------

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.checkpoint import jsonable
 from repro.core import apb_regs
 from repro.isa import assemble
 from repro.isa.decoder import decode
 from repro.mem.memory import Memory
 from repro.soc.config import SocConfig
 from repro.soc.loader import LoaderError, build_nop_sled, load_program
+from repro.soc.mpsoc import MPSoC
 
 from conftest import run_asm_redundant
 
@@ -101,6 +103,16 @@ class TestMpsocWiring:
         for _ in range(50):
             soc.step()
         assert soc.safedm.stats.sampled_cycles == sampled
+
+    def test_snapshot_with_the_old_gate_key_still_loads(self):
+        """Snapshots from when monitor gating was an option carry a
+        ``gate_monitor_on_finish`` key; they restore all the same."""
+        soc = run_asm_redundant("_start:\n ebreak\n", max_cycles=500)
+        state = soc.state_dict()
+        state["gate_monitor_on_finish"] = True
+        restored = MPSoC()
+        restored.load_state_dict(state)
+        assert jsonable(restored.state_dict()) == jsonable(soc.state_dict())
 
 
 class TestRedundantStart:
