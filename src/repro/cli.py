@@ -58,6 +58,7 @@ just faster.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 
@@ -123,10 +124,29 @@ def _jobs_or_all_cores(text: str):
     return None if jobs == 0 else jobs
 
 
+#: The arguments that name a file the command writes (``table1
+#: --capture`` is a switch, not a path).
+_OUTPUT_ARGS = ("metrics", "trace", "capture", "csv", "output")
+
+
+def _check_writable(path: str):
+    """Raise ``ValueError`` unless ``path`` opens for writing; a file
+    the probe creates is removed again."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise ValueError("cannot write %s: %s" % (
+            path, exc.strerror or exc)) from None
+    if not existed:
+        os.remove(path)
+
+
 def _check_args(args):
     """Reject unknown kernel names, job, trial, bin, injection and
-    fault counts below 1, and a negative checkpoint cadence, before
-    any work starts (raises ``ValueError`` with a one-line reason)."""
+    fault counts below 1, a negative checkpoint cadence, and then an
+    output file that cannot be written, before any work starts
+    (raises ``ValueError`` with a one-line reason)."""
     from .workloads import workload
     for attr in ("kernel", "kernel_a", "kernel_b", "kernels"):
         value = getattr(args, attr, None) or ()
@@ -147,6 +167,10 @@ def _check_args(args):
     if every is not None and every < 0:
         raise ValueError("checkpoint-every must be at least 0, got %d"
                          % every)
+    for attr in _OUTPUT_ARGS:
+        path = getattr(args, attr, None)
+        if isinstance(path, str) and path:
+            _check_writable(path)
 
 
 def _file_error(action: str, path: str, exc: Exception) -> int:
@@ -741,7 +765,7 @@ def _cmd_diversity_static(args) -> int:
         if args.kernel_a != args.kernel_b:
             print("error: --validate simulates the redundant "
                   "configuration, which replicates one kernel "
-                  "(kernel_a must equal kernel_b)")
+                  "(kernel_a must equal kernel_b)", file=sys.stderr)
             return 2
         verdicts = measure_instruction_diversity(prog_a, args.stagger)
         checked = predict_instruction_diversity(
@@ -836,16 +860,11 @@ def _cmd_vcd(args) -> int:
     from .soc.mpsoc import MPSoC
     from .trace.vcd import monitor_vcd
     from .workloads import program
-    # Open the output before simulating: an unwritable path fails now.
-    try:
-        handle = open(args.output, "w")
-    except OSError as exc:
-        return _file_error("write", args.output, exc)
-    with handle:
-        soc = MPSoC()
-        soc.start_redundant(program(args.kernel),
-                            stagger_nops=args.stagger)
-        handle.write(monitor_vcd(soc, max_cycles=args.max_cycles).render())
+    soc = MPSoC()
+    soc.start_redundant(program(args.kernel), stagger_nops=args.stagger)
+    text = monitor_vcd(soc, max_cycles=args.max_cycles).render()
+    with open(args.output, "w") as handle:
+        handle.write(text)
     print("wrote %s (%d cycles simulated)" % (args.output, soc.cycle))
     return 0
 

@@ -81,9 +81,9 @@ class MonitorStats:
     def to_metrics(self, registry, labels=()):
         """Bridge the verdict counters into a telemetry registry.
 
-        Only used when no per-cycle hook was attached (see
-        :meth:`DiversityMonitor.attach_metrics`); the two sources are
-        mutually exclusive so counts are never doubled.
+        The one source of the ``repro_monitor_*`` verdict counters:
+        :func:`repro.telemetry.collect_monitor` folds them in once,
+        after the run, so telemetry never reaches the cycle loop.
         """
         registry.counter("repro_monitor_sampled_cycles_total",
                          labels).inc(self.sampled_cycles)
@@ -143,45 +143,9 @@ class DiversityMonitor:
         self._last_data_div = False
         self._last_instr_div = False
         self._last_stagger = 0
-        # Optional per-cycle telemetry counters (attach_metrics); the
+        # Optional raw-stream capture hook (attach_capture); the
         # disabled state costs the hot loop one None check per cycle.
-        self._mx = None
-        # Optional raw-stream capture hook (attach_capture); same
-        # disabled-state cost as the telemetry counters.
         self._capture = None
-
-    # -- telemetry -------------------------------------------------------------
-
-    def attach_metrics(self, registry, pair: int = 0):
-        """Bind per-cycle verdict counters from ``registry``.
-
-        The counters live in the monitored fast path: each tick costs
-        one attribute add per firing verdict.  Attach a fresh registry
-        per run; :meth:`reset` detaches (a reset zeroes ``stats`` and
-        leaving stale counters bound would desynchronize the two).
-
-        A disabled registry (:data:`repro.telemetry.NULL_REGISTRY`) is
-        not attached at all: the per-cycle path then skips the metric
-        branch entirely instead of calling four no-op ``inc``\\ s.
-        """
-        if not getattr(registry, "enabled", True):
-            self._mx = None
-            return
-        labels = (("pair", str(pair)),)
-        self._mx = (
-            registry.counter("repro_monitor_sampled_cycles_total",
-                             labels),
-            registry.counter("repro_monitor_no_data_diversity_cycles_total",
-                             labels),
-            registry.counter(
-                "repro_monitor_no_instruction_diversity_cycles_total",
-                labels),
-            registry.counter("repro_monitor_no_diversity_cycles_total",
-                             labels),
-        )
-
-    def has_metrics_attached(self) -> bool:
-        return self._mx is not None
 
     # -- capture -----------------------------------------------------------
 
@@ -194,13 +158,10 @@ class DiversityMonitor:
         recorded run holds exactly the streams any monitor
         configuration would have consumed, and :mod:`repro.replay` can
         recompute :class:`MonitorStats` for other configurations
-        without re-simulating.  Like :meth:`attach_metrics`, the hook
-        is purely observational and is detached by :meth:`reset`.
+        without re-simulating.  The hook is purely observational and
+        is detached by :meth:`reset`.
         """
         self._capture = recorder
-
-    def has_capture_attached(self) -> bool:
-        return self._capture is not None
 
     @property
     def last_report(self) -> Optional[CycleReport]:
@@ -289,15 +250,6 @@ class DiversityMonitor:
         if no_div:
             stats.no_diversity_cycles += 1
             self._report_loss(cycle)
-        mx = self._mx
-        if mx is not None:
-            mx[0].inc()
-            if no_data:
-                mx[1].inc()
-            if no_instr:
-                mx[2].inc()
-            if no_div:
-                mx[3].inc()
         diff = diff_unit.diff
         if self.history is not None:
             self.history.sample(no_data_diversity=no_data,
@@ -344,7 +296,6 @@ class DiversityMonitor:
         self.irq.reset()
         self.stats = MonitorStats()
         self._have_report = False
-        self._mx = None
         self._capture = None
 
     # -- snapshot protocol ------------------------------------------------

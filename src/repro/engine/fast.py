@@ -920,97 +920,85 @@ if not core_N.hold:
 """.replace("MODL", str(_DIGEST_MOD)).replace("BASEL", str(_DIGEST_BASE))
 
 
-def _poll_tick_lines(has_history):
+def _poll_tick_lines():
     """Monitor._tick + POLLING run-length accounting over span locals.
 
     Every tracker is a plain local, seeded at span entry and written
     back at span exit.  Tokens: _P pair suffix, core_A/core_B the
     pair's cores.
     """
-    hist = has_history
-    w = ["o_diff_P += core_A.commits_this_cycle"
-         " - core_B.commits_this_cycle",
-         "o_sampled_P += 1",
-         "if o_diff_P == 0:",
-         "    o_zs_P += 1",
-         "    run_zs_P += 1",
-         "    if run_zs_P > long_zs_P:",
-         "        long_zs_P = run_zs_P",
-         "else:",
-         "    if o_diff_P < o_dmin_P:",
-         "        o_dmin_P = o_diff_P",
-         "    elif o_diff_P > o_dmax_P:",
-         "        o_dmax_P = o_diff_P",
-         "    if run_zs_P:"]
-    if hist:
-        w.append("        hist_stag_P._close_run_at(run_zs_P)")
-    w += ["        run_zs_P = 0",
-          "no_data = ds_a_P._digest == ds_b_P._digest",
-          "no_instr = is_a_P._digest == is_b_P._digest",
-          "if no_data:",
-          "    o_nd_P += 1",
-          "    run_nd_P += 1",
-          "    if run_nd_P > long_nd_P:",
-          "        long_nd_P = run_nd_P",
-          "    if no_instr:",
-          "        o_nv_P += 1",
-          "        run_nv_P += 1",
-          "        if run_nv_P > long_nv_P:",
-          "            long_nv_P = run_nv_P",
-          "    elif run_nv_P:"]
-    if hist:
-        w.append("        hist_div_P._close_run_at(run_nv_P)")
-    w += ["        run_nv_P = 0",
-          "else:",
-          "    if run_nd_P:"]
-    if hist:
-        w.append("        hist_data_P._close_run_at(run_nd_P)")
-    w += ["        run_nd_P = 0",
-          "    if run_nv_P:"]
-    if hist:
-        w.append("        hist_div_P._close_run_at(run_nv_P)")
-    w += ["        run_nv_P = 0",
-          "if no_instr:",
-          "    o_ni_P += 1",
-          "    run_ni_P += 1",
-          "    if run_ni_P > long_ni_P:",
-          "        long_ni_P = run_ni_P",
-          "elif run_ni_P:"]
-    if hist:
-        w.append("    hist_instr_P._close_run_at(run_ni_P)")
-    w += ["    run_ni_P = 0",
-          "o_last_cycle_P = cycle",
-          "o_last_nd_P = no_data",
-          "o_last_ni_P = no_instr"]
-    return w
+    return ["o_diff_P += core_A.commits_this_cycle"
+            " - core_B.commits_this_cycle",
+            "o_sampled_P += 1",
+            "if o_diff_P == 0:",
+            "    o_zs_P += 1",
+            "    run_zs_P += 1",
+            "    if run_zs_P > long_zs_P:",
+            "        long_zs_P = run_zs_P",
+            "else:",
+            "    if o_diff_P < o_dmin_P:",
+            "        o_dmin_P = o_diff_P",
+            "    elif o_diff_P > o_dmax_P:",
+            "        o_dmax_P = o_diff_P",
+            "    if run_zs_P:",
+            "        hist_stag_P._close_run_at(run_zs_P)",
+            "        run_zs_P = 0",
+            "no_data = ds_a_P._digest == ds_b_P._digest",
+            "no_instr = is_a_P._digest == is_b_P._digest",
+            "if no_data:",
+            "    o_nd_P += 1",
+            "    run_nd_P += 1",
+            "    if run_nd_P > long_nd_P:",
+            "        long_nd_P = run_nd_P",
+            "    if no_instr:",
+            "        o_nv_P += 1",
+            "        run_nv_P += 1",
+            "        if run_nv_P > long_nv_P:",
+            "            long_nv_P = run_nv_P",
+            "    elif run_nv_P:",
+            "        hist_div_P._close_run_at(run_nv_P)",
+            "        run_nv_P = 0",
+            "else:",
+            "    if run_nd_P:",
+            "        hist_data_P._close_run_at(run_nd_P)",
+            "        run_nd_P = 0",
+            "    if run_nv_P:",
+            "        hist_div_P._close_run_at(run_nv_P)",
+            "        run_nv_P = 0",
+            "if no_instr:",
+            "    o_ni_P += 1",
+            "    run_ni_P += 1",
+            "    if run_ni_P > long_ni_P:",
+            "        long_ni_P = run_ni_P",
+            "elif run_ni_P:",
+            "    hist_instr_P._close_run_at(run_ni_P)",
+            "    run_ni_P = 0",
+            "o_last_cycle_P = cycle",
+            "o_last_nd_P = no_data",
+            "o_last_ni_P = no_instr"]
 
 
-def _poll_seed_lines(has_history):
+def _poll_seed_lines():
     """Span-entry seeds: delta counters start at zero, absolute
     trackers load from the live monitor objects (every span exit
     writes them back, so span entry always sees reconciled state)."""
-    lines = ["o_sampled_P = o_nd_P = o_ni_P = o_nv_P = o_zs_P = 0",
-             "o_diff_P = diff_unit_P.diff",
-             "o_dmin_P = diff_stats_P.min_diff",
-             "o_dmax_P = diff_stats_P.max_diff",
-             "o_last_cycle_P = 0",
-             "o_last_nd_P = o_last_ni_P = False"]
-    if has_history:
-        lines += ["run_nd_P = hist_data_P._run",
-                  "long_nd_P = hist_data_P.longest",
-                  "run_ni_P = hist_instr_P._run",
-                  "long_ni_P = hist_instr_P.longest",
-                  "run_nv_P = hist_div_P._run",
-                  "long_nv_P = hist_div_P.longest",
-                  "run_zs_P = hist_stag_P._run",
-                  "long_zs_P = hist_stag_P.longest"]
-    else:
-        lines += ["run_nd_P = long_nd_P = run_ni_P = long_ni_P = 0",
-                  "run_nv_P = long_nv_P = run_zs_P = long_zs_P = 0"]
-    return lines
+    return ["o_sampled_P = o_nd_P = o_ni_P = o_nv_P = o_zs_P = 0",
+            "o_diff_P = diff_unit_P.diff",
+            "o_dmin_P = diff_stats_P.min_diff",
+            "o_dmax_P = diff_stats_P.max_diff",
+            "o_last_cycle_P = 0",
+            "o_last_nd_P = o_last_ni_P = False",
+            "run_nd_P = hist_data_P._run",
+            "long_nd_P = hist_data_P.longest",
+            "run_ni_P = hist_instr_P._run",
+            "long_ni_P = hist_instr_P.longest",
+            "run_nv_P = hist_div_P._run",
+            "long_nv_P = hist_div_P.longest",
+            "run_zs_P = hist_stag_P._run",
+            "long_zs_P = hist_stag_P.longest"]
 
 
-def _poll_flush_lines(has_history, has_mx):
+def _poll_flush_lines():
     """Span-exit write-back of the POLLING accounting locals."""
     lines = ["if o_sampled_P:",
              "    diff_unit_P.diff = o_diff_P",
@@ -1022,20 +1010,14 @@ def _poll_flush_lines(has_history, has_mx):
              "    mstats_P.no_data_diversity_cycles += o_nd_P",
              "    mstats_P.no_instruction_diversity_cycles += o_ni_P",
              "    mstats_P.no_diversity_cycles += o_nv_P"]
-    if has_mx:
-        lines += ["    mx_P[0].inc(o_sampled_P)",
-                  "    mx_P[1].inc(o_nd_P)",
-                  "    mx_P[2].inc(o_ni_P)",
-                  "    mx_P[3].inc(o_nv_P)"]
-    if has_history:
-        for hist, run, longest, total in (
-                ("data", "run_nd", "long_nd", "o_nd"),
-                ("instr", "run_ni", "long_ni", "o_ni"),
-                ("div", "run_nv", "long_nv", "o_nv"),
-                ("stag", "run_zs", "long_zs", "o_zs")):
-            lines += ["    hist_%s_P._run = %s_P" % (hist, run),
-                      "    hist_%s_P.longest = %s_P" % (hist, longest),
-                      "    hist_%s_P.total_cycles += %s_P" % (hist, total)]
+    for hist, run, longest, total in (
+            ("data", "run_nd", "long_nd", "o_nd"),
+            ("instr", "run_ni", "long_ni", "o_ni"),
+            ("div", "run_nv", "long_nv", "o_nv"),
+            ("stag", "run_zs", "long_zs", "o_zs")):
+        lines += ["    hist_%s_P._run = %s_P" % (hist, run),
+                  "    hist_%s_P.longest = %s_P" % (hist, longest),
+                  "    hist_%s_P.total_cycles += %s_P" % (hist, total)]
     lines += ["    monitor_P._have_report = True",
               "    monitor_P._last_cycle = o_last_cycle_P",
               "    monitor_P._last_data_div = not o_last_nd_P",
@@ -1044,7 +1026,7 @@ def _poll_flush_lines(has_history, has_mx):
     return lines
 
 
-def _pair_params(kind, has_record, has_history, has_mx):
+def _pair_params(kind, has_record):
     """Unsuffixed span bindings one observed pair needs (filled by
     :func:`_pair_binding`)."""
     if kind == "off":
@@ -1055,15 +1037,11 @@ def _pair_params(kind, has_record, has_history, has_mx):
               for arg in ("rows", "hashes", "ds", "is", "evict")]
     if kind == "irq":
         return names + ["tick"]
-    names += ["diff_unit", "diff_stats", "mstats", "monitor"]
-    if has_mx:
-        names.append("mx")
-    if has_history:
-        names += ["hist_data", "hist_instr", "hist_div", "hist_stag"]
-    return names
+    return names + ["diff_unit", "diff_stats", "mstats", "monitor",
+                    "hist_data", "hist_instr", "hist_div", "hist_stag"]
 
 
-def _pair_observe_lines(kind, has_record, has_history):
+def _pair_observe_lines(kind, has_record):
     """The gated per-cycle observation of one pair (tokens as in
     :func:`_poll_tick_lines`)."""
     lines = ["if not (fin_A or fin_B):"]
@@ -1074,7 +1052,7 @@ def _pair_observe_lines(kind, has_record, has_history):
                              .splitlines():
             lines.append("    " + line)
     if kind == "poll":
-        tick = _poll_tick_lines(has_history)
+        tick = _poll_tick_lines()
     else:
         # Live reporting: the reference _tick runs every sampled
         # cycle, so IRQ subscribers see the reference's state.
@@ -1114,17 +1092,18 @@ def _build_span_source(num_cores, watched, pairs, num_taps, recorded):
     """Span source for one SoC shape.
 
     Steps ``num_cores`` cores and the bus, then observes every pair in
-    ``pairs`` — ``(a, b, kind, has_record, has_history, has_mx)``,
-    gated on its own cores' finish state — then fires ``num_taps``
-    scheme taps ungated, in registration order, exactly like
-    :meth:`MPSoC.step`.  ``kind`` is ``"off"`` (monitor disabled: no
-    code), ``"poll"`` (POLLING accounting generated into the loop as
-    pair-suffixed locals, seeded at span entry and written back at span
-    exit) or ``"irq"`` (interrupt reporting: inlined sampling, then the
-    monitor's own ``_tick``).  The span terminates when every core in
-    ``watched`` has finished.  Each core in ``recorded`` (its register
-    file records a golden run) is stamped every cycle before the cores
-    step, into its log and its frontier column.
+    ``pairs`` — ``(a, b, kind, has_record)``, gated on its own cores'
+    finish state — then fires ``num_taps`` scheme taps ungated, in
+    registration order, exactly like :meth:`MPSoC.step`.  ``kind`` is
+    ``"off"`` (monitor disabled: no code), ``"poll"`` (POLLING
+    accounting and the history module's run trackers generated into
+    the loop as pair-suffixed locals, seeded at span entry and written
+    back at span exit) or ``"irq"`` (interrupt reporting: inlined
+    sampling, then the monitor's own ``_tick``).  ``has_record`` adds
+    the capture recorder's per-cycle call.  The span terminates when
+    every core in ``watched`` has finished.  Each core in ``recorded``
+    (its register file records a golden run) is stamped every cycle
+    before the cores step, into its log and its frontier column.
     """
     args = ["soc"]
     for n in range(num_cores):
@@ -1156,9 +1135,9 @@ def _build_span_source(num_cores, watched, pairs, num_taps, recorded):
             lines.append(entry + "c_%s_%d = 0" % (c, n))
         lines.append(entry + "fcur_%d = fbox_%d[0]" % (n, n))
         lines.append(entry + "fin_%d = %s" % (n, _fin(n)))
-    for p, (a, b, kind, _, has_history, _) in enumerate(pairs):
+    for p, (a, b, kind, _) in enumerate(pairs):
         if kind == "poll":
-            emit(entry, _poll_seed_lines(has_history), p, a, b)
+            emit(entry, _poll_seed_lines(), p, a, b)
     all_finished = " and ".join("fin_%d" % i for i in watched)
     lines.append(entry + "try:")
     lines.append(loop + "while cycle < stop:")
@@ -1181,10 +1160,9 @@ def _build_span_source(num_cores, watched, pairs, num_taps, recorded):
         lines.append(body + "    fin_%d = %s" % (n, _fin(n)))
     # Each pair's gate re-evaluates finish state after the cores
     # stepped, exactly like MPSoC.step does.
-    for p, (a, b, kind, has_record, has_history, _) in enumerate(pairs):
+    for p, (a, b, kind, has_record) in enumerate(pairs):
         if kind != "off":
-            emit(body, _pair_observe_lines(kind, has_record, has_history),
-                 p, a, b)
+            emit(body, _pair_observe_lines(kind, has_record), p, a, b)
     for i in range(num_taps):
         lines.append(body + "tap_%d(cycle)" % i)
     lines.append(body + "cycle += 1")
@@ -1197,9 +1175,9 @@ def _build_span_source(num_cores, watched, pairs, num_taps, recorded):
         lines.append(loop + "flush_%d(c_cycles_%d, c_hold_%d,"
                      " c_dmem_%d, c_ifwait_%d, c_issued_%d, c_dual_%d,"
                      " c_chain_%d, c_ev_%d)" % ((n,) * 9))
-    for p, (a, b, kind, _, has_history, has_mx) in enumerate(pairs):
+    for p, (a, b, kind, _) in enumerate(pairs):
         if kind == "poll":
-            emit(loop, _poll_flush_lines(has_history, has_mx), p, a, b)
+            emit(loop, _poll_flush_lines(), p, a, b)
     lines.append(entry + "return %s" % all_finished)
     lines.append("    return run_span")
     return "\n".join(lines)
@@ -1223,28 +1201,28 @@ def _span_maker(num_cores, watched, pairs, num_taps, recorded):
 
 
 def _pair_binding(monitor, a, b, p):
-    """Pair ``p``'s span shape ``(a, b, kind, has_record, has_history,
-    has_mx)`` and the live objects behind its bindings.
+    """Pair ``p``'s span shape ``(a, b, kind, has_record)`` and the
+    live objects behind its bindings.
 
-    The monitor's own state picks the kind.  Capture/metrics/history
-    attachment is pre-run (or via a checkpoint callback, after which
-    ``FastRunner._rebuild`` re-specializes), so their presence is baked
-    into the generated source; the ``irq`` kind leaves history and
-    metrics to the monitor's ``_tick``.
+    The monitor's own state picks the kind.  Capture attachment is
+    pre-run (or via a checkpoint callback, after which
+    ``FastRunner._rebuild`` re-specializes), so its presence is baked
+    into the generated source.  The ``poll`` kind binds the history
+    module's four run trackers (:class:`~repro.soc.mpsoc.MPSoC` builds
+    one for every monitor); the ``irq`` kind leaves history to the
+    monitor's ``_tick``.
     """
     has_record = monitor._capture is not None
     if not monitor.enabled:
-        shape = (a, b, "off", False, False, False)
-    elif monitor.mode is not ReportingMode.POLLING:
-        shape = (a, b, "irq", has_record, False, False)
+        kind, has_record = "off", False
+    elif monitor.mode is ReportingMode.POLLING:
+        kind = "poll"
     else:
-        shape = (a, b, "poll", has_record, monitor.history is not None,
-                 monitor._mx is not None)
+        kind = "irq"
     env = {"tick": monitor._tick,
            "diff_unit": monitor.instruction_diff,
            "diff_stats": monitor.instruction_diff.stats,
-           "mstats": monitor.stats, "monitor": monitor,
-           "mx": monitor._mx}
+           "mstats": monitor.stats, "monitor": monitor}
     if has_record:
         env["record"] = monitor._capture.record
     for side, ds, is_ in zip("ab", monitor.ds_units, monitor.is_units):
@@ -1252,14 +1230,15 @@ def _pair_binding(monitor, a, b, p):
                     "hashes_" + side: ds._row_hashes,
                     "ds_" + side: ds, "is_" + side: is_,
                     "evict_" + side: ds._evict_weight})
-    history = monitor.history
-    if history is not None:
+    if kind == "poll":
+        history = monitor.history
         env.update(hist_data=history._no_data,
                    hist_instr=history._no_instr,
                    hist_div=history._no_div,
                    hist_stag=history._zero_stag)
-    return shape, {"%s_%d" % (name, p): env[name]
-                   for name in _pair_params(*shape[2:])}
+    return (a, b, kind, has_record), {
+        "%s_%d" % (name, p): env[name]
+        for name in _pair_params(kind, has_record)}
 
 
 class FastRunner:

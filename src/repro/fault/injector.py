@@ -38,7 +38,7 @@ from ..cpu.regfile import RecordingRegisterFile
 from ..engine import make_runner, run_soc
 from ..mem.memory import MemoryError_
 from ..isa.program import Program
-from ..isa.registers import NUM_REGISTERS
+from ..isa.registers import NUM_REGISTERS, RESULT_REGISTER
 from ..soc.config import SocConfig
 from ..soc.mpsoc import MPSoC
 from .models import CommonCauseFault, TransientFault, state_digest
@@ -71,15 +71,12 @@ def _ccf_digests(soc: MPSoC) -> Tuple[Tuple[int, int], Tuple[int, int]]:
                  for index, core_id in enumerate(soc.monitored))
 
 
-#: The kernels' checksum register (s0 == x8); read per core at halt so
-#: outputs stay per-core even when both cores share one address space.
-RESULT_REGISTER = 8
-
-
 def _core_outputs(soc: MPSoC):
     """Per-replica checksums over the watched cores (the monitored
     pair by default; a scheme's full replica set when one overrode
-    ``watched_cores``)."""
+    ``watched_cores``), read from each core's :data:`RESULT_REGISTER`
+    so outputs stay per-core even when both cores share one address
+    space."""
     return tuple(soc.cores[idx].regfile.values[RESULT_REGISTER]
                  for idx in soc._watched_indices())
 

@@ -12,6 +12,11 @@ NUM_REGISTERS = 32
 XLEN = 64
 XMASK = (1 << XLEN) - 1
 
+#: The kernels' checksum register (s0 == x8): every kernel leaves its
+#: result here, and the fault classifier, the scheme checkers, the RTOS
+#: jobs and the static masking proofs read it at halt.
+RESULT_REGISTER = 8
+
 #: Canonical ABI names indexed by register number.
 ABI_NAMES = (
     "zero", "ra", "sp", "gp", "tp",

@@ -49,6 +49,7 @@ from typing import (
 )
 
 from ..isa.instruction import Instruction
+from ..isa.registers import RESULT_REGISTER
 from .cfg import EXIT, BasicBlock, ControlFlowGraph
 from .dataflow import BACKWARD, FORWARD
 
@@ -56,10 +57,6 @@ S = TypeVar("S")
 
 #: Unsigned 64-bit value mask (the architectural register width).
 MASK64 = (1 << 64) - 1
-
-#: The register the halt-time checksum readout reads (s0) — must stay
-#: equal to :data:`repro.fault.injector.RESULT_REGISTER`.
-RESULT_REGISTER = 8
 
 #: Every architectural register a fault can target (x0 excluded: a
 #: bit-flip there is dead by construction).

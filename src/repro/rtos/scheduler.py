@@ -16,6 +16,7 @@ from typing import Callable, List, Optional
 
 from ..core.monitor import ReportingMode
 from ..isa.program import Program
+from ..isa.registers import RESULT_REGISTER
 from ..soc.config import SocConfig
 from ..soc.mpsoc import MPSoC
 from .safety import FttiTracker
@@ -75,7 +76,7 @@ class RedundantJobRunner:
         output = None
         if not dropped:
             core0 = soc.cores[soc.monitored[0]]
-            output = core0.regfile.values[8]  # kernel checksum register
+            output = core0.regfile.values[RESULT_REGISTER]
         outcome = JobOutcome(index=index, cycles=cycles, dropped=dropped,
                              interrupts=soc.safedm.irq.raised_count,
                              no_diversity_cycles=stats.no_diversity_cycles,

@@ -31,14 +31,12 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.monitor import ReportingMode
 from ..core.overheads import BASELINE_MPSOC_LUTS, estimate
+from ..isa.registers import RESULT_REGISTER
 from ..soc.config import SocConfig
 from ..soc.mpsoc import MPSoC
 from .spec import SCHEME_KINDS, SchemeSpec
 
 _XMASK = 0xFFFFFFFFFFFFFFFF
-
-#: Register holding the workload checksum (the compared "output").
-RESULT_REGISTER = 8
 
 #: Modelled per-core area (LUTs).  The paper gives SafeDM = 3.4 % of
 #: the dual-core MPSoC; we attribute 35 % of that MPSoC to each NOEL-V

@@ -88,10 +88,11 @@ def run_redundant(program: Program, benchmark: str = "program",
     """Run ``program`` redundantly on a fresh MPSoC and report counters.
 
     ``metrics`` (a :class:`repro.telemetry.MetricsRegistry`) receives
-    per-cycle diversity verdicts plus the end-of-run state of every
-    layer; ``tracer`` (a :class:`repro.telemetry.Tracer`) receives
-    spans for platform build, program load, and the cycle loop.  Both
-    are purely observational: counters in the returned
+    the end-of-run state of every layer, the monitor's verdict counters
+    included, folded in once after the cycle loop; ``tracer`` (a
+    :class:`repro.telemetry.Tracer`) receives spans for platform build,
+    program load, and the cycle loop.  Both are purely observational:
+    neither reaches the cycle loop, and counters in the returned
     :class:`RunResult` are bit-identical with or without them.
 
     ``capture`` (a :class:`repro.trace.StreamRecorder`) taps the raw
@@ -107,9 +108,8 @@ def run_redundant(program: Program, benchmark: str = "program",
     :class:`repro.checkpoint.Snapshot`) restores a previous run's state
     instead of loading the program; counters and the cycle budget are
     then *absolute* — the returned result equals the uninterrupted
-    run's.  Per-cycle metrics attachment is skipped on resume (the
-    end-of-run collection still reports full totals); resuming under
-    ``capture`` is unsupported since the stream's prefix is gone.
+    run's.  Resuming under ``capture`` is unsupported since the
+    stream's prefix is gone.
 
     ``engine`` selects the execution tier (:mod:`repro.engine`):
     ``"reference"`` is the interpreter, ``"fast"`` the block-compiled
@@ -159,8 +159,6 @@ def run_redundant(program: Program, benchmark: str = "program",
                                 stagger_nops=stagger_nops)
     if soc_hook is not None:
         soc_hook(soc)
-    if metrics is not None and resume_from is None:
-        soc.attach_telemetry(metrics)
     if capture is not None:
         # The preload set by start_redundant (program-level staggering
         # correction) is part of the stream a replay must reproduce.
@@ -221,8 +219,6 @@ def _run_scheme(program: Program, benchmark: str, scheme,
                   late_core=late_core, benchmark=benchmark)
     if soc_hook is not None:
         soc_hook(soc)
-    if metrics is not None:
-        soc.attach_telemetry(metrics)
     from ..engine import run_soc
     with tracer.span("cycle_loop", benchmark=benchmark,
                      stagger_nops=stagger_nops, late_core=late_core,

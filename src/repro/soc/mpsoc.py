@@ -274,20 +274,6 @@ class MPSoC:
 
     # -- telemetry -----------------------------------------------------------------
 
-    def attach_telemetry(self, registry):
-        """Bind each monitor's per-cycle verdict counters to ``registry``.
-
-        Purely observational, like SafeDM itself: attaching telemetry
-        never changes a simulated cycle or a reproduced counter.  A
-        disabled registry (``NULL_REGISTRY``) attaches nothing — the
-        per-cycle loop keeps its no-telemetry shape instead of calling
-        no-op metrics every cycle.
-        """
-        if not getattr(registry, "enabled", True):
-            return
-        for pair, monitor in enumerate(self.monitors):
-            monitor.attach_metrics(registry, pair=pair)
-
     def collect_metrics(self, registry):
         """Fold the whole platform's state into ``registry``
         (see :func:`repro.telemetry.collect_soc`)."""

@@ -6,11 +6,10 @@ label scheme (``core``, ``cache``, ``pair``) and the gauges that are
 derived from live object state rather than accumulated counters (FIFO
 occupancy, IPC, resident cache lines, digest fast/slow-path totals).
 
-Collection is an end-of-run activity: the per-cycle loop only touches
-the few counters :meth:`DiversityMonitor.attach_metrics` binds, and
-everything else is folded out of the stats objects the simulator
-already maintains — observability never adds a second set of per-cycle
-bookkeeping.
+Collection is an end-of-run activity: everything, the monitor's
+verdict counters included, is folded out of the stats objects the
+simulator already maintains, so telemetry never reaches the cycle loop
+and never adds a second set of per-cycle bookkeeping.
 """
 
 from __future__ import annotations
@@ -51,16 +50,14 @@ def collect_bus(bus, registry: MetricsRegistry):
 def collect_monitor(monitor, registry: MetricsRegistry, pair: int = 0):
     """Fold one SafeDM instance's verdicts and signature-unit state.
 
-    Verdict counters come from the per-cycle hook when one is attached
-    (see :meth:`DiversityMonitor.attach_metrics`); otherwise they are
-    bridged from :class:`MonitorStats` here.  The two sources are
-    mutually exclusive, never additive.
+    Verdict counters are bridged from :class:`MonitorStats`, the
+    counters the OS polls over APB, so a fresh run, a resumed one and
+    either tier report the same totals.
     """
     from ..core import signatures
 
     labels = (("pair", str(pair)),)
-    if not monitor.has_metrics_attached():
-        monitor.stats.to_metrics(registry, labels=labels)
+    monitor.stats.to_metrics(registry, labels=labels)
     registry.counter("repro_monitor_interrupts_total",
                      labels).value = monitor.stats.interrupts_raised
     registry.gauge("repro_monitor_staggering",

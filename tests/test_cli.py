@@ -249,6 +249,39 @@ class TestErrors:
         assert captured.err == "error: cannot write %s: No such file or " \
             "directory\n" % path
 
+    @pytest.mark.parametrize("argv,name", [
+        (["run", "cosf", "--engine", "fast", "--metrics"], "m.json"),
+        (["run", "cosf", "--engine", "fast", "--trace"], "t.json"),
+        (["run", "cosf", "--engine", "fast", "--capture"], "x.trace"),
+        (["table1", "cosf", "--engine", "fast", "--no-cache", "--jobs",
+          "1", "--csv"], "t.csv"),
+        (["montecarlo", "countnegative", "--trials", "20", "--engine",
+          "fast", "--metrics"], "m.json"),
+    ], ids=["run-metrics", "run-trace", "run-capture", "table1-csv",
+            "montecarlo-metrics"])
+    def test_unwritable_output_rejected_before_simulating(
+            self, argv, name, tmp_path, capsys, monkeypatch):
+        from repro.soc.mpsoc import MPSoC
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("simulated before checking the output")
+
+        monkeypatch.setattr(MPSoC, "__init__", simulate)
+        path = tmp_path / "missing" / name
+        assert main(argv + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot write %s: No such file or " \
+            "directory\n" % path
+
+    def test_validate_of_two_kernels_rejected(self, capsys):
+        assert main(["diversity-static", "cosf", "fac", "--validate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --validate simulates the " \
+            "redundant configuration, which replicates one kernel " \
+            "(kernel_a must equal kernel_b)\n"
+
     @pytest.mark.parametrize("flag,value,message", [
         ("--ds-depths", "0", "DS depth must be at least 1, got 0"),
         ("--num-ports", "9",

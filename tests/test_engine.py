@@ -25,7 +25,7 @@ from repro.engine import (
     resolve_engine,
     run_soc,
 )
-from repro.engine.fast import FastRunner
+from repro.engine.fast import _SPAN_CACHE, FastRunner
 from repro.fault import (
     ForkEngine,
     golden_run,
@@ -612,44 +612,18 @@ def test_engine_counters_exported():
     assert len(NULL_REGISTRY) == 0
 
 
-# --- NULL_REGISTRY: per-cycle hooks stay true no-ops ------------------------
+# --- telemetry reads the monitor's counters once, after the run -------------
 
-class _ExplodingRegistry:
-    """A disabled registry that must never be consulted."""
-
-    enabled = False
-
-    def counter(self, *args, **kwargs):
-        raise AssertionError("disabled registry was consulted")
-
-    gauge = counter
-    histogram = counter
-
-
-def test_disabled_registry_attach_is_true_noop():
-    soc = MPSoC()
-    soc.start_redundant(program(KERNEL))
-    soc.attach_telemetry(_ExplodingRegistry())
-    assert not soc.safedm.has_metrics_attached()
-    for _ in range(300):
-        soc.step()  # would raise if any per-cycle hook survived
-
-
-def test_null_registry_attach_allocates_nothing():
-    """Attaching NULL_REGISTRY must not allocate in repro code: the
-    per-cycle loop keeps its exact no-telemetry shape."""
-    import tracemalloc
-
-    soc = MPSoC()
-    soc.start_redundant(program(KERNEL))
-    tracemalloc.start()
-    try:
-        soc.attach_telemetry(NULL_REGISTRY)
-        soc.safedm.attach_metrics(NULL_REGISTRY)
-        snapshot = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
-    offenders = [stat for stat in snapshot.statistics("lineno")
-                 if "repro" in stat.traceback[0].filename
-                 and "tests" not in stat.traceback[0].filename]
-    assert not offenders, offenders
+def test_telemetry_compiles_no_span_of_its_own():
+    """A registry never reaches the cycle loop: a fast run with one
+    reuses the spans of the same run without, and its monitor counters
+    are the run's own."""
+    run_redundant(program(KERNEL), benchmark=KERNEL, engine="fast")
+    spans = set(_SPAN_CACHE)
+    registry = MetricsRegistry()
+    result = run_redundant(program(KERNEL), benchmark=KERNEL,
+                           metrics=registry, engine="fast")
+    assert set(_SPAN_CACHE) == spans
+    assert result.no_diversity_cycles > 0
+    assert registry.value("repro_monitor_no_diversity_cycles_total",
+                          (("pair", "0"),)) == result.no_diversity_cycles
