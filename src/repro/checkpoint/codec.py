@@ -48,6 +48,11 @@ _BYTES_TAG = "__bytes__"
 ACCUMULATOR_KEY = "stats"
 
 
+#: Exact types :func:`jsonable` returns as they are; containers skip the
+#: recursive call for them (most of a state dict is plain ints).
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+
+
 def jsonable(obj):
     """Reduce a state dict to a canonical JSON-serializable form.
 
@@ -56,9 +61,11 @@ def jsonable(obj):
     allowed to contain are accepted.
     """
     if isinstance(obj, dict):
-        return {str(key): jsonable(value) for key, value in obj.items()}
+        return {str(key): value if type(value) in _PLAIN
+                else jsonable(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [jsonable(item) for item in obj]
+        return [item if type(item) in _PLAIN else jsonable(item)
+                for item in obj]
     if isinstance(obj, (bytes, bytearray)):
         return {_BYTES_TAG: base64.b64encode(bytes(obj)).decode("ascii")}
     if isinstance(obj, (str, int, float, bool)) or obj is None:

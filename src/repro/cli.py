@@ -879,6 +879,7 @@ def _cmd_disasm(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .core.signatures import SignatureConfig
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SafeDM reproduction (DATE 2022) command line")
@@ -943,6 +944,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry_flags(p_t1)
     p_t1.set_defaults(func=_cmd_table1)
 
+    # The geometry axes default to the one every other command runs.
+    signature = SignatureConfig()
     p_sm = sub.add_parser(
         "sweep-monitor",
         help="many monitor configurations over one simulation "
@@ -958,14 +961,14 @@ def build_parser() -> argparse.ArgumentParser:
                                "interrupt_threshold"),
                       help="reporting modes to sweep")
     p_sm.add_argument("--is-variants", nargs="+",
-                      default=["per_stage"],
+                      default=[signature.is_variant.value],
                       choices=("per_stage", "inflight"),
                       help="instruction-signature variants to sweep")
-    p_sm.add_argument("--num-ports", type=int, nargs="+", default=[4],
-                      metavar="N",
+    p_sm.add_argument("--num-ports", type=int, nargs="+",
+                      default=[signature.num_ports], metavar="N",
                       help="monitored register-port counts to sweep")
-    p_sm.add_argument("--ds-depths", type=int, nargs="+", default=[6],
-                      metavar="N",
+    p_sm.add_argument("--ds-depths", type=int, nargs="+",
+                      default=[signature.ds_depth], metavar="N",
                       help="data-signature FIFO depths to sweep")
     p_sm.add_argument("--stagger", type=int, default=0)
     p_sm.add_argument("--late-core", type=int, choices=(0, 1),

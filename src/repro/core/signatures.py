@@ -17,40 +17,20 @@ FIFO of fetched-but-not-retired instructions — is available as
 ``IsVariant.INFLIGHT``.
 
 Implementation note: units expose both a tuple-building ``signature()``
-(introspection, tests) and an ``equal()`` fast path used by the
-cycle-loop monitor; both views are always consistent.  ``equal()``
-compares *rolling digests* maintained incrementally on each sample —
-O(1) per cycle instead of re-tupling every FIFO — which is an
-observer-side optimization: the digest is a pure function of the
-signature contents, so digest equality tracks signature equality (the
-full structural comparison is retained as an assert behind
-:func:`set_debug_checks` / ``SAFEDM_DEBUG_SIGNATURES=1``).
+(introspection, tests) and an ``equal()`` used by the cycle-loop
+monitor.  ``equal()`` compares the captured state bit for bit, as the
+hardware comparators do, without re-tupling it into the signature
+layout: the DS row window, or the IS stage words (in-flight window
+under INFLIGHT).  Both views hold the same information, so ``equal()``
+is True exactly when the ``signature()``s are equal.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
-
-#: When True, every fast-path digest comparison is cross-checked
-#: against the full structural signature comparison (slow path).
-DEBUG_SIGNATURE_CHECKS = os.environ.get("SAFEDM_DEBUG_SIGNATURES",
-                                        "") == "1"
-
-
-def set_debug_checks(enabled: bool):
-    """Enable/disable the fast-path-vs-slow-path equality assert."""
-    global DEBUG_SIGNATURE_CHECKS
-    DEBUG_SIGNATURE_CHECKS = bool(enabled)
-
-
-#: Rolling-digest parameters: polynomial hash over per-cycle row
-#: hashes, modulo a Mersenne prime (fast reduction, 61-bit space).
-_DIGEST_MOD = (1 << 61) - 1
-_DIGEST_BASE = 0x9E3779B97F4A7C15 % _DIGEST_MOD
 
 
 class IsVariant(enum.Enum):
@@ -109,14 +89,13 @@ class DataSignatureUnit:
 
     In the paper's every-cycle sampling mode all port FIFOs shift in
     lockstep, so the unit stores one *row* (the tuple of port samples)
-    per cycle and keeps a rolling digest over the row window; ``equal``
-    is then a single integer comparison.  The activity-sampling
-    ablation mode keeps the legacy per-port FIFOs (ports shift
-    independently there, so no shared row window exists).
+    per cycle; ``equal`` compares the two row windows.  The
+    activity-sampling ablation mode keeps the legacy per-port FIFOs
+    (ports shift independently there, so no shared row window exists).
     """
 
     __slots__ = ("config", "_every_cycle", "_num_ports", "_rows",
-                 "_row_hashes", "_digest", "_evict_weight", "_fifos")
+                 "_fifos")
 
     def __init__(self, config: SignatureConfig):
         self.config = config
@@ -124,15 +103,9 @@ class DataSignatureUnit:
         self._num_ports = config.num_ports
         if self._every_cycle:
             self._fifos = None
-            #: Weight of the about-to-be-evicted (oldest) row hash.
-            self._evict_weight = pow(_DIGEST_BASE, config.ds_depth - 1,
-                                     _DIGEST_MOD)
             self._init_rows()
         else:
             self._rows = None
-            self._row_hashes = None
-            self._digest = None
-            self._evict_weight = None
             self._fifos: List[deque] = [
                 deque([IDLE] * config.ds_depth, maxlen=config.ds_depth)
                 for _ in range(config.num_ports)
@@ -142,12 +115,6 @@ class DataSignatureUnit:
         depth = self.config.ds_depth
         idle_row = (IDLE,) * self._num_ports
         self._rows = deque([idle_row] * depth, maxlen=depth)
-        h = hash(idle_row) % _DIGEST_MOD
-        self._row_hashes = deque([h] * depth, maxlen=depth)
-        digest = 0
-        for _ in range(depth):
-            digest = (digest * _DIGEST_BASE + h) % _DIGEST_MOD
-        self._digest = digest
 
     def sample(self, port_samples: Sequence[Tuple[int, int]],
                hold: bool = False):
@@ -166,14 +133,7 @@ class DataSignatureUnit:
             raise ValueError("expected >= %d port samples, got %d"
                              % (num_ports, len(port_samples)))
         if self._every_cycle:
-            row = tuple(port_samples[:num_ports])
-            h = hash(row) % _DIGEST_MOD
-            hashes = self._row_hashes
-            evicted = hashes[0]
-            self._rows.append(row)
-            hashes.append(h)
-            self._digest = ((self._digest - evicted * self._evict_weight)
-                            * _DIGEST_BASE + h) % _DIGEST_MOD
+            self._rows.append(tuple(port_samples[:num_ports]))
         else:
             # Ablation mode: record only on activity (loses the timing
             # information the paper's every-cycle sampling preserves).
@@ -184,20 +144,10 @@ class DataSignatureUnit:
     # -- comparison ---------------------------------------------------------
 
     def equal(self, other: "DataSignatureUnit") -> bool:
-        """Fast DS comparison (used every cycle by the monitor)."""
+        """DS comparison (used every cycle by the monitor)."""
         if self._every_cycle and other._every_cycle:
-            fast = self._digest == other._digest
-            if DEBUG_SIGNATURE_CHECKS:
-                slow = self.signature() == other.signature()
-                assert fast == slow, (
-                    "DS digest fast path disagrees with structural "
-                    "comparison (digest=%r, structural=%r)" % (fast, slow))
-            return fast
+            return self._rows == other._rows
         return self.signature() == other.signature()
-
-    def digest(self) -> Optional[int]:
-        """The rolling DS digest (None in the ablation sampling mode)."""
-        return self._digest
 
     def signature(self) -> Tuple:
         """The DS: concatenation of all FIFO contents, oldest first."""
@@ -251,14 +201,6 @@ class DataSignatureUnit:
                 if len(row) != self._num_ports:
                     raise ValueError("snapshot DS row width mismatch")
             self._rows = deque(rows, maxlen=depth)
-            # Digests are derived, never serialized: recompute with the
-            # same formula the live sampling path uses.
-            hashes = [hash(row) % _DIGEST_MOD for row in rows]
-            self._row_hashes = deque(hashes, maxlen=depth)
-            digest = 0
-            for h in hashes:
-                digest = (digest * _DIGEST_BASE + h) % _DIGEST_MOD
-            self._digest = digest
         else:
             fifos = state["fifos"]
             if len(fifos) != self._num_ports:
@@ -274,8 +216,7 @@ class DataSignatureUnit:
 class InstructionSignatureUnit:
     """Per-stage slot capture feeding the Instruction Signature (Fig. 2b)."""
 
-    __slots__ = ("config", "_variant", "_stage_words", "_inflight_words",
-                 "_digest")
+    __slots__ = ("config", "_variant", "_stage_words", "_inflight_words")
 
     def __init__(self, config: SignatureConfig):
         self.config = config
@@ -288,12 +229,6 @@ class InstructionSignatureUnit:
         #: INFLIGHT: zero-padded window of in-flight words.
         self._inflight_words: Tuple[int, ...] = \
             (0,) * config.inflight_depth
-        self._digest = self._compute_digest()
-
-    def _compute_digest(self) -> int:
-        if self._variant is IsVariant.PER_STAGE:
-            return hash(self._stage_words)
-        return hash(self._inflight_words)
 
     # -- clocking ----------------------------------------------------------
 
@@ -316,7 +251,6 @@ class InstructionSignatureUnit:
             raise ValueError("expected %d stages, got %d"
                              % (self.config.pipeline_stages, len(words)))
         self._stage_words = words
-        self._digest = hash(words)
 
     def sample_stages(self, stage_slots: Sequence[Sequence[Tuple[int, int]]],
                       hold: bool = False):
@@ -342,26 +276,14 @@ class InstructionSignatureUnit:
         window = tuple(words[-depth:]) if len(words) > depth \
             else tuple(words)
         self._inflight_words = (0,) * (depth - len(window)) + window
-        self._digest = hash(self._inflight_words)
 
     # -- comparison / introspection ---------------------------------------------
 
     def equal(self, other: "InstructionSignatureUnit") -> bool:
-        """Fast IS comparison (used every cycle by the monitor)."""
-        fast = self._digest == other._digest
-        if DEBUG_SIGNATURE_CHECKS:
-            if self._variant is IsVariant.PER_STAGE:
-                slow = self._stage_words == other._stage_words
-            else:
-                slow = self._inflight_words == other._inflight_words
-            assert fast == slow, (
-                "IS digest fast path disagrees with structural "
-                "comparison (digest=%r, structural=%r)" % (fast, slow))
-        return fast
-
-    def digest(self) -> int:
-        """The current IS digest (hash of the captured state)."""
-        return self._digest
+        """IS comparison (used every cycle by the monitor)."""
+        if self._variant is IsVariant.PER_STAGE:
+            return self._stage_words == other._stage_words
+        return self._inflight_words == other._inflight_words
 
     def signature(self) -> Tuple:
         """The IS: concatenation of all slots, stage-major."""
@@ -395,7 +317,6 @@ class InstructionSignatureUnit:
     def reset(self):
         self._stage_words = (None,) * self.config.pipeline_stages
         self._inflight_words = (0,) * self.config.inflight_depth
-        self._digest = self._compute_digest()
 
     # -- snapshot protocol ------------------------------------------------
 
@@ -419,4 +340,3 @@ class InstructionSignatureUnit:
             raise ValueError("snapshot in-flight window depth mismatch")
         self._stage_words = stage_words
         self._inflight_words = inflight
-        self._digest = self._compute_digest()

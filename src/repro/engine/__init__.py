@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from ..core import signatures
 from ..core.signatures import IsVariant
 from ..cpu.pipeline import DE, FE, RA
 from ..cpu.regfile import RecordingRegisterFile, RegisterFile
@@ -170,10 +169,10 @@ class EngineStats:
 def _fast_supported(soc) -> Optional[str]:
     """None when the fast tier models this SoC exactly, else a reason.
 
-    Structural guards (core shape, register file, debug modes) apply
-    to every core and the geometry guards to every monitor, whatever
-    the topology: the generated span samples each monitored pair's
-    signature units in line.
+    Structural guards (core shape, register file) apply to every core
+    and the geometry guards to every monitor, whatever the topology:
+    the generated span samples each monitored pair's signature units
+    in line.
     """
     cores = soc.cores
     cfg0 = cores[0].config
@@ -188,8 +187,6 @@ def _fast_supported(soc) -> Optional[str]:
         if type(core.regfile) not in _MODELLED_REGFILES:
             return "instrumented register file (%s)" \
                 % type(core.regfile).__name__
-    if signatures.DEBUG_SIGNATURE_CHECKS:
-        return "SAFEDM_DEBUG_SIGNATURES structural checks enabled"
     for monitor in soc.monitors:
         cfg = monitor.config
         if cfg.is_variant is not IsVariant.PER_STAGE:

@@ -58,7 +58,6 @@ Design contract (see DESIGN.md "Tiered execution"):
 from __future__ import annotations
 
 from ..core.monitor import ReportingMode
-from ..core.signatures import _DIGEST_BASE, _DIGEST_MOD
 from ..cpu.regfile import RecordingRegisterFile
 from ..lint.masking import FRONTIER_HALTED
 from ..mem.store_buffer import StoreEntry
@@ -890,23 +889,17 @@ c_ev_N += ev_N
 """
 
 
-# DiversityMonitor.observe's per-core sampling (DS row push + rolling
-# digest, IS stage-words digest), inlined with the exact formulas from
-# repro.core.signatures on the same deques.  Tokens: _N core suffix,
-# _S signature-unit suffix (side + pair).
+# DiversityMonitor.observe's per-core sampling (DS row push onto the
+# unit's own row deque, IS stage-words tuple), inlined on the same
+# objects repro.core.signatures samples.  Tokens: _N core suffix, _S
+# signature-unit suffix (side + pair).
 _OBS_CORE = """\
 if not core_N.hold:
-    row = _tup(reads_N)
-    h = _hash(row) % MODL
-    evicted = hashes_S[0]
-    rows_S.append(row)
-    hashes_S.append(h)
-    ds_S._digest = ((ds_S._digest - evicted * evict_S)
-                    * BASEL + h) % MODL
+    rows_S.append(_tup(reads_N))
     g0 = stages_N[0]; g1 = stages_N[1]; g2 = stages_N[2]
     g3 = stages_N[3]; g4 = stages_N[4]; g5 = stages_N[5]
     g6 = stages_N[6]
-    words = (
+    is_S._stage_words = (
         g0.words_cache if g0 is not None else None,
         g1.words_cache if g1 is not None else None,
         g2.words_cache if g2 is not None else None,
@@ -915,9 +908,7 @@ if not core_N.hold:
         g5.words_cache if g5 is not None else None,
         g6.words_cache if g6 is not None else None,
     )
-    is_S._stage_words = words
-    is_S._digest = _hash(words)
-""".replace("MODL", str(_DIGEST_MOD)).replace("BASEL", str(_DIGEST_BASE))
+"""
 
 
 def _poll_tick_lines():
@@ -943,8 +934,8 @@ def _poll_tick_lines():
             "    if run_zs_P:",
             "        hist_stag_P._close_run_at(run_zs_P)",
             "        run_zs_P = 0",
-            "no_data = ds_a_P._digest == ds_b_P._digest",
-            "no_instr = is_a_P._digest == is_b_P._digest",
+            "no_data = rows_a_P == rows_b_P",
+            "no_instr = is_a_P._stage_words == is_b_P._stage_words",
             "if no_data:",
             "    o_nd_P += 1",
             "    run_nd_P += 1",
@@ -1034,7 +1025,7 @@ def _pair_params(kind, has_record):
     names = ["record"] if has_record else []
     # Side a/b: the pair's first/second core's signature units.
     names += ["%s_%s" % (arg, side) for side in "ab"
-              for arg in ("rows", "hashes", "ds", "is", "evict")]
+              for arg in ("rows", "is")]
     if kind == "irq":
         return names + ["tick"]
     return names + ["diff_unit", "diff_stats", "mstats", "monitor",
@@ -1056,8 +1047,8 @@ def _pair_observe_lines(kind, has_record):
     else:
         # Live reporting: the reference _tick runs every sampled
         # cycle, so IRQ subscribers see the reference's state.
-        tick = ["tick_P(cycle, ds_a_P._digest != ds_b_P._digest,",
-                "       is_a_P._digest != is_b_P._digest,",
+        tick = ["tick_P(cycle, rows_a_P != rows_b_P,",
+                "       is_a_P._stage_words != is_b_P._stage_words,",
                 "       core_A.commits_this_cycle,",
                 "       core_B.commits_this_cycle)"]
     lines += ["    " + line for line in tick]
@@ -1119,7 +1110,7 @@ def _build_span_source(num_cores, watched, pairs, num_taps, recorded):
     lines = [
         "def _make_span(%s):" % ", ".join(args),
         "    def run_span(cycle, stop, %s,"
-        " _tup=tuple, _hash=hash):" % rebind,
+        " _tup=tuple):" % rebind,
     ]
     entry, loop, body = " " * 8, " " * 12, " " * 16
 
@@ -1226,10 +1217,7 @@ def _pair_binding(monitor, a, b, p):
     if has_record:
         env["record"] = monitor._capture.record
     for side, ds, is_ in zip("ab", monitor.ds_units, monitor.is_units):
-        env.update({"rows_" + side: ds._rows,
-                    "hashes_" + side: ds._row_hashes,
-                    "ds_" + side: ds, "is_" + side: is_,
-                    "evict_" + side: ds._evict_weight})
+        env.update({"rows_" + side: ds._rows, "is_" + side: is_})
     if kind == "poll":
         history = monitor.history
         env.update(hist_data=history._no_data,

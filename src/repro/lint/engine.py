@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..isa.program import Program
 from .absint import AbsintResult, IntervalDomain, solve_absint
-from .cfg import EXIT, ControlFlowGraph, build_cfg
+from .cfg import ControlFlowGraph, build_cfg
 from .dataflow import DataflowResult, Liveness, ReachingDefinitions, solve
 from .diagnostics import ERROR, Diagnostic, all_rules, severity_rank
 

@@ -27,7 +27,7 @@ mismatch.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.monitor import ReportingMode
 from ..core.overheads import BASELINE_MPSOC_LUTS, estimate

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Tuple
 
 from .base import RedundancyScheme, monitor_luts
-from .spec import SchemeSpec
 
 
 class MultiPair(RedundancyScheme):

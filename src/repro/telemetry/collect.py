@@ -4,7 +4,7 @@ Each layer's stats dataclass knows how to pour itself into a registry
 (``to_metrics``); this module owns the cross-layer orchestration — the
 label scheme (``core``, ``cache``, ``pair``) and the gauges that are
 derived from live object state rather than accumulated counters (FIFO
-occupancy, IPC, resident cache lines, digest fast/slow-path totals).
+occupancy, IPC, resident cache lines).
 
 Collection is an end-of-run activity: everything, the monitor's
 verdict counters included, is folded out of the stats objects the
@@ -54,27 +54,12 @@ def collect_monitor(monitor, registry: MetricsRegistry, pair: int = 0):
     counters the OS polls over APB, so a fresh run, a resumed one and
     either tier report the same totals.
     """
-    from ..core import signatures
-
     labels = (("pair", str(pair)),)
     monitor.stats.to_metrics(registry, labels=labels)
     registry.counter("repro_monitor_interrupts_total",
                      labels).value = monitor.stats.interrupts_raised
     registry.gauge("repro_monitor_staggering",
                    labels).set(monitor.instruction_diff.diff)
-
-    # Digest fast/slow comparison path accounting: the DS digest fast
-    # path exists only in every-cycle sampling mode, and the debug
-    # cross-check mode runs the structural slow path as well.
-    sampled = monitor.stats.sampled_cycles
-    ds_fast = sampled if monitor.config.sample_every_cycle else 0
-    slow = sampled - ds_fast
-    if signatures.DEBUG_SIGNATURE_CHECKS:
-        slow = sampled
-    registry.counter("repro_monitor_digest_fast_path_cycles_total",
-                     labels).value = ds_fast
-    registry.counter("repro_monitor_digest_slow_path_cycles_total",
-                     labels).value = slow
 
     for side, (ds, is_unit) in enumerate(zip(monitor.ds_units,
                                              monitor.is_units)):

@@ -296,6 +296,28 @@ class TestErrors:
         assert captured.err == "error: %s\n" % message
 
 
+class TestSweepMonitor:
+    def test_default_point_is_the_run_geometry(self, capsys):
+        """With no geometry flags the sweep replays the signature
+        geometry every other command simulates, so its row equals the
+        live ``run`` at the same threshold."""
+        import re
+
+        from repro.core.signatures import SignatureConfig
+        assert main(["sweep-monitor", "cosf", "--thresholds", "8",
+                     "--no-cache"]) == 0
+        header, _, row = capsys.readouterr().out.splitlines()
+        point = dict(zip(header.split(), row.split()))
+        config = SignatureConfig()
+        assert (point["is"], int(point["ports"]), int(point["depth"])) \
+            == (config.is_variant.value, config.num_ports,
+                config.ds_depth)
+        assert main(["run", "cosf", "--mode", "interrupt_threshold",
+                     "--threshold", "8"]) == 0
+        live = re.search(r"no_div=(\d+)", capsys.readouterr().out)
+        assert point["no_div"] == live.group(1)
+
+
 class TestSchemeCampaign:
     def test_engine_and_jobs_reach_the_trials(self, monkeypatch, capsys):
         """``campaign --scheme`` runs its trials on ``--engine``'s tier

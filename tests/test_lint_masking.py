@@ -4,11 +4,12 @@ The load-bearing property: for every kernel, every recorded cycle's
 frontier program point, and every register, ``statically proven dead``
 implies ``the dynamic access log also proves it dead`` — the static
 masked set is a *subset* of the dynamic one.  A single violation means
-a static masking proof is unsound, so this is checked over complete golden runs of all 29 kernels
-(cycle-sampled for runtime; every register is checked at every sampled
-cycle).  Truncated golden runs fall outside the proofs' path-complete
-premise, and :func:`~repro.montecarlo.golden.classify_batch` drops the
-filter for them — also asserted here.
+a static masking proof is unsound, so this is checked over complete
+golden runs of all 29 kernels (cycle-sampled for runtime; every
+register is checked at every sampled cycle).  Truncated golden runs
+fall outside the proofs' path-complete premise, and
+:func:`~repro.montecarlo.golden.classify_batch` drops the filter for
+them — also asserted here.
 """
 
 import pytest

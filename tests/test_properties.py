@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) on core invariants."""
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.fifo import HardwareFifo
@@ -233,7 +233,7 @@ def test_memory_last_write_wins(address, first, second):
     assert mem.read(address, 8) == second
 
 
-# --- digest fast path vs structural slow path --------------------------------
+# --- equal() vs signature() equality -----------------------------------------
 
 paired_streams = st.lists(
     st.tuples(
@@ -247,11 +247,18 @@ paired_streams = st.lists(
     max_size=40)
 
 
+#: Two streams whose first port values differ by 2**61 - 1, the modulus
+#: of CPython's int hash: equal hashes, different signatures.
+hash_collision = [([(1, 0)] * 4, [(1, 2**61 - 1)] + [(1, 0)] * 3,
+                   False, False, False)]
+
+
 @given(stream=paired_streams)
-def test_ds_digest_fast_path_matches_structural(stream):
-    """equal()'s rolling-digest fast path agrees with the structural
-    signature comparison on every prefix of arbitrary paired streams,
-    including holds and mixed identical/divergent rows."""
+@example(stream=hash_collision)
+def test_ds_equal_matches_signature(stream):
+    """equal() agrees with signature() equality on every prefix of
+    arbitrary paired streams, including holds and mixed
+    identical/divergent rows."""
     config = SignatureConfig(num_ports=4, ds_depth=5)
     a, b = DataSignatureUnit(config), DataSignatureUnit(config)
     for row_a, row_b, same, hold_a, hold_b in stream:
@@ -262,8 +269,9 @@ def test_ds_digest_fast_path_matches_structural(stream):
 
 
 @given(stream=paired_streams)
-def test_is_digest_fast_path_matches_structural(stream):
-    """Same property for the Instruction Signature digest, driving the
+@example(stream=hash_collision)
+def test_is_equal_matches_signature(stream):
+    """Same property for the Instruction Signature, driving the
     (valid, word) slot form through both units."""
     from repro.core.signatures import InstructionSignatureUnit
     config = SignatureConfig(pipeline_width=2, pipeline_stages=2)
