@@ -30,7 +30,9 @@ Per kernel it also reports the golden-recording layer's cost,
 ``golden_overhead_x``: :func:`repro.montecarlo.mc_golden_run` at the
 campaign's checkpoint cadence over a plain
 :func:`repro.soc.experiment.run_redundant` of the same kernel, config
-and cycle cap, both on the campaign's tier (``--engine``).  The
+and cycle cap, both on the campaign's tier (``--engine``), as the
+median ratio of :data:`GOLDEN_PAIRS` back-to-back (recording, plain
+run) pairs (``golden_overhead_pairs`` lists them all).  The
 repository benchmark's ``montecarlo.golden_overhead_x`` times the
 reference tier for both.  ``golden_seconds`` and
 ``classify_seconds`` split the batched campaign's own time between
@@ -67,6 +69,7 @@ import argparse
 import dataclasses
 import json
 import pathlib
+import statistics
 import sys
 import time
 
@@ -91,6 +94,10 @@ MAX_CYCLES = 200_000
 #: (stride-sampled across the batch, so it sees analytic and
 #: simulated rows, masked and live alike).
 CHECK_TRIALS = 24
+#: Back-to-back (recording, plain run) pairs behind
+#: ``golden_overhead_x``: both runs of a pair see the same host load,
+#: and the median pair ratio shrugs off a pair that did not.
+GOLDEN_PAIRS = 7
 
 
 def bench_kernel(name, trials, baseline_trials, cadence_override,
@@ -153,15 +160,19 @@ def bench_kernel(name, trials, baseline_trials, cadence_override,
     # -- layer cost: the recording golden run against a plain run of
     # the same kernel, config and cycle cap on the same tier, at the
     # cadence the campaign chose. ------------------------------------
-    golden_start = time.perf_counter()
-    mc_golden_run(prog, config=config, max_cycles=MAX_CYCLES,
-                  checkpoint_every=campaign.checkpoint_every,
-                  benchmark=name, engine=engine)
-    golden_s = time.perf_counter() - golden_start
-    plain_start = time.perf_counter()
-    run_redundant(prog, benchmark=name, config=config,
-                  max_cycles=MAX_CYCLES, engine=engine)
-    golden_overhead = golden_s / (time.perf_counter() - plain_start)
+    golden_ratios = []
+    for _ in range(GOLDEN_PAIRS):
+        golden_start = time.perf_counter()
+        mc_golden_run(prog, config=config, max_cycles=MAX_CYCLES,
+                      checkpoint_every=campaign.checkpoint_every,
+                      benchmark=name, engine=engine)
+        golden_s = time.perf_counter() - golden_start
+        plain_start = time.perf_counter()
+        run_redundant(prog, benchmark=name, config=config,
+                      max_cycles=MAX_CYCLES, engine=engine)
+        golden_ratios.append(golden_s
+                             / (time.perf_counter() - plain_start))
+    golden_overhead = statistics.median(golden_ratios)
 
     batched_rate = trials / batched_s
     fork_rate = len(sampled) / fork_s
@@ -189,6 +200,8 @@ def bench_kernel(name, trials, baseline_trials, cadence_override,
         "counts": counts,
         "golden_seconds": round(result.golden_wall_s, 3),
         "golden_overhead_x": round(golden_overhead, 2),
+        "golden_overhead_pairs": sorted(round(ratio, 2)
+                                        for ratio in golden_ratios),
         "classify_seconds": round(result.classify_wall_s, 3),
         "simulate_seconds": round(result.simulate_wall_s, 3),
         "batched_seconds": round(batched_s, 3),
@@ -263,7 +276,8 @@ def main():
                         default=None, metavar="X",
                         help="exit non-zero if any kernel's recording "
                              "golden run costs more than X plain runs "
-                             "on the campaign's tier")
+                             "on the campaign's tier (median of %d "
+                             "pairs)" % GOLDEN_PAIRS)
     parser.add_argument("--out", default=None, metavar="FILE",
                         help="report path (default: "
                              "BENCH_montecarlo.json at the repo root)")

@@ -12,13 +12,16 @@ Part 1 — sweep engine.  Times a fixed 6-kernel mini Table I sweep
 
 Part 2 — execution tiers (:mod:`repro.engine`).  Times the same
 kernels serially under the ``reference`` interpreter and the ``fast``
-block-compiled tier (best-of-N per point to resist scheduler noise),
-asserts the two produce field-for-field identical results, and records
-per-kernel and aggregate speedups plus the fast tier's hit rate and
-deopt rate.  The same points then run under the lockstep, TMR and
-multi-pair schemes: ``engine.schemes`` holds one row per scheme (and
-per kernel) with both tiers' seconds, the speedup, and the fast tier's
-``fallback_reason``.
+block-compiled tier, asserts the two produce field-for-field identical
+results, and records per-kernel and aggregate speedups plus the fast
+tier's hit rate and deopt rate.  Each (kernel, stagger) point runs N
+back-to-back (reference, fast) pairs, so both runs of a pair see the
+same host load: the report keeps each tier's best-of-N seconds, and
+every ``speedup`` is the median of the per-pair ratios it covers
+(``pair_speedups`` lists them all).  The same points then run under
+the lockstep, TMR and multi-pair schemes: ``engine.schemes`` holds one
+row per scheme (and per kernel) with both tiers' seconds, the speedup,
+and the fast tier's ``fallback_reason``.
 
 Results are written to ``BENCH_runtime.json`` at the repo root,
 including the machine's honest ``cpu_count``, the ``effective_jobs``
@@ -40,12 +43,13 @@ Usage:
 
 ``--kernels`` swaps the fixed 6-kernel set for a subset; the report
 records which set ran.  ``--quick`` is the CI shape: engine-tier
-comparison only, over a 2-kernel subset.  ``--min-speedup`` /
-``--max-deopt-rate`` turn the report into a gate (non-zero exit when
-the fast tier regresses).  ``--profile`` additionally records one
-profiled fast-tier pass per kernel as a Chrome ``about://tracing``
-trace (``repro.telemetry.Tracer`` spans: platform build, program
-load, cycle loop, metrics collection — each tagged with the engine).
+comparison only, over a 2-kernel subset.  ``--min-speedup`` (on the
+aggregate median pair ratio) / ``--max-deopt-rate`` turn the report
+into a gate (non-zero exit when the fast tier regresses).
+``--profile`` additionally records one profiled fast-tier pass per
+kernel as a Chrome ``about://tracing`` trace
+(``repro.telemetry.Tracer`` spans: platform build, program load,
+cycle loop, metrics collection — each tagged with the engine).
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import statistics
 import tempfile
 import time
 
@@ -104,30 +109,48 @@ class _SocGrab:
         self.soc = soc
 
 
-def _timed_run(program, kernel, stagger, engine, repeats,
-               tracer=None, scheme=None):
-    """Best-of-``repeats`` wall time for one redundant run.
+def _timed_run(program, kernel, stagger, engine, tracer=None,
+               scheme=None):
+    """Wall time of one redundant run.
 
-    Returns ``(seconds, result_dict, cycles, engine_stats)`` — stats
-    from the last repetition (they are deterministic, only the wall
-    time varies).
+    Returns ``(seconds, result_dict, cycles, engine_stats)``.
     """
     from repro.soc.experiment import run_redundant
-    best = None
-    result = None
     grab = _SocGrab()
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = run_redundant(program, benchmark=kernel,
-                               stagger_nops=stagger, engine=engine,
-                               soc_hook=grab, tracer=tracer,
-                               scheme=scheme)
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
+    start = time.perf_counter()
+    result = run_redundant(program, benchmark=kernel,
+                           stagger_nops=stagger, engine=engine,
+                           soc_hook=grab, tracer=tracer, scheme=scheme)
+    elapsed = time.perf_counter() - start
     stats = grab.soc.engine_stats
-    return (best, dataclasses.asdict(result), result.cycles,
+    return (elapsed, dataclasses.asdict(result), result.cycles,
             stats.as_dict() if stats is not None else None)
+
+
+def _timed_pairs(program, kernel, stagger, repeats, scheme=None):
+    """``repeats`` back-to-back (reference, fast) runs of one point.
+
+    Returns ``(reference_best_s, fast_best_s, pair_ratios, cycles,
+    fast_stats)``; results and stats are deterministic, so the last
+    pair's stand for all, and they must agree field for field.
+    """
+    ref_times, fast_times = [], []
+    for _ in range(repeats):
+        rs, ref_result, cycles, _ = _timed_run(
+            program, kernel, stagger, "reference", scheme=scheme)
+        fs, fast_result, _, stats = _timed_run(
+            program, kernel, stagger, "fast", scheme=scheme)
+        ref_times.append(rs)
+        fast_times.append(fs)
+    assert fast_result == ref_result, \
+        "fast tier diverged from reference on %s%s stagger=%d" \
+        % (scheme + " " if scheme else "", kernel, stagger)
+    ratios = [rs / fs for rs, fs in zip(ref_times, fast_times)]
+    return min(ref_times), min(fast_times), ratios, cycles, stats
+
+
+def _median_speedup(ratios):
+    return round(statistics.median(ratios), 3)
 
 
 def _bench_engines(kernels, staggers, repeats):
@@ -135,6 +158,7 @@ def _bench_engines(kernels, staggers, repeats):
     from repro.workloads import program as build_program
     per_kernel = {}
     ref_total = fast_total = 0.0
+    all_ratios = []
     cycles_total = 0
     deopts = fast_issues = ref_issues = fast_cycles = 0
     delegations = recompilations = superblock_links = 0
@@ -142,22 +166,19 @@ def _bench_engines(kernels, staggers, repeats):
     for kernel in kernels:
         prog = build_program(kernel)
         ref_s = fast_s = 0.0
+        ratios = []
         kernel_cycles = 0
         hit_num = hit_den = kernel_deopts = 0
         kernel_reasons = {}
         for stagger in staggers:
-            rs, ref_result, cycles, _ = _timed_run(
-                prog, kernel, stagger, "reference", repeats)
-            fs, fast_result, _, stats = _timed_run(
-                prog, kernel, stagger, "fast", repeats)
-            assert fast_result == ref_result, \
-                "fast tier diverged from reference on %s stagger=%d" \
-                % (kernel, stagger)
+            rs, fs, pair_ratios, cycles, stats = _timed_pairs(
+                prog, kernel, stagger, repeats)
             assert stats is not None \
                 and stats["fallback_reason"] is None, \
                 "fast tier fell back on %s: %s" % (kernel, stats)
             ref_s += rs
             fast_s += fs
+            ratios += pair_ratios
             kernel_cycles += cycles
             kernel_deopts += stats["deopts"]
             hit_num += stats["issue_fast"]
@@ -174,11 +195,12 @@ def _bench_engines(kernels, staggers, repeats):
                     kernel_reasons.get(reason, 0) + count
         ref_total += ref_s
         fast_total += fast_s
+        all_ratios += ratios
         cycles_total += kernel_cycles
         per_kernel[kernel] = {
             "reference_seconds": round(ref_s, 3),
             "fast_seconds": round(fast_s, 3),
-            "speedup": round(ref_s / fast_s, 3),
+            "speedup": _median_speedup(ratios),
             "cycles": kernel_cycles,
             "tier_hit_rate": round(hit_num / hit_den, 6) if hit_den
             else 0.0,
@@ -192,7 +214,7 @@ def _bench_engines(kernels, staggers, repeats):
                 deopt_reasons.get(reason, 0) + count
         print("engine %-14s ref %6.2fs  fast %6.2fs  %5.2fx  "
               "hit %6.2f%%  deopts %d"
-              % (kernel, ref_s, fast_s, ref_s / fast_s,
+              % (kernel, ref_s, fast_s, per_kernel[kernel]["speedup"],
                  100.0 * per_kernel[kernel]["tier_hit_rate"],
                  kernel_deopts))
     issued = fast_issues + ref_issues
@@ -203,7 +225,8 @@ def _bench_engines(kernels, staggers, repeats):
         "per_kernel": per_kernel,
         "reference_seconds": round(ref_total, 3),
         "fast_seconds": round(fast_total, 3),
-        "speedup": round(ref_total / fast_total, 3),
+        "speedup": _median_speedup(all_ratios),
+        "pair_speedups": sorted(round(r, 3) for r in all_ratios),
         "cycles": cycles_total,
         "reference_cycles_per_second": round(
             cycles_total / ref_total) if ref_total else None,
@@ -226,51 +249,49 @@ def _bench_schemes(kernels, staggers, repeats):
     """Reference vs fast tier per redundancy scheme, same points.
 
     One row per scheme in :data:`ENGINE_SCHEMES` (plus per-kernel
-    rows): best-of-``repeats`` seconds on each tier, the speedup, and
-    the fast tier's ``fallback_reason`` (None when every run stayed on
-    the fast tier).  Results must agree field for field.
+    rows): best-of-``repeats`` seconds on each tier, the median pair
+    speedup, and the fast tier's ``fallback_reason`` (None when every
+    run stayed on the fast tier).  Results must agree field for field.
     """
     from repro.workloads import program as build_program
     report = {}
     for scheme in ENGINE_SCHEMES:
         per_kernel = {}
         ref_total = fast_total = 0.0
+        scheme_ratios = []
         scheme_reason = None
         for kernel in kernels:
             prog = build_program(kernel)
             ref_s = fast_s = 0.0
+            ratios = []
             reason = None
             for stagger in staggers:
-                rs, ref_result, _, _ = _timed_run(
-                    prog, kernel, stagger, "reference", repeats,
-                    scheme=scheme)
-                fs, fast_result, _, stats = _timed_run(
-                    prog, kernel, stagger, "fast", repeats,
-                    scheme=scheme)
-                assert fast_result == ref_result, \
-                    "fast tier diverged from reference on %s %s " \
-                    "stagger=%d" % (scheme, kernel, stagger)
+                rs, fs, pair_ratios, _, stats = _timed_pairs(
+                    prog, kernel, stagger, repeats, scheme=scheme)
                 ref_s += rs
                 fast_s += fs
+                ratios += pair_ratios
                 reason = reason or stats["fallback_reason"]
-            per_kernel[kernel] = _scheme_row(ref_s, fast_s, reason)
+            per_kernel[kernel] = _scheme_row(ref_s, fast_s, ratios,
+                                             reason)
             ref_total += ref_s
             fast_total += fast_s
+            scheme_ratios += ratios
             scheme_reason = scheme_reason or reason
         row = report[scheme] = _scheme_row(ref_total, fast_total,
-                                           scheme_reason)
+                                           scheme_ratios, scheme_reason)
         row["per_kernel"] = per_kernel
         print("engine scheme %-9s ref %6.2fs  fast %6.2fs  %5.2fx%s"
-              % (scheme, ref_total, fast_total, ref_total / fast_total,
+              % (scheme, ref_total, fast_total, row["speedup"],
                  "  fell back: %s" % scheme_reason
                  if scheme_reason else ""))
     return report
 
 
-def _scheme_row(ref_s, fast_s, fallback_reason):
+def _scheme_row(ref_s, fast_s, ratios, fallback_reason):
     return {"reference_seconds": round(ref_s, 3),
             "fast_seconds": round(fast_s, 3),
-            "speedup": round(ref_s / fast_s, 3),
+            "speedup": _median_speedup(ratios),
             "fallback_reason": fallback_reason}
 
 
@@ -283,8 +304,7 @@ def _profile_engines(kernels, staggers, path):
         prog = build_program(kernel)
         for stagger in staggers:
             for engine in ("reference", "fast"):
-                _timed_run(prog, kernel, stagger, engine, repeats=1,
-                           tracer=tracer)
+                _timed_run(prog, kernel, stagger, engine, tracer=tracer)
     tracer.save(path)
     print("profile trace written to %s (%d spans)"
           % (path, len(tracer)))
@@ -308,12 +328,14 @@ def main():
                         help="CI shape: engine-tier comparison only, "
                              "over a 2-kernel subset")
     parser.add_argument("--repeats", type=int, default=3, metavar="N",
-                        help="best-of-N timing for the engine "
-                             "comparison (default: 3)")
+                        help="(reference, fast) pairs per point in the "
+                             "engine comparison (default: 3; 2 under "
+                             "--quick)")
     parser.add_argument("--min-speedup", type=float, default=None,
                         metavar="X",
-                        help="fail unless the fast tier's aggregate "
-                             "speedup over reference is at least X")
+                        help="fail unless the median of the fast "
+                             "tier's per-pair speedups over reference "
+                             "is at least X")
     parser.add_argument("--max-deopt-rate", type=float, default=None,
                         metavar="X",
                         help="fail if the fast tier's deopts-per-cycle "
@@ -440,7 +462,8 @@ def _gate(args, engine_report) -> int:
     status = 0
     if args.min_speedup is not None \
             and engine_report["speedup"] < args.min_speedup:
-        print("FAIL: fast-tier speedup %.2fx below the %.2fx floor"
+        print("FAIL: fast-tier median pair speedup %.2fx below the "
+              "%.2fx floor"
               % (engine_report["speedup"], args.min_speedup))
         status = 1
     if args.max_deopt_rate is not None \

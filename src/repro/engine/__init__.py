@@ -67,9 +67,8 @@ def resolve_engine(name: Optional[str]) -> str:
 
 
 #: ``deopt_reasons`` keys that are delegations to *reference* code
-#: paths.  ``guard_fail`` (superblock direction-guard side exits served
-#: by the block tier) and ``recompile`` events stay outside this set:
-#: they cost a dispatch, not a reference-method call.
+#: paths.  ``recompile`` events (code-page rebuilds) stay outside this
+#: set: they cost a rebuild, not a reference-method call.
 REFERENCE_DEOPT_REASONS: Tuple[str, ...] = (
     "plan_miss", "page_version", "issue_shape", "mem_stage",
 )
@@ -86,15 +85,15 @@ class EngineStats:
       once.  This is the number the benchmark deopt-rate gates use.
     * ``delegations`` — individual reference-method delegations, the
       sum of the reference-path entries of ``deopt_reasons``.
-    * ``deopt_reasons`` — per-reason histogram over every side exit,
-      including block-tier ones (``guard_fail``) and adaptive
-      recompilations (``recompile``) that never touch reference code.
+    * ``deopt_reasons`` — per-reason histogram over every delegation,
+      plus the code-page rebuilds (``recompile``) that never touch
+      reference code.
 
     ``issue_fast``/``issue_ref`` split issued groups by tier;
     ``superblock_links``/``chained_fetches``/``recompilations`` describe
     the superblock trace tier (links formed between compiled blocks,
-    fetches served by following a link, and re-specializations after
-    repeated guard failures or code-page invalidations).
+    fetches served by following a link, and blocks rebuilt after their
+    code page was written).
     """
 
     engine: str = "reference"

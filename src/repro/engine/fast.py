@@ -21,16 +21,14 @@ Design contract (see DESIGN.md "Tiered execution"):
 * **Superblock traces**: each compiled fetch handler returns the *link*
   to its successor block — a ``(next_pc, fetch_fn)`` tuple threaded
   through one-slot link cells — so steady-state fetch crosses
-  unconditional jumps and profile-biased branch directions without any
-  dictionary dispatch.  A branch's off-trace arm holds a link with a
-  ``None`` function: a *direction guard* whose failure side-exits to
-  the block tier (cold dictionary dispatch) mid-cycle, never skipping a
-  cycle — SafeDM samples signatures every cycle.  After
-  ``GUARD_RELINK_THRESHOLD`` consecutive guard failures the off-trace
-  arm is linked too and the branch is re-specialized with the opposite
-  bias (adaptive recompilation); a page-version failure rebuilds the
-  block in place up to ``REBUILD_BUDGET`` times before pinning the PC
-  to the reference path.
+  unconditional jumps and both arms of every branch without any
+  dictionary dispatch.  A cell whose target has no block yet holds a
+  dead link: that fetch goes to the block tier (cold dictionary
+  dispatch) once, mid-cycle, never skipping a cycle — SafeDM samples
+  signatures every cycle — and building the target fills every cell
+  waiting for it.  A page-version failure rebuilds the block in place
+  up to ``REBUILD_BUDGET`` times before pinning the PC to the
+  reference path.
 * **Deopt on anything the plan cannot prove static**: plan miss,
   page-version mismatch past budget, issue-shape mismatch, and
   memory-stage hazards the in-line L1 probe cannot retire.  Each
@@ -68,7 +66,6 @@ from .plan import (
     ACC_DECMISS,
     ACC_DUAL,
     ACC_FETCH,
-    ACC_GUARD,
     ACC_IFAST,
     ACC_IFMISS,
     ACC_IREF,
@@ -81,8 +78,8 @@ from .plan import (
     ACC_SHAPE,
     ACC_SIZE,
     ACC_STORES,
-    GUARD_RELINK_THRESHOLD,
     KIND_BRANCH,
+    KIND_STATIC,
     REBUILD_BUDGET,
 )
 
@@ -91,15 +88,15 @@ _MISS = object()
 _XMASK = 0xFFFFFFFFFFFFFFFF
 
 #: Link-cell content that can never match a fetch PC (jalr/halt
-#: successors, pinned targets): routes the next fetch to cold dispatch.
+#: successors, targets not built yet or pinned, the link after a
+#: reference fetch): routes the next fetch to cold dispatch.
 _DEAD_LINK = (-1, None)
 
 _AZEROS = [0] * ACC_SIZE
 
-#: ``deopt_reasons`` keys fed by the per-core side-exit counters.
+#: ``deopt_reasons`` keys fed by the per-core delegation counters.
 _REASON_SLOTS = (("plan_miss", ACC_PLAN), ("page_version", ACC_PAGE),
-                 ("issue_shape", ACC_SHAPE), ("mem_stage", ACC_MEM),
-                 ("guard_fail", ACC_GUARD))
+                 ("issue_shape", ACC_SHAPE), ("mem_stage", ACC_MEM))
 
 
 def _make_retire(instrs, core, acc, writes):
@@ -357,9 +354,9 @@ def _make_core_engine(core, plan, estats):
 
     The cold helpers own the *superblock former*: a registry of link
     *nodes* (``(pc, fetch_fn)`` tuples) plus the cells that reference
-    them.  ``fetch_cold`` materializes nodes on first touch,
-    ``guard_cold`` counts direction-guard failures and relinks +
-    re-biases the owning branch at ``GUARD_RELINK_THRESHOLD``, and
+    them.  Building a block links both successors of its branch (or its
+    one static successor) as chain cells; ``fetch_cold`` materializes
+    nodes on first touch and fills every cell waiting for them, and
     ``page_cold`` rebuilds a block after self-modifying code up to
     ``REBUILD_BUDGET`` times before pinning the PC to the reference
     path.  Cold-helper return codes are ``advanced | (reference << 1)``
@@ -396,7 +393,6 @@ def _make_core_engine(core, plan, estats):
     entry_at = plan.entry_at
     build_issue_maker = plan.build_issue_maker
     build_fetch_maker = plan.build_fetch_maker
-    link_targets = plan.link_targets
     acc = [0] * ACC_SIZE
     reasons = estats.deopt_reasons
 
@@ -404,14 +400,10 @@ def _make_core_engine(core, plan, estats):
     nodes = {}
     #: pc -> [cells] waiting for the node at pc (chain links).
     pending = {}
-    #: pc -> [[fail_count, cell, branch_pc], ...] (direction guards).
-    guard_pending = {}
     #: pc -> [cells currently filled with pc's node] (for rebuilds).
     linked = {}
     #: pc -> page re-specialization count (vs REBUILD_BUDGET).
     rebuilds = {}
-    #: branch pc -> (entry, bias, link_t, link_f) for re-biasing.
-    branch_meta = {}
     #: pc -> (words, issue fn, dual) or None (block-tier dispatch).
     issue_recs = {}
     #: words_cache -> init_me closure / None (no memory op in group).
@@ -420,7 +412,7 @@ def _make_core_engine(core, plan, estats):
     retire_shapes = {}
     #: One-slot box: the current link, persisted across spans and used
     #: as the cold helpers' link-return channel.
-    fbox = [None]
+    fbox = [_DEAD_LINK]
 
     def _issue_rec(entry):
         maker = build_issue_maker(entry, log is not None)
@@ -448,19 +440,6 @@ def _make_core_engine(core, plan, estats):
                                                      writes)
         return fn
 
-    def _instantiate(entry, bias, link_t, link_f):
-        instrs = [entry.i0, entry.i1][:entry.n]
-        words = entry.words
-        ifn = _issue_fn(entry)
-        mfn = _me_fn(instrs, words)
-        rfn = _retire_fn(instrs, words)
-        maker = entry.fetch_makers.get(bias)
-        if maker is None:
-            maker = build_fetch_maker(entry, bias)
-        return maker(core, stages, stats, acc, isets, icstats, fcache,
-                     versions, request_line, predictor, ptable,
-                     ifn, mfn, rfn, link_t, link_f)
-
     def _chain_cell(pc):
         node = nodes.get(pc, _MISS)
         if node is _MISS:
@@ -474,40 +453,31 @@ def _make_core_engine(core, plan, estats):
         estats.superblock_links += 1
         return cell
 
-    def _guard_cell(pc, branch_pc):
-        cell = [(pc, None)]
-        guard_pending.setdefault(pc, []).append([0, cell, branch_pc])
-        return cell
-
     def _pin(pc):
         nodes[pc] = None
         for cell in pending.pop(pc, ()):
             cell[0] = _DEAD_LINK
-        for rec in guard_pending.pop(pc, ()):
-            rec[1][0] = _DEAD_LINK
 
     def _node_from_entry(pc, entry):
-        chained, guarded = link_targets(entry, ptable)
-        bias = False
-        if entry.kind == KIND_BRANCH:
-            bias = chained == entry.btaken
-            if bias:
-                link_t = _chain_cell(chained)
-                link_f = _guard_cell(guarded, pc)
-            else:
-                link_t = _guard_cell(guarded, pc)
-                link_f = _chain_cell(chained)
-        elif chained is None:
-            link_t = link_f = [_DEAD_LINK]
-        else:
-            link_t = _chain_cell(chained)
+        kind = entry.kind
+        if kind == KIND_BRANCH:
+            link_t = _chain_cell(entry.btaken)
+            link_f = _chain_cell(entry.bfall)
+        elif kind == KIND_STATIC:
+            link_t = _chain_cell(entry.next_pc)
             link_f = [_DEAD_LINK]
-        fn = _instantiate(entry, bias, link_t, link_f)
+        else:       # jalr, halt: no static successor
+            link_t = link_f = [_DEAD_LINK]
+        instrs = [entry.i0, entry.i1][:entry.n]
+        words = entry.words
+        fn = build_fetch_maker(entry)(
+            core, stages, stats, acc, isets, icstats, fcache, versions,
+            request_line, predictor, ptable, _issue_fn(entry),
+            _me_fn(instrs, words), _retire_fn(instrs, words), link_t,
+            link_f)
         node = (pc, fn)
         # Register before resolving self-referential pending cells.
         nodes[pc] = node
-        if entry.kind == KIND_BRANCH:
-            branch_meta[pc] = (entry, bias, link_t, link_f)
         cells = pending.pop(pc, None)
         if cells:
             lst = linked.setdefault(pc, [])
@@ -529,26 +499,11 @@ def _make_core_engine(core, plan, estats):
             return None
         return _node_from_entry(pc, entry)
 
-    def _flip_branch(branch_pc):
-        """Re-specialize a branch with the opposite trace bias."""
-        meta = branch_meta.get(branch_pc)
-        if meta is None:
-            return
-        entry, bias, link_t, link_f = meta
-        fn = _instantiate(entry, not bias, link_t, link_f)
-        node = (branch_pc, fn)
-        nodes[branch_pc] = node
-        branch_meta[branch_pc] = (entry, not bias, link_t, link_f)
-        for cell in linked.get(branch_pc, ()):
-            cell[0] = node
-        estats.recompilations += 1
-        reasons["recompile"] = reasons.get("recompile", 0) + 1
-
     def fetch_cold(pc, cycle):
         node = _make_node(pc)
         if node is None:
             acc[ACC_PLAN] += 1
-            fbox[0] = None
+            fbox[0] = _DEAD_LINK
             return 3 if ref_fetch(cycle) else 2
         r = node[1](cycle)
         if r.__class__ is tuple:
@@ -559,32 +514,6 @@ def _make_core_engine(core, plan, estats):
             fbox[0] = node
             return 0
         return page_cold(pc, cycle)
-
-    def guard_cold(pc, cycle):
-        recs = guard_pending.get(pc)
-        if recs:
-            acc[ACC_GUARD] += 1
-            keep = []
-            for rec in recs:
-                rec[0] += 1
-                if rec[0] < GUARD_RELINK_THRESHOLD:
-                    keep.append(rec)
-                    continue
-                node = nodes.get(pc, _MISS)
-                if node is _MISS:
-                    node = _make_node(pc)
-                if node is None:
-                    rec[1][0] = _DEAD_LINK
-                    continue
-                rec[1][0] = node
-                linked.setdefault(pc, []).append(rec[1])
-                estats.superblock_links += 1
-                _flip_branch(rec[2])
-            if keep and nodes.get(pc, _MISS) is not None:
-                guard_pending[pc] = keep
-            else:
-                guard_pending.pop(pc, None)
-        return fetch_cold(pc, cycle)
 
     def page_cold(pc, cycle):
         count = rebuilds.get(pc, 0) + 1
@@ -598,7 +527,7 @@ def _make_core_engine(core, plan, estats):
                 for cell in stale:
                     cell[0] = _DEAD_LINK
             acc[ACC_PAGE] += 1
-            fbox[0] = None
+            fbox[0] = _DEAD_LINK
             return 3 if ref_fetch(cycle) else 2
         node = _node_from_entry(pc, entry)
         if stale:
@@ -617,7 +546,7 @@ def _make_core_engine(core, plan, estats):
             return 0
         # Version moved again before execution: delegate this fetch.
         acc[ACC_PAGE] += 1
-        fbox[0] = None
+        fbox[0] = _DEAD_LINK
         return 3 if ref_fetch(cycle) else 2
 
     def issue_cold(group, cycle):
@@ -698,8 +627,7 @@ def _make_core_engine(core, plan, estats):
     return (core, stages, acc, sb, sb.occupancy_view(), sb.stats,
             sb.bus.request_store, sb.master, reads, writes, idle_reads,
             idle_writes, ready, dfill, ifill, initiate_me, retire_cold,
-            me_cold, issue_cold, fetch_cold, guard_cold, page_cold,
-            fbox, flush)
+            me_cold, issue_cold, fetch_cold, page_cold, fbox, flush)
 
 
 # -- generated two-core span loop --------------------------------------
@@ -715,7 +643,7 @@ _CORE_ARGS = ("core", "stages", "acc", "sb", "sbq", "sbst",
               "req_store", "master", "reads", "writes", "idle_reads",
               "idle_writes", "ready", "dfill", "ifill", "initiate_me",
               "retire_cold", "me_cold", "issue_cold", "fetch_cold",
-              "guard_cold", "page_cold", "fbox", "flush")
+              "page_cold", "fbox", "flush")
 
 _FIN = ("(core_N.halted and stages_N[0] is None and stages_N[1] is None"
         " and stages_N[2] is None and stages_N[3] is None"
@@ -851,23 +779,14 @@ if stages_N[0] is None and core_N.fetch_enabled \\
     if req is None:
         pc = core_N.fetch_pc
         node = fcur_N
-        if node is not None and node[0] == pc:
-            f = node[1]
-            if f is not None:
-                r = f(cycle)
-                if r.__class__ is _tup:
-                    fcur_N = r
-                    c_chain_N += 1
-                    adv_N = True
-                elif r == 2:
-                    r = page_cold_N(pc, cycle)
-                    fcur_N = fbox_N[0]
-                    if r & 1:
-                        adv_N = True
-                    if r & 2:
-                        ev_N = 1
-            else:
-                r = guard_cold_N(pc, cycle)
+        if node[0] == pc:
+            r = node[1](cycle)
+            if r.__class__ is _tup:
+                fcur_N = r
+                c_chain_N += 1
+                adv_N = True
+            elif r == 2:
+                r = page_cold_N(pc, cycle)
                 fcur_N = fbox_N[0]
                 if r & 1:
                     adv_N = True

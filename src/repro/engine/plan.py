@@ -14,10 +14,12 @@ program image:
 
 A plan entry is valid for exactly one (pc, page-version) and is checked
 against the live :attr:`~repro.mem.memory.Memory.page_versions` on every
-fetch; any mismatch (self-modifying or reloaded code) falls back to the
-reference fetch path forever.  Entries are seeded from the basic blocks
-:class:`repro.lint.cfg.ControlFlowGraph` computes over the assembled
-image and built lazily for PCs outside it (stagger sleds).
+fetch; a mismatch (self-modifying or reloaded code) rebuilds the entry
+from the new bytes, up to ``REBUILD_BUDGET`` times per PC, before the
+PC falls back to the reference fetch path for good.  Entries are
+seeded from the basic blocks :class:`repro.lint.cfg.ControlFlowGraph`
+computes over the assembled image and built lazily for PCs outside it
+(stagger sleds).
 
 Bit-identity contract: every statement an issue handler emits is a
 transliteration of :meth:`repro.cpu.core.Core._issue` with the decoded
@@ -58,21 +60,16 @@ _PENDING = "0x4000000000000000"  # RegisterFile.PENDING == 1 << 62
 
 # -- superblock trace-tier layout --------------------------------------
 #
-# A compiled fetch handler no longer returns a bare status code: on
-# success it returns the *successor link* — the content of a one-slot
-# link cell ``(next_pc, fetch_fn_or_None)`` — so steady-state execution
-# threads directly from one compiled block to the next without any
-# per-cycle dictionary dispatch.  Chains of these links across
-# unconditional control flow and profile-biased branch directions are
-# the superblocks; a link whose function half is still None is a
-# *direction guard* whose failure side-exits to the block tier
-# (dictionary dispatch in repro.engine.fast).  Failure codes stay
-# integers: 0 = I-line fill requested in-line, 2 = page-version guard
-# failed (self-modifying or reloaded code).
-
-#: Consecutive direction-guard failures at one target before the
-#: superblock former links the off-trace arm (adaptive recompilation).
-GUARD_RELINK_THRESHOLD = 4
+# On success a compiled fetch handler returns the *successor link* —
+# the content of a one-slot link cell ``(next_pc, fetch_fn)`` — so
+# steady-state execution threads directly from one compiled block to
+# the next without any per-cycle dictionary dispatch.  Chains of these
+# links across unconditional control flow and both arms of every branch
+# are the superblocks; a cell whose target has no block yet holds a
+# dead link, whose fetch goes to the block tier (dictionary dispatch in
+# repro.engine.fast) once.  Failure codes stay integers: 0 = I-line
+# fill requested in-line, 2 = page-version guard failed (self-modifying
+# or reloaded code).
 
 #: Re-specializations allowed per PC after page-version invalidations
 #: (self-modifying code) before the PC is pinned to the reference path.
@@ -80,8 +77,8 @@ REBUILD_BUDGET = 4
 
 # Deferred-counter slots shared between generated code and the fast
 # tier's span loop (the ``acc`` list in repro.engine.fast).  Slots 0-12
-# mirror CoreStats/EngineStats counters; 13-17 are the per-reason
-# side-exit histogram feeding ``EngineStats.deopt_reasons``.
+# mirror CoreStats/EngineStats counters; 13-16 are the per-reason
+# delegation histogram feeding ``EngineStats.deopt_reasons``.
 ACC_FETCH = 0     # stats.fetch_groups
 ACC_IFMISS = 1    # stats.ifetch_miss_cycles (miss issuance)
 ACC_DECHIT = 2    # stats.decode_cache_hits
@@ -99,8 +96,7 @@ ACC_PLAN = 13     # deopt reason: plan_miss
 ACC_PAGE = 14     # deopt reason: page_version
 ACC_SHAPE = 15    # deopt reason: issue_shape
 ACC_MEM = 16      # deopt reason: mem_stage
-ACC_GUARD = 17    # deopt reason: guard_fail (block-tier side exit)
-ACC_SIZE = 18
+ACC_SIZE = 17
 
 
 class PlanEntry:
@@ -108,7 +104,7 @@ class PlanEntry:
 
     __slots__ = ("pc", "page", "version", "words", "i0", "i1", "n",
                  "fetch2", "kind", "next_pc", "btaken", "bfall", "bindex",
-                 "issue_maker", "logged_issue_maker", "fetch_makers")
+                 "issue_maker", "logged_issue_maker", "fetch_maker")
 
     def __init__(self, pc: int, page: int, version: int,
                  words: Tuple[int, ...], i0: Instruction,
@@ -132,14 +128,11 @@ class PlanEntry:
         self.bindex = bindex
         #: Lazily compiled closure factories (shared by both cores;
         #: each core instantiates its own closures over its own state).
-        #: Fetch factories are keyed by branch bias — True specializes
-        #: the predicted-taken arm as the fall-through trace direction,
-        #: False the not-taken arm; non-branch entries only use False.
         #: The logged issue factory's handlers also append to a
         #: recording register file's access log.
         self.issue_maker = None
         self.logged_issue_maker = None
-        self.fetch_makers: Dict[bool, object] = {}
+        self.fetch_maker = None
 
 
 def _signed(var: str) -> str:
@@ -393,44 +386,13 @@ class ProgramPlan:
         for entry in self.entries.values():
             if entry is not None:
                 self.build_issue_maker(entry)
-                self.build_fetch_maker(entry, False)
+                self.build_fetch_maker(entry)
 
     def entry_at(self, pc: int) -> Optional[PlanEntry]:
         """The entry for ``pc``, built (and cached) on first use."""
         entry = self._build(pc)
         self.entries[pc] = entry
         return entry
-
-    # -- superblock formation policy --------------------------------------
-
-    def branch_bias(self, entry: PlanEntry, ptable: List[int]) -> bool:
-        """Profile-biased trace direction for a branch entry.
-
-        Reads the live 2-bit predictor counters, so superblocks formed
-        mid-run chain the direction the program has actually been
-        taking — the profile guidance of the trace tier.
-        """
-        if not self.config.predictor_enabled:
-            return False
-        return ptable[entry.bindex] >= 2
-
-    def link_targets(self, entry: PlanEntry, ptable: List[int]):
-        """(chained_pc, guarded_pc) for the superblock former.
-
-        ``chained_pc`` is the successor the trace links eagerly (None
-        when fetch blocks or halts after this entry); ``guarded_pc`` is
-        a branch's off-trace direction, left behind a guard that
-        side-exits to the block tier until adaptive recompilation links
-        it too (see GUARD_RELINK_THRESHOLD).
-        """
-        kind = entry.kind
-        if kind == KIND_STATIC:
-            return entry.next_pc, None
-        if kind == KIND_BRANCH:
-            if self.branch_bias(entry, ptable):
-                return entry.btaken, entry.bfall
-            return entry.bfall, entry.btaken
-        return None, None
 
     def _peek_word(self, address: int) -> Optional[int]:
         """Read an instruction word without allocating memory pages.
@@ -716,7 +678,7 @@ class ProgramPlan:
 
     # -- fetch-handler generation -----------------------------------------
 
-    def build_fetch_maker(self, entry: PlanEntry, bias: bool = False):
+    def build_fetch_maker(self, entry: PlanEntry):
         """The fetch-handler factory for ``entry`` (cached on the entry).
 
         The factory has the contract::
@@ -733,21 +695,16 @@ class ProgramPlan:
         ``rfn``) and returns the successor *link* — the content of the
         one-slot cell for the fetch direction actually taken
         (``link_t`` = taken/static successor, ``link_f`` = branch
-        fall-through), a ``(next_pc, fetch_fn_or_None)`` tuple.
-        Failure keeps the old integer codes: 0 when an I-line miss
-        request was issued in-line, 2 when the page version no longer
-        matches.  ``bias`` selects which branch arm the generated code
-        tests first (the superblock trace direction); it is ignored for
-        non-branch entries so they share one compiled shape.  ``acc``
-        is the owning span loop's deferred-counter list (see
+        fall-through), a ``(next_pc, fetch_fn)`` tuple.  Failure keeps
+        the old integer codes: 0 when an I-line miss request was issued
+        in-line, 2 when the page version no longer matches.  ``acc`` is
+        the owning span loop's deferred-counter list (see
         repro.engine.fast and the ACC_* slots above).
         """
-        if entry.kind != KIND_BRANCH:
-            bias = False
-        maker = entry.fetch_makers.get(bias)
+        maker = entry.fetch_maker
         if maker is not None:
             return maker
-        source, consts = self._fetch_maker_source(entry, bias)
+        source, consts = self._fetch_maker_source(entry)
         make = _shape_make(source)
         args = tuple(consts)
 
@@ -759,10 +716,10 @@ class ProgramPlan:
                          fcache, versions, request_line, predictor,
                          ptable, ifn, mfn, rfn, link_t, link_f, *_args)
 
-        entry.fetch_makers[bias] = maker
+        entry.fetch_maker = maker
         return maker
 
-    def _fetch_maker_source(self, entry: PlanEntry, bias: bool):
+    def _fetch_maker_source(self, entry: PlanEntry):
         """(source, constants) for the ``_make`` fetch factory."""
         pool = _ConstPool()
         sym = pool.sym
@@ -838,25 +795,15 @@ class ProgramPlan:
         last = "f%d" % (entry.n - 1)
         if entry.kind == KIND_BRANCH:
             if self.config.predictor_enabled:
-                taken_arm = [
-                    "%s.predicted_taken = True" % last,
-                    "core.fetch_pc = %s" % sym(entry.btaken),
-                    "nxt = link_t[0]",
-                ]
-                fall_arm = [
-                    "core.fetch_pc = %s" % sym(entry.bfall),
-                    "nxt = link_f[0]",
-                ]
-                kidx = sym(entry.bindex)
-                if bias:
-                    w.append("    if ptable[%s] >= 2:" % kidx)
-                    first, second = taken_arm, fall_arm
-                else:
-                    w.append("    if ptable[%s] < 2:" % kidx)
-                    first, second = fall_arm, taken_arm
-                w.extend("        " + line for line in first)
-                w.append("    else:")
-                w.extend("        " + line for line in second)
+                w.extend([
+                    "    if ptable[%s] >= 2:" % sym(entry.bindex),
+                    "        %s.predicted_taken = True" % last,
+                    "        core.fetch_pc = %s" % sym(entry.btaken),
+                    "        nxt = link_t[0]",
+                    "    else:",
+                    "        core.fetch_pc = %s" % sym(entry.bfall),
+                    "        nxt = link_f[0]",
+                ])
                 # predict_taken bumps the counter before reading the
                 # table; order is irrelevant here since nothing raises.
                 w.append("    predictor.predictions += 1")

@@ -6,9 +6,10 @@ snapshot protocol (:mod:`repro.checkpoint`) turns that into a
 fork-from-checkpoint scheme:
 
 * :func:`record_golden_run` performs ONE fault-free run, dropping a
-  snapshot every K cycles and recording which registers are provably
-  dead at each checkpoint (plus, for the Monte-Carlo classifier, the
-  cycle-stamped access logs and per-cycle issue frontiers),
+  snapshot every K cycles, indexing each monitored core's access log
+  (:class:`AccessIndex`), and reading off that index which registers
+  are provably dead at each checkpoint (the Monte-Carlo classifier
+  also keeps the index and the per-cycle issue frontiers),
 * a :class:`ForkEngine` then starts each injection from the nearest
   snapshot at or before its fault cycle — O(T + N * K) — and, once the
   forked run's dynamic state re-converges with the golden run's at a
@@ -26,6 +27,7 @@ one (``tests/test_checkpoint.py`` asserts this over every kernel).
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from typing import (Deque, Dict, Iterable, List, NamedTuple, Optional,
@@ -363,33 +365,76 @@ MIN_CADENCE = 200
 MAX_AUTO_SNAPSHOTS = 50
 
 
-def _exempt_masks(log, checkpoint_cycles):
-    """Per-checkpoint dead registers from one core's access log.
+class AccessIndex:
+    """First-access-at-or-after queries over one core's access log.
 
-    Walking the log backwards, a register is exempt at a checkpoint iff
-    its next architectural access afterwards is a write (or never
-    comes): its value at the checkpoint then cannot influence anything
-    observable, so a forked run may differ from the golden run in that
-    register and still be bisimilar from the checkpoint on.
+    Built from the cycle-stamped log: per register, the (chronological,
+    hence sorted) cycles of its architectural accesses plus the access
+    kinds.  ``first_access(r, c)`` answers "what happens to register
+    ``r`` first, from cycle ``c`` on?" in O(log n).
 
-    The checkpoint at cycle ``k`` is taken after the step ending cycle
-    ``k``, so in the log it sits immediately before the ``(3, k)``
-    cycle marker: the mask is read off at that marker.
+    A campaign holds its index for as long as it lives, so the columns
+    are packed, 5 bytes an access: an ``array`` of cycles and a
+    ``bytearray`` of kinds per register.  An access logged twice back
+    to back is kept once (``Core._issue`` reads each source, then the
+    port's ``record_read`` tap reads it again): the first copy answers
+    every query the second would.
     """
-    index_of = {cycle: index
-                for index, cycle in enumerate(checkpoint_cycles)}
-    masks = [()] * len(checkpoint_cycles)
-    next_kind: Dict[int, int] = {}
-    for kind, value in reversed(log):
-        if kind == 3:
-            index = index_of.get(value)
-            if index is not None:
-                masks[index] = tuple(
-                    register for register in range(1, NUM_REGISTERS)
-                    if next_kind.get(register, 1) != 0)
-        else:
-            next_kind[value] = kind
-    return masks
+
+    __slots__ = ("cycles", "kinds", "end_cycle")
+
+    def __init__(self, log, end_cycle: int):
+        self.end_cycle = end_cycle
+        # No access comes after the end of the run.
+        typecode = "i" if end_cycle < 2 ** 31 else "q"
+        self.cycles: Dict[int, array] = {
+            r: array(typecode) for r in range(1, NUM_REGISTERS)}
+        self.kinds: Dict[int, bytearray] = {
+            r: bytearray() for r in range(1, NUM_REGISTERS)}
+        current = 0
+        previous = None
+        for entry in log:
+            kind, value = entry
+            if kind == 3:
+                current = value
+            elif kind < 2 and entry != previous:
+                self.cycles[value].append(current)
+                self.kinds[value].append(kind)
+            previous = entry
+
+    def first_access(self, register: int,
+                     cycle: int) -> Optional[Tuple[int, int]]:
+        """``(kind, cycle)`` of the first access to ``register`` at or
+        after ``cycle``, or ``None`` if it is never touched again."""
+        cycles = self.cycles[register]
+        pos = bisect_left(cycles, cycle)
+        if pos == len(cycles):
+            return None
+        return self.kinds[register][pos], cycles[pos]
+
+    def corruption_fate(self, register: int,
+                        cycle: int) -> Tuple[bool, int]:
+        """``(dead, death_cycle)`` for a corruption of ``register``
+        effective from ``cycle``: dead iff its first access is a write
+        (death = that cycle) or never comes (death = end of run)."""
+        first = self.first_access(register, cycle)
+        if first is None:
+            return True, self.end_cycle
+        kind, at = first
+        if kind == 1:
+            return True, at
+        return False, -1
+
+    def dead_registers(self, cycle: int) -> Tuple[int, ...]:
+        """The registers a corruption effective from ``cycle`` cannot
+        reach anything through: a forked run may differ from the golden
+        run there and still be bisimilar from ``cycle`` on.
+
+        A checkpoint at cycle ``k`` is taken after the step ending
+        cycle ``k``, just before the ``(3, k)`` marker, so its dead
+        registers are ``dead_registers(k)``."""
+        return tuple(register for register in range(1, NUM_REGISTERS)
+                     if self.corruption_fate(register, cycle)[0])
 
 
 @dataclass
@@ -430,6 +475,8 @@ class GoldenRecording:
     #: :class:`~repro.cpu.regfile.RecordingRegisterFile`, ``(3, c)``
     #: marking cycle c.
     logs: Tuple[Deque[Tuple[int, int]], Deque[Tuple[int, int]]]
+    #: Per monitored core: the first-access index over its log.
+    access: Tuple[AccessIndex, AccessIndex]
     #: Per core: pc of the oldest unissued instruction at the start of
     #: cycle c (:data:`~repro.lint.masking.FRONTIER_HALTED` once none).
     frontier: Tuple[array, array]
@@ -452,8 +499,9 @@ def record_golden_run(program: Program,
     of :func:`repro.engine.run_soc`, whose loop it does not share
     because thinning changes the cadence mid-run — and repeats, while
     the runner stamps every cycle into the access logs along with the
-    cheap issue frontiers.  Each checkpoint's dead-register map is
-    derived from the logs at the end.  The digests and verdict a
+    cheap issue frontiers.  At the end each log is indexed once
+    (:class:`AccessIndex`), and each checkpoint's dead-register map is
+    read off the indexes.  The digests and verdict a
     common-cause fault sees at its cycle come from
     :meth:`ForkEngine.observe`.
 
@@ -504,7 +552,7 @@ def record_golden_run(program: Program,
     outputs = _core_outputs(soc)
     if outputs[0] != outputs[1]:
         raise RuntimeError("golden run is not deterministic")
-    masks = [_exempt_masks(log, cycles) for log in logs]
+    access = tuple(AccessIndex(log, end_cycle) for log in logs)
     base = GoldenArtifact(
         checksum=outputs[0],
         outputs=outputs,
@@ -514,12 +562,14 @@ def record_golden_run(program: Program,
         monitored=tuple(soc.monitored),
         checkpoint_every=every,
         checkpoint_cycles=tuple(cycles),
-        exempt_masks=tuple(zip(*masks)) if blobs else (),
+        exempt_masks=tuple(
+            tuple(index.dead_registers(cycle) for index in access)
+            for cycle in cycles),
         snapshots=tuple(blobs),
         sim_key=sim_key,
     )
     return GoldenRecording(
-        base=base, logs=logs,
+        base=base, logs=logs, access=access,
         frontier=(core0.regfile.frontier, core1.regfile.frontier))
 
 
@@ -666,12 +716,9 @@ class ForkEngine:
 
     def nearest_checkpoint(self, fault_cycle: int) -> Optional[int]:
         """Index of the latest checkpoint at or before ``fault_cycle``."""
-        best = None
-        for index, cycle in enumerate(self.artifact.checkpoint_cycles):
-            if cycle > fault_cycle:
-                break
-            best = index
-        return best
+        index = bisect_right(self.artifact.checkpoint_cycles,
+                             fault_cycle) - 1
+        return index if index >= 0 else None
 
     def _snapshot(self, index: int) -> Snapshot:
         snapshot = self._snapshots.get(index)

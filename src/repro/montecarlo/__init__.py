@@ -13,6 +13,7 @@ See DESIGN.md "Monte-Carlo campaigns" for the soundness argument and
 EXPERIMENTS.md for methodology.
 """
 
+from ..fault.injector import AccessIndex
 from .batch import (
     CLASS_NAMES,
     STATUS_ANALYTIC,
@@ -22,7 +23,6 @@ from .batch import (
 )
 from .campaign import BatchedCampaign, McCampaignResult
 from .golden import (
-    AccessIndex,
     McGoldenArtifact,
     ccf_effects,
     classify_batch,

@@ -16,8 +16,8 @@ campaign forks from:
 * a cycle-stamped architectural access log per monitored core —
   ``(3, cycle)`` markers interleaved with the ``(0, r)`` read /
   ``(1, r)`` write entries of
-  :class:`~repro.cpu.regfile.RecordingRegisterFile` — indexed as an
-  :class:`AccessIndex`,
+  :class:`~repro.cpu.regfile.RecordingRegisterFile` — indexed once, by
+  the recording loop, as an :class:`~repro.fault.injector.AccessIndex`,
 * per core, the issue frontier at the start of every cycle (where the
   static masking proofs are checked).
 
@@ -46,14 +46,17 @@ asserts field-for-field equality against that path).
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..fault.injector import ForkEngine, GoldenArtifact, record_golden_run
+from ..fault.injector import (
+    AccessIndex,
+    ForkEngine,
+    GoldenArtifact,
+    record_golden_run,
+)
 from ..fault.models import ccf_target
 from ..isa.program import Program
-from ..isa.registers import NUM_REGISTERS
 from ..lint.masking import FRONTIER_HALTED
 from ..soc.config import SocConfig
 from .batch import (
@@ -63,67 +66,6 @@ from .batch import (
     STATUS_STATIC,
     TrialBatch,
 )
-
-
-class AccessIndex:
-    """First-access-at-or-after queries over one core's access log.
-
-    Built from the cycle-stamped log: per register, the (chronological,
-    hence sorted) cycles of its architectural accesses plus the access
-    kinds.  ``first_access(r, c)`` answers "what happens to register
-    ``r`` first, from cycle ``c`` on?" in O(log n).
-
-    A campaign holds its index for as long as it lives, so the columns
-    are packed, 5 bytes an access: an ``array`` of cycles and a
-    ``bytearray`` of kinds per register.  An access logged twice back
-    to back is kept once (``Core._issue`` reads each source, then the
-    port's ``record_read`` tap reads it again): the first copy answers
-    every query the second would.
-    """
-
-    __slots__ = ("cycles", "kinds", "end_cycle")
-
-    def __init__(self, log, end_cycle: int):
-        self.end_cycle = end_cycle
-        # No access comes after the end of the run.
-        typecode = "i" if end_cycle < 2 ** 31 else "q"
-        self.cycles: Dict[int, array] = {
-            r: array(typecode) for r in range(1, NUM_REGISTERS)}
-        self.kinds: Dict[int, bytearray] = {
-            r: bytearray() for r in range(1, NUM_REGISTERS)}
-        current = 0
-        previous = None
-        for entry in log:
-            kind, value = entry
-            if kind == 3:
-                current = value
-            elif kind < 2 and entry != previous:
-                self.cycles[value].append(current)
-                self.kinds[value].append(kind)
-            previous = entry
-
-    def first_access(self, register: int,
-                     cycle: int) -> Optional[Tuple[int, int]]:
-        """``(kind, cycle)`` of the first access to ``register`` at or
-        after ``cycle``, or ``None`` if it is never touched again."""
-        cycles = self.cycles[register]
-        pos = bisect_left(cycles, cycle)
-        if pos == len(cycles):
-            return None
-        return self.kinds[register][pos], cycles[pos]
-
-    def corruption_fate(self, register: int,
-                        cycle: int) -> Tuple[bool, int]:
-        """``(dead, death_cycle)`` for a corruption of ``register``
-        effective from ``cycle``: dead iff its first access is a write
-        (death = that cycle) or never comes (death = end of run)."""
-        first = self.first_access(register, cycle)
-        if first is None:
-            return True, self.end_cycle
-        kind, at = first
-        if kind == 1:
-            return True, at
-        return False, -1
 
 
 @dataclass
@@ -165,22 +107,19 @@ def mc_golden_run(program: Program,
                   engine: str = "reference") -> McGoldenArtifact:
     """The instrumented golden run (see module docstring):
     :func:`~repro.fault.injector.record_golden_run` on ``engine``'s
-    tier (``checkpoint_every=None``: automatic cadence), with its
-    access logs indexed for first-access queries."""
+    tier (``checkpoint_every=None``: automatic cadence), keeping the
+    recording's first-access indexes."""
     recording = record_golden_run(
         program, config=config, max_cycles=max_cycles,
         checkpoint_every=checkpoint_every, benchmark=benchmark,
         sim_key=sim_key, engine=engine)
-    base = recording.base
-    access = []
     for log in recording.logs:
-        access.append(AccessIndex(log, base.end_cycle))
         # The recording SoC is reference-cycle garbage that still
         # holds the log; empty it now, not at the collector's next
         # full pass.
         log.clear()
-    return McGoldenArtifact(base, tuple(access), recording.frontier,
-                            program, config)
+    return McGoldenArtifact(recording.base, recording.access,
+                            recording.frontier, program, config)
 
 
 # -- analytic CCF effects ------------------------------------------------------

@@ -25,6 +25,8 @@ from repro.fault import (
     shared_address_config,
     spread_cycles,
 )
+from repro.fault.injector import record_golden_run
+from repro.isa.assembler import assemble
 from repro.runner.cache import (
     CheckpointIndexStore,
     CheckpointStore,
@@ -33,7 +35,7 @@ from repro.runner.cache import (
 )
 from repro.soc.experiment import run_redundant
 from repro.soc.mpsoc import MPSoC
-from repro.workloads import all_names, program
+from repro.workloads import all_names, program, store_result
 
 from conftest import golden_points
 
@@ -252,6 +254,49 @@ def test_fork_restores_nearest_checkpoint(artifact):
     scratch = engine.fork(first - 1)
     assert scratch.cycle == 0
     assert engine.scratch_runs == 1
+
+
+#: A loop over t0, t1 and s0 (x5, x6, x8) whose epilogue reads s1 (x9),
+#: writes a1 (x11) before reading it, and stores the checksum through
+#: gp (x3).
+DEAD_REGISTERS_SOURCE = """
+_start:
+    li t0, 0
+    li t1, 1000
+    li s0, 0
+    li s1, 7
+    li a1, 5
+loop:
+    addi s0, s0, 1
+    addi t0, t0, 1
+    blt t0, t1, loop
+    add s0, s0, s1
+    li a1, 9
+    add s0, s0, a1
+%s
+""" % store_result("s0")
+
+
+def _all_but(*live):
+    return tuple(r for r in range(1, 32) if r not in live)
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+def test_checkpoint_masks_name_the_dead_registers(engine):
+    recording = record_golden_run(
+        assemble(DEAD_REGISTERS_SOURCE, base=0x0001_0000),
+        checkpoint_every=200, engine=engine)
+    artifact = recording.base
+    # The loop runs about 2,000 cycles: every checkpoint lands in it,
+    # where only the loop's registers, s1 and gp are read again.
+    assert artifact.checkpoint_cycles == tuple(range(200, 2001, 200))
+    in_loop = _all_but(3, 5, 6, 8, 9)
+    assert artifact.exempt_masks == ((in_loop, in_loop),) * 10
+    for index in recording.access:
+        # The prologue writes every register it reads but gp...
+        assert index.dead_registers(0) == _all_but(3)
+        # ...and after the run only the checksum readout of s0 remains.
+        assert index.dead_registers(artifact.end_cycle) == _all_but(8)
 
 
 def test_fork_equals_scratch_single_injection(artifact):
