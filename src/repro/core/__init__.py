@@ -12,7 +12,6 @@ Public surface:
 """
 
 from .apb_regs import SafeDmApbSlave, make_monitored_slave
-from .fifo import HardwareFifo
 from .history import EpisodeHistogram, HistoryModule
 from .instruction_diff import InstructionDiff, InstructionDiffStats
 from .interrupts import InterruptLine
@@ -44,7 +43,6 @@ __all__ = [
     "DataSignatureUnit",
     "DiversityMonitor",
     "EpisodeHistogram",
-    "HardwareFifo",
     "HistoryModule",
     "InstructionDiff",
     "InstructionDiffStats",

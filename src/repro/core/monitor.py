@@ -5,7 +5,7 @@ Per cycle, SafeDM:
 1. clocks each core's Data Signature FIFOs with that core's register-
    port samples (frozen while that core's pipeline holds),
 2. clocks each core's Instruction Signature with that core's per-stage
-   slots (or the in-flight fallback),
+   instruction words (the in-flight fallback is derived from them),
 3. compares the two DSs and the two ISs: *lack of diversity* is reported
    only when **both** signatures match,
 4. updates the staggering (instruction-diff) counter and the history
@@ -50,15 +50,15 @@ class ReportingMode(enum.Enum):
 class CoreView(Protocol):
     """What SafeDM taps from each monitored core.
 
+    One tap per signature: the register ports feed the DS and the
+    per-stage instruction words feed the IS (either variant).
     :class:`repro.cpu.core.Core` satisfies this protocol directly.
     """
 
     hold: bool
     commits_this_cycle: int
 
-    def stage_slots(self) -> Sequence[Sequence[Tuple[int, int]]]: ...
-
-    def inflight_words(self) -> Sequence[int]: ...
+    def stage_words(self) -> Sequence[Optional[Tuple[int, ...]]]: ...
 
     @property
     def regfile(self): ...
@@ -126,7 +126,6 @@ class DiversityMonitor:
         self.mode = mode
         self.threshold = threshold
         self.enabled = True
-        self._per_stage = self.config.is_variant is IsVariant.PER_STAGE
         self.ds_units = (DataSignatureUnit(self.config),
                          DataSignatureUnit(self.config))
         self.is_units = (InstructionSignatureUnit(self.config),
@@ -204,8 +203,11 @@ class DiversityMonitor:
                 core1: CoreView) -> None:
         """Tap both cores for one cycle and evaluate diversity.
 
-        This is the per-cycle fast path; the outcome is available via
-        :attr:`last_report` and the accumulated :attr:`stats`.
+        Each core that is not held clocks its DS with its register-port
+        samples and its IS with its stage words (the IS unit derives
+        the INFLIGHT window itself).  This is the per-cycle fast path;
+        the outcome is available via :attr:`last_report` and the
+        accumulated :attr:`stats`.
         """
         if not self.enabled:
             return
@@ -213,21 +215,12 @@ class DiversityMonitor:
             self._capture.record(cycle, core0, core1)
         ds0, ds1 = self.ds_units
         is0, is1 = self.is_units
-        hold0, hold1 = core0.hold, core1.hold
-        if not hold0:
+        if not core0.hold:
             ds0.sample(core0.regfile.port_samples())
-        if not hold1:
+            is0.sample_stage_words(core0.stage_words())
+        if not core1.hold:
             ds1.sample(core1.regfile.port_samples())
-        if self._per_stage:
-            if not hold0:
-                is0.sample_stage_words(core0.stage_words())
-            if not hold1:
-                is1.sample_stage_words(core1.stage_words())
-        else:
-            if not hold0:
-                is0.sample_inflight(core0.inflight_words())
-            if not hold1:
-                is1.sample_inflight(core1.inflight_words())
+            is1.sample_stage_words(core1.stage_words())
         self._tick(cycle, not ds0.equal(ds1), not is0.equal(is1),
                    core0.commits_this_cycle, core1.commits_this_cycle)
 

@@ -16,6 +16,12 @@ cores without all-or-none stage movement the paper's fallback — the
 FIFO of fetched-but-not-retired instructions — is available as
 ``IsVariant.INFLIGHT``.
 
+Each unit has one representation of its captured state, sampled from
+one tap per core: the DS keeps a window of register-port rows (ports
+are recorded every cycle, paper III-B.1), and the IS takes the
+per-stage instruction words, from which the INFLIGHT window is
+derived.
+
 Implementation note: units expose both a tuple-building ``signature()``
 (introspection, tests) and an ``equal()`` used by the cycle-loop
 monitor.  ``equal()`` compares the captured state bit for bit, as the
@@ -58,10 +64,6 @@ class SignatureConfig:
     is_variant: IsVariant = IsVariant.PER_STAGE
     #: Depth of the fallback in-flight FIFO (width * stages by default).
     inflight_depth: int = 14
-    #: Sample ports every cycle (paper design) or only on port activity
-    #: (the strawman the paper argues against; used by the sampling
-    #: ablation benchmark).
-    sample_every_cycle: bool = True
 
 
 IDLE = (0, 0)
@@ -71,11 +73,9 @@ def inflight_from_stage_words(stage_words) -> Tuple[int, ...]:
     """In-flight instruction window derived from per-stage occupancy.
 
     The INFLIGHT fallback's fetched-but-not-retired FIFO is exactly the
-    pipeline contents read deepest-stage-first
-    (:meth:`repro.cpu.core.Core.inflight_words` walks the stages the
-    same way), so a captured per-stage stream
-    (:mod:`repro.trace.stream_trace`) can be replayed under either IS
-    variant without re-simulating.
+    pipeline contents read deepest-stage-first, so one per-stage tap
+    (:meth:`repro.cpu.core.Core.stage_words`, live or captured by
+    :mod:`repro.trace.stream_trace`) feeds either IS variant.
     """
     words: List[int] = []
     for group in reversed(stage_words):
@@ -87,34 +87,17 @@ def inflight_from_stage_words(stage_words) -> Tuple[int, ...]:
 class DataSignatureUnit:
     """Per-register-port FIFOs feeding the Data Signature (Fig. 2a).
 
-    In the paper's every-cycle sampling mode all port FIFOs shift in
-    lockstep, so the unit stores one *row* (the tuple of port samples)
-    per cycle; ``equal`` compares the two row windows.  The
-    activity-sampling ablation mode keeps the legacy per-port FIFOs
-    (ports shift independently there, so no shared row window exists).
+    Ports are sampled every cycle (paper III-B.1), so all port FIFOs
+    shift in lockstep and the unit stores one *row* (the tuple of port
+    samples) per cycle; ``equal`` compares the two row windows.
     """
 
-    __slots__ = ("config", "_every_cycle", "_num_ports", "_rows",
-                 "_fifos")
+    __slots__ = ("config", "_num_ports", "_rows")
 
     def __init__(self, config: SignatureConfig):
         self.config = config
-        self._every_cycle = config.sample_every_cycle
         self._num_ports = config.num_ports
-        if self._every_cycle:
-            self._fifos = None
-            self._init_rows()
-        else:
-            self._rows = None
-            self._fifos: List[deque] = [
-                deque([IDLE] * config.ds_depth, maxlen=config.ds_depth)
-                for _ in range(config.num_ports)
-            ]
-
-    def _init_rows(self):
-        depth = self.config.ds_depth
-        idle_row = (IDLE,) * self._num_ports
-        self._rows = deque([idle_row] * depth, maxlen=depth)
+        self.reset()
 
     def sample(self, port_samples: Sequence[Tuple[int, int]],
                hold: bool = False):
@@ -132,33 +115,20 @@ class DataSignatureUnit:
         if len(port_samples) < num_ports:
             raise ValueError("expected >= %d port samples, got %d"
                              % (num_ports, len(port_samples)))
-        if self._every_cycle:
-            self._rows.append(tuple(port_samples[:num_ports]))
-        else:
-            # Ablation mode: record only on activity (loses the timing
-            # information the paper's every-cycle sampling preserves).
-            for fifo, sample in zip(self._fifos, port_samples):
-                if sample[0]:
-                    fifo.append(sample)
+        self._rows.append(tuple(port_samples[:num_ports]))
 
     # -- comparison ---------------------------------------------------------
 
     def equal(self, other: "DataSignatureUnit") -> bool:
         """DS comparison (used every cycle by the monitor)."""
-        if self._every_cycle and other._every_cycle:
-            return self._rows == other._rows
-        return self.signature() == other.signature()
+        return self._rows == other._rows
 
     def signature(self) -> Tuple:
         """The DS: concatenation of all FIFO contents, oldest first."""
         out = []
-        if self._every_cycle:
-            rows = self._rows
-            for port in range(self._num_ports):
-                out.extend(row[port] for row in rows)
-        else:
-            for fifo in self._fifos:
-                out.extend(fifo)
+        rows = self._rows
+        for port in range(self._num_ports):
+            out.extend(row[port] for row in rows)
         return tuple(out)
 
     def signature_bits(self) -> int:
@@ -173,44 +143,27 @@ class DataSignatureUnit:
             for port in range(cfg.num_ports)))
 
     def reset(self):
-        if self._every_cycle:
-            self._init_rows()
-        else:
-            for fifo in self._fifos:
-                fifo.clear()
-                fifo.extend([IDLE] * self.config.ds_depth)
+        depth = self.config.ds_depth
+        idle_row = (IDLE,) * self._num_ports
+        self._rows = deque([idle_row] * depth, maxlen=depth)
 
     # -- snapshot protocol ------------------------------------------------
 
     def state_dict(self) -> dict:
-        if self._every_cycle:
-            return {"rows": [[list(sample) for sample in row]
-                             for row in self._rows]}
-        return {"fifos": [[list(sample) for sample in fifo]
-                          for fifo in self._fifos]}
+        return {"rows": [[list(sample) for sample in row]
+                         for row in self._rows]}
 
     def load_state_dict(self, state):
         depth = self.config.ds_depth
-        if self._every_cycle:
-            rows = [tuple((int(en), int(val)) for en, val in row)
-                    for row in state["rows"]]
-            if len(rows) != depth:
-                raise ValueError("snapshot has %d DS rows, expected %d"
-                                 % (len(rows), depth))
-            for row in rows:
-                if len(row) != self._num_ports:
-                    raise ValueError("snapshot DS row width mismatch")
-            self._rows = deque(rows, maxlen=depth)
-        else:
-            fifos = state["fifos"]
-            if len(fifos) != self._num_ports:
-                raise ValueError("snapshot has %d DS FIFOs, expected %d"
-                                 % (len(fifos), self._num_ports))
-            self._fifos = [
-                deque(((int(en), int(val)) for en, val in fifo),
-                      maxlen=depth)
-                for fifo in fifos
-            ]
+        rows = [tuple((int(en), int(val)) for en, val in row)
+                for row in state["rows"]]
+        if len(rows) != depth:
+            raise ValueError("snapshot has %d DS rows, expected %d"
+                             % (len(rows), depth))
+        for row in rows:
+            if len(row) != self._num_ports:
+                raise ValueError("snapshot DS row width mismatch")
+        self._rows = deque(rows, maxlen=depth)
 
 
 class InstructionSignatureUnit:
@@ -235,22 +188,26 @@ class InstructionSignatureUnit:
     def sample_stage_words(self,
                            stage_words: Sequence[Optional[Tuple[int, ...]]],
                            hold: bool = False):
-        """Clock one cycle of pipeline-stage occupancy (PER_STAGE mode).
+        """Clock one cycle of pipeline-stage occupancy (either variant).
 
         ``stage_words`` holds, per stage, the tuple of instruction words
-        occupying it (None when empty).  On ``hold`` the previous state
+        occupying it (None when empty).  Under INFLIGHT the unit keeps
+        the in-flight window derived from it
+        (:func:`inflight_from_stage_words`), windowed as
+        :meth:`sample_inflight` does.  On ``hold`` the previous state
         is kept — which equals the live state, since a held pipeline
         moved nothing.
         """
-        if self._variant is not IsVariant.PER_STAGE:
-            raise ValueError("unit configured for %s" % self._variant)
         if hold:
             return
         words = tuple(stage_words)
         if len(words) != self.config.pipeline_stages:
             raise ValueError("expected %d stages, got %d"
                              % (self.config.pipeline_stages, len(words)))
-        self._stage_words = words
+        if self._variant is IsVariant.PER_STAGE:
+            self._stage_words = words
+        else:
+            self.sample_inflight(inflight_from_stage_words(words))
 
     def sample_stages(self, stage_slots: Sequence[Sequence[Tuple[int, int]]],
                       hold: bool = False):

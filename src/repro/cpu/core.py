@@ -6,7 +6,7 @@ occupancy reproduce the timing (load-use delays, mul/div latency, cache
 misses, bus contention, store-buffer pressure).  Every cycle the core
 exposes exactly the signals SafeDM taps in hardware:
 
-* :meth:`stage_slots` — per-stage, per-slot (valid, instruction word),
+* :meth:`stage_words` — per-stage instruction words (both IS variants),
 * ``regfile.port_samples()`` — per-register-port (enable, value),
 * ``hold`` — pipeline hold (SafeDM freezes its FIFOs on hold),
 * ``commits_this_cycle`` — feeds the instruction-diff staggering counter.
@@ -181,39 +181,17 @@ class Core:
 
     # -- observation points (SafeDM taps) ------------------------------------
 
-    def stage_slots(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-        """Per-stage, per-slot (valid, instruction word) — Fig. 2b input."""
-        width = self.config.issue_width
-        empty = ((0, 0),) * width
-        out = []
-        for group in self.stages:
-            if group is None:
-                out.append(empty)
-                continue
-            slots = [(1, word) for word in group.words_cache]
-            while len(slots) < width:
-                slots.append((0, 0))
-            out.append(tuple(slots))
-        return tuple(out)
-
     def stage_words(self) -> List[Optional[Tuple[int, ...]]]:
-        """Per-stage word tuples (None for empty stages) — the compact
-        form of :meth:`stage_slots` used on the monitor's fast path."""
+        """Per-stage instruction-word tuples (None for empty stages),
+        FE first — the Fig. 2b input.
+
+        The one IS tap: the per-stage signature pads each stage to the
+        issue width with idle slots, and the INFLIGHT fallback reads
+        the same stages deepest first
+        (:func:`repro.core.signatures.inflight_from_stage_words`).
+        """
         return [None if group is None else group.words_cache
                 for group in self.stages]
-
-    def inflight_words(self) -> Tuple[int, ...]:
-        """Fetched-but-not-retired instruction words, oldest first.
-
-        Input for the fallback instruction-signature variant the paper
-        describes for cores without all-or-none stage movement.
-        """
-        words = []
-        for stage in range(NUM_STAGES - 1, -1, -1):
-            group = self.stages[stage]
-            if group is not None:
-                words.extend(fi.word for fi in group.instrs)
-        return tuple(words)
 
     # -- snapshot protocol ------------------------------------------------
 

@@ -190,8 +190,6 @@ def _fast_supported(soc) -> Optional[str]:
         cfg = monitor.config
         if cfg.is_variant is not IsVariant.PER_STAGE:
             return "fast tier inlines only the PER_STAGE IS variant"
-        if not cfg.sample_every_cycle:
-            return "fast tier inlines only every-cycle DS sampling"
         if cfg.num_ports != cores[0].regfile.num_read_ports:
             return "DS ports do not match the register read ports"
         if cfg.pipeline_stages != 7:

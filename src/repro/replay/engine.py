@@ -39,7 +39,7 @@ from typing import Dict, Optional
 from ..core.history import HistoryModule
 from ..core.instruction_diff import InstructionDiffStats
 from ..core.monitor import DiversityMonitor, MonitorStats, ReportingMode
-from ..core.signatures import SignatureConfig, inflight_from_stage_words
+from ..core.signatures import SignatureConfig
 from ..soc.experiment import RunResult
 from ..trace.stream_trace import StreamTrace
 
@@ -64,9 +64,6 @@ class _ReplayCore:
 
     def stage_words(self):
         return self._stages
-
-    def inflight_words(self):
-        return inflight_from_stage_words(self._stages)
 
 
 def _result_from(meta, stats: MonitorStats,

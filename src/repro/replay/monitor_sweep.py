@@ -205,7 +205,9 @@ class MonitorSweep:
 
         if pending:
             if self.traces is not None:
-                trace = self.traces.get(sim_key)
+                hit = self.traces.get_sized(sim_key)
+                if hit is not None:
+                    trace, trace_bytes = hit
             if trace is None:
                 # Capture with the first pending point's configuration:
                 # its live result doubles as a bit-exactness witness
@@ -226,7 +228,7 @@ class MonitorSweep:
                 capture_seconds = time.perf_counter() - start
                 captured = True
                 if self.traces is not None:
-                    self.traces.put(sim_key, trace)
+                    trace_bytes = self.traces.put(sim_key, trace)
             else:
                 live = None
 
@@ -246,7 +248,8 @@ class MonitorSweep:
                     if self.cache is not None:
                         self.cache.put(keys[index], replayed)
             replay_seconds = time.perf_counter() - start
-            trace_bytes = trace.byte_size()
+            if self.traces is None:
+                trace_bytes = trace.byte_size()
         elif results:
             cycles = results[0].cycles if 0 in results else \
                 next(iter(results.values())).cycles

@@ -329,9 +329,18 @@ class TraceCache(_DiskStore):
     def _decode(self, raw: bytes) -> StreamTrace:
         return StreamTrace.decode(raw)
 
-    def put(self, sim_key: str, trace: StreamTrace):
-        """Persist ``trace`` under its simulation key (atomic)."""
-        self._store(sim_key, trace.encode())
+    def get_sized(self, sim_key: str):
+        """Like :meth:`get`, but return ``(trace, encoded size in
+        bytes)``: the size of the entry as stored, with no re-encode."""
+        return self._load(sim_key,
+                          lambda raw: (StreamTrace.decode(raw), len(raw)))
+
+    def put(self, sim_key: str, trace: StreamTrace) -> int:
+        """Persist ``trace`` under its simulation key (atomic) and
+        return its encoded size in bytes."""
+        payload = trace.encode()
+        self._store(sim_key, payload)
+        return len(payload)
 
 
 class CheckpointStore(_DiskStore):

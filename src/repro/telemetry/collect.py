@@ -65,10 +65,7 @@ def collect_monitor(monitor, registry: MetricsRegistry, pair: int = 0):
                                              monitor.is_units)):
         unit_labels = labels + (("core", str(side)),)
         registry.gauge("repro_monitor_ds_fifo_occupancy",
-                       unit_labels).set(ds.config.ds_depth
-                                        if ds.config.sample_every_cycle
-                                        else sum(len(f)
-                                                 for f in ds._fifos))
+                       unit_labels).set(ds.config.ds_depth)
         live = sum(1 for item in is_unit.signature()
                    if (item[0] if isinstance(item, tuple) else item))
         registry.gauge("repro_monitor_is_live_slots",

@@ -15,9 +15,9 @@ for every observed cycle and each monitored core:
 * the commit count (feeds the instruction-diff staggering counter),
 * all register-port ``(enable, value)`` samples (skipped on hold —
   the signature units freeze then), and
-* the per-stage instruction-word occupancy (``None`` = empty stage;
-  the INFLIGHT fallback view is derivable from it, see
-  :func:`repro.core.signatures.inflight_from_stage_words`).
+* the per-stage instruction-word occupancy (``None`` = empty stage),
+  the one IS tap: the live monitor and replay both derive the INFLIGHT
+  window from it (:func:`repro.core.signatures.inflight_from_stage_words`).
 
 :class:`StreamTrace` is the container plus a compact binary codec:
 a small JSON metadata header followed by a zlib-compressed LEB128

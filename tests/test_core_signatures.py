@@ -88,16 +88,6 @@ class TestDataSignature:
         with pytest.raises(ValueError):
             a.sample([(1, 1)])
 
-    def test_activity_only_sampling_misses_timing(self):
-        """The ablation mode (sample only on activity) cannot see pure
-        timing differences — exactly what the paper warns about."""
-        a, b = ds_pair(sample_every_cycle=False)
-        a.sample([(1, 5)] + IDLE4[:3])
-        a.sample(IDLE4)
-        b.sample(IDLE4)
-        b.sample([(1, 5)] + IDLE4[:3])
-        assert a.equal(b)  # timing lost: identical signatures
-
     def test_layout_mentions_all_ports(self):
         a, _ = ds_pair(num_ports=3, ds_depth=5)
         layout = a.layout()
@@ -205,10 +195,21 @@ class TestInstructionSignatureInflight:
         a.sample_inflight([5])
         assert a.signature() == (0, 0, 0, 5)
 
-    def test_wrong_variant_method_rejected(self):
-        a, _ = is_pair(is_variant=IsVariant.INFLIGHT)
+    def test_stage_words_sample_the_derived_window(self):
+        """Stage words clock the window read deepest stage first,
+        windowed to the FIFO depth; a hold keeps it."""
+        a, b = is_pair(is_variant=IsVariant.INFLIGHT, inflight_depth=4)
+        a.sample_stage_words([(0x13,), None, (0x33, 0x93), None, None,
+                              (0x6F,), (0x73, 0x23)])
+        b.sample_inflight([0x73, 0x23, 0x6F, 0x33, 0x93, 0x13])
+        assert a.signature() == (0x6F, 0x33, 0x93, 0x13)
+        assert a.equal(b)
+        a.sample_stage_words([None] * 7, hold=True)
+        assert a.equal(b)
+        a.sample_stage_words([None] * 7)
+        assert a.signature() == (0, 0, 0, 0)
         with pytest.raises(ValueError):
-            a.sample_stage_words([None] * 7)
+            a.sample_stage_words([None] * 5)
 
     def test_signature_bits(self):
         a, _ = is_pair(is_variant=IsVariant.INFLIGHT, inflight_depth=14)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.signatures import inflight_from_stage_words
+
 from conftest import run_asm_single
 
 DATA0 = 0x4000_0000
@@ -257,15 +259,10 @@ class TestSafeDmTaps:
         words = soc.cores[0].stage_words()
         assert len(words) == 7
 
-    def test_stage_slots_shape(self):
-        soc = run_asm_single("_start:\n nop\n ebreak\n")
-        slots = soc.cores[0].stage_slots()
-        assert len(slots) == 7
-        assert all(len(stage) == 2 for stage in slots)
-
     def test_inflight_words_empty_after_drain(self):
         soc = run_asm_single("_start:\n ebreak\n")
-        assert soc.cores[0].inflight_words() == ()
+        stage_words = soc.cores[0].stage_words()
+        assert inflight_from_stage_words(stage_words) == ()
 
     def test_port_samples_length(self):
         soc = run_asm_single("_start:\n ebreak\n")

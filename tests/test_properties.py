@@ -3,9 +3,14 @@
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.core.fifo import HardwareFifo
 from repro.core.history import EpisodeHistogram
-from repro.core.signatures import DataSignatureUnit, SignatureConfig
+from repro.core.signatures import (
+    DataSignatureUnit,
+    InstructionSignatureUnit,
+    IsVariant,
+    SignatureConfig,
+    inflight_from_stage_words,
+)
 from repro.cpu.exec_unit import execute_alu
 from repro.isa.decoder import decode
 from repro.isa.encoder import encode
@@ -118,29 +123,30 @@ def test_shift_pairs(a, shamt):
     assert execute_alu(srli, a, 0) == a >> shamt
 
 
-# --- FIFO invariants ----------------------------------------------------------
+# --- DS row-window (FIFO) invariants -----------------------------------------
 
-@given(values=st.lists(st.integers(), min_size=0, max_size=50),
+@given(values=st.lists(u64, max_size=50),
        depth=st.integers(min_value=1, max_value=10))
-def test_fifo_keeps_last_n(values, depth):
-    fifo = HardwareFifo(depth)
+def test_ds_window_keeps_last_n(values, depth):
+    """Each port keeps its last ``ds_depth`` samples, oldest first,
+    idle-padded until the window fills."""
+    unit = DataSignatureUnit(SignatureConfig(num_ports=1, ds_depth=depth))
     for value in values:
-        fifo.push(value)
-    expected = ([0] * depth + values)[-depth:]
-    assert fifo.contents() == tuple(expected)
+        unit.sample([(1, value)])
+    expected = ([(0, 0)] * depth + [(1, value) for value in values])
+    assert unit.signature() == tuple(expected[-depth:])
 
 
-@given(values=st.lists(st.tuples(st.integers(), st.booleans()),
-                       max_size=50),
+@given(values=st.lists(st.tuples(u64, st.booleans()), max_size=50),
        depth=st.integers(min_value=1, max_value=8))
-def test_fifo_hold_never_changes_contents(values, depth):
-    fifo = HardwareFifo(depth)
+def test_ds_hold_never_changes_signature(values, depth):
+    unit = DataSignatureUnit(SignatureConfig(num_ports=2, ds_depth=depth))
     for value, hold in values:
-        before = fifo.contents()
-        fifo.push(value, hold=hold)
+        before = unit.signature()
+        unit.sample([(1, value), (0, 0)], hold=hold)
         if hold:
-            assert fifo.contents() == before
-    assert len(fifo.contents()) == depth
+            assert unit.signature() == before
+    assert len(unit.signature()) == 2 * depth
 
 
 # --- Data-signature invariants -------------------------------------------------
@@ -273,7 +279,6 @@ def test_ds_equal_matches_signature(stream):
 def test_is_equal_matches_signature(stream):
     """Same property for the Instruction Signature, driving the
     (valid, word) slot form through both units."""
-    from repro.core.signatures import InstructionSignatureUnit
     config = SignatureConfig(pipeline_width=2, pipeline_stages=2)
     a = InstructionSignatureUnit(config)
     b = InstructionSignatureUnit(config)
@@ -283,3 +288,30 @@ def test_is_equal_matches_signature(stream):
         a.sample_stages(slots_a, hold=hold_a)
         b.sample_stages(slots_b, hold=hold_b)
         assert a.equal(b) == (a.signature() == b.signature())
+
+
+# --- INFLIGHT through stage words ---------------------------------------------
+
+stage_word_streams = st.lists(
+    st.tuples(
+        st.lists(st.one_of(st.none(),
+                           st.lists(st.integers(0, (1 << 32) - 1),
+                                    min_size=1, max_size=2).map(tuple)),
+                 min_size=7, max_size=7),
+        st.booleans()),  # hold this cycle
+    max_size=30)
+
+
+@given(stream=stage_word_streams, depth=st.integers(1, 16))
+def test_inflight_stage_words_match_derived_window(stream, depth):
+    """An INFLIGHT unit clocked with stage words equals one clocked
+    with the in-flight window derived from them, holds included."""
+    config = SignatureConfig(is_variant=IsVariant.INFLIGHT,
+                             inflight_depth=depth)
+    a = InstructionSignatureUnit(config)
+    b = InstructionSignatureUnit(config)
+    for stages, hold in stream:
+        a.sample_stage_words(stages, hold=hold)
+        b.sample_inflight(inflight_from_stage_words(stages), hold=hold)
+        assert a.equal(b)
+        assert a.signature() == b.signature()

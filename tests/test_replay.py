@@ -259,3 +259,35 @@ def test_monitor_sweep_capture_once_replay_many(tmp_path):
                           max_cycles=MAX_CYCLES)
     assert not outcome3.captured
     assert more.traces.hits == 1
+
+
+def test_monitor_sweep_encodes_each_trace_once(tmp_path, monkeypatch):
+    """``trace_bytes`` comes from the one encode a sweep needs: the
+    trace-cache store on capture, the stored entry on a trace-cache
+    hit, and a single encode without the cache."""
+    encode = StreamTrace.encode
+    calls = []
+
+    def counting_encode(trace):
+        calls.append(trace)
+        return encode(trace)
+
+    monkeypatch.setattr(StreamTrace, "encode", counting_encode)
+    sweeps = [
+        (MonitorSweep(cache_dir=tmp_path), threshold_points((1, 8)), 1),
+        (MonitorSweep(cache_dir=tmp_path), threshold_points((16,)), 0),
+        (MonitorSweep(use_cache=False), threshold_points((1,)), 1),
+    ]
+    outcomes = []
+    for sweep, points, encodes in sweeps:
+        del calls[:]
+        outcome = sweep.sweep("cosf", points, max_cycles=MAX_CYCLES)
+        assert len(calls) == encodes
+        outcomes.append(outcome)
+    assert [outcome.captured for outcome in outcomes] == \
+        [True, False, True]
+    assert sweeps[1][0].traces.hits == 1
+
+    trace = sweeps[1][0].traces.get(outcomes[0].sim_key)
+    size = len(encode(trace))
+    assert [outcome.trace_bytes for outcome in outcomes] == [size] * 3
