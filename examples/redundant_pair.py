@@ -12,7 +12,11 @@ Usage:  python examples/redundant_pair.py [kernel] [--vcd out.vcd]
 import argparse
 
 from repro.soc import MPSoC
-from repro.soc.experiment import PAPER_STAGGER_VALUES, run_cell
+from repro.soc.experiment import (
+    PAPER_STAGGER_VALUES,
+    run_cell,
+    run_redundant_captured,
+)
 from repro.trace import monitor_vcd
 from repro.workloads import all_names, program
 
@@ -51,10 +55,8 @@ def main():
     print("  longest episode: %d cycles" % hist.longest)
 
     if args.vcd:
-        soc = MPSoC()
-        soc.start_redundant(prog)
-        vcd = monitor_vcd(soc)
-        vcd.save(args.vcd)
+        _, trace = run_redundant_captured(prog, benchmark=args.kernel)
+        monitor_vcd(trace).save(args.vcd)
         print()
         print("monitor waveform written to %s" % args.vcd)
 

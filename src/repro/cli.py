@@ -42,7 +42,8 @@ Commands:
 * ``list`` — available kernels with category and description.
 * ``figures`` — regenerate Figs. 1-4 as structural descriptions.
 * ``overheads`` — the Section V-D area/power numbers.
-* ``vcd <kernel> <out.vcd>`` — dump monitor waveforms for a run.
+* ``vcd <kernel> <out.vcd>`` — dump the monitor waveforms of a run
+  captured on the reference tier, up to the last observed cycle.
 * ``disasm <kernel>`` — disassemble a kernel image.
 
 ``run``, ``table1``, and ``campaign`` accept ``--metrics FILE`` (JSON
@@ -144,9 +145,9 @@ def _check_writable(path: str):
 
 def _check_args(args):
     """Reject unknown kernel names, job, trial, bin, injection and
-    fault counts below 1, a negative checkpoint cadence, and then an
-    output file that cannot be written, before any work starts
-    (raises ``ValueError`` with a one-line reason)."""
+    fault counts below 1, a negative checkpoint cadence or stagger,
+    and then an output file that cannot be written, before any work
+    starts (raises ``ValueError`` with a one-line reason)."""
     from .workloads import workload
     for attr in ("kernel", "kernel_a", "kernel_b", "kernels"):
         value = getattr(args, attr, None) or ()
@@ -163,10 +164,12 @@ def _check_args(args):
         if value is not None and value < 1:
             raise ValueError("%s must be at least 1, got %d"
                              % (attr, value))
-    every = getattr(args, "checkpoint_every", None)
-    if every is not None and every < 0:
-        raise ValueError("checkpoint-every must be at least 0, got %d"
-                         % every)
+    for attr, flag in (("checkpoint_every", "checkpoint-every"),
+                       ("stagger", "stagger")):
+        value = getattr(args, attr, None)
+        if value is not None and value < 0:
+            raise ValueError("%s must be at least 0, got %d"
+                             % (flag, value))
     for attr in _OUTPUT_ARGS:
         path = getattr(args, attr, None)
         if isinstance(path, str) and path:
@@ -335,10 +338,9 @@ def _cmd_run(args) -> int:
             stagger_nops=args.stagger, late_core=args.late_core,
             mode=mode, threshold=args.threshold, metrics=metrics,
             tracer=tracer, engine=args.engine)
-        trace.save(args.capture)
+        size = trace.save(args.capture)
         print("stream trace written to %s (%d samples, %d bytes)"
-              % (args.capture, len(trace), trace.byte_size()),
-              file=sys.stderr)
+              % (args.capture, len(trace), size), file=sys.stderr)
     else:
         from .soc.experiment import run_redundant
 
@@ -857,15 +859,14 @@ def _cmd_overheads(args) -> int:
 
 
 def _cmd_vcd(args) -> int:
-    from .soc.mpsoc import MPSoC
+    from .soc.experiment import run_redundant_captured
     from .trace.vcd import monitor_vcd
     from .workloads import program
-    soc = MPSoC()
-    soc.start_redundant(program(args.kernel), stagger_nops=args.stagger)
-    text = monitor_vcd(soc, max_cycles=args.max_cycles).render()
-    with open(args.output, "w") as handle:
-        handle.write(text)
-    print("wrote %s (%d cycles simulated)" % (args.output, soc.cycle))
+    result, trace = run_redundant_captured(
+        program(args.kernel), benchmark=args.kernel,
+        stagger_nops=args.stagger, max_cycles=args.max_cycles)
+    monitor_vcd(trace).save(args.output)
+    print("wrote %s (%d cycles simulated)" % (args.output, result.cycles))
     return 0
 
 

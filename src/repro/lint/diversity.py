@@ -231,21 +231,24 @@ def measure_instruction_diversity(
     redundant configuration the estimator models — the validation
     oracle for :func:`predict_instruction_diversity`.
 
-    Only *sampled* cycles are returned: the monitor gates off once
-    either monitored core finishes, so ``len(verdicts)`` is the
-    monitored span (the natural ``horizon`` for the estimator).
+    The run is captured (:func:`repro.soc.experiment.
+    run_redundant_captured`) and replayed through SafeDM with
+    ``config.signature``, one verdict per cycle the monitor observed:
+    it gates off once either monitored core finishes, so
+    ``len(verdicts)`` is the monitored span (the natural ``horizon``
+    for the estimator).
     """
-    from ..soc.mpsoc import MPSoC
+    from ..replay.engine import ReplayMonitor
+    from ..soc.experiment import run_redundant_captured
 
-    soc = MPSoC(config=config)
-    soc.start_redundant(program, stagger_nops=stagger)
+    _, trace = run_redundant_captured(program, stagger_nops=stagger,
+                                      config=config,
+                                      max_cycles=max_cycles)
+    replay = ReplayMonitor(trace,
+                           signature=(config or SocConfig()).signature)
     verdicts: List[int] = []
-    monitored = [soc.cores[i] for i in soc.monitored]
-    while soc.cycle < max_cycles:
-        soc.step()
-        if any(core.finished for core in monitored):
-            break  # this cycle was not sampled (monitor gating)
-        report = soc.safedm.last_report
+    for _ in replay.cycles():
+        report = replay.monitor.last_report
         verdicts.append(0 if report is None
                         else int(report.instruction_diversity))
     return verdicts

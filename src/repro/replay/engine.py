@@ -34,14 +34,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional
 
 from ..core.history import HistoryModule
 from ..core.instruction_diff import InstructionDiffStats
 from ..core.monitor import DiversityMonitor, MonitorStats, ReportingMode
 from ..core.signatures import SignatureConfig
 from ..soc.experiment import RunResult
-from ..trace.stream_trace import StreamTrace
+from ..trace.stream_trace import CycleSample, StreamTrace
 
 
 class _ReplayCore:
@@ -95,26 +95,28 @@ class ReplayMonitor:
     streams through its normal ``observe`` path — including the
     per-cycle reporting-mode logic — so stats, histograms, and the
     staggering counters come out bit-identical to a live run.
+    :meth:`cycles` is the one replay loop: the per-cycle views
+    (:func:`repro.trace.vcd.monitor_vcd` and the measured oracle
+    :func:`repro.lint.diversity.measure_instruction_diversity`) read
+    the monitor as it steps; :meth:`replay` runs it to the end.
     """
 
     def __init__(self, trace: StreamTrace,
                  signature: Optional[SignatureConfig] = None,
                  mode: ReportingMode = ReportingMode.POLLING,
-                 threshold: int = 1,
-                 history_bin_size: int = 1, history_bins: int = 32):
+                 threshold: int = 1):
         self.trace = trace
         self.monitor = DiversityMonitor(
             config=signature or SignatureConfig(), mode=mode,
-            threshold=threshold,
-            history=HistoryModule(bin_size=history_bin_size,
-                                  num_bins=history_bins))
+            threshold=threshold, history=HistoryModule())
         self.monitor.instruction_diff.diff = trace.meta.diff_preload
         self._replayed = False
 
-    def replay(self) -> DiversityMonitor:
-        """Run the replay once; further calls return the same monitor."""
-        if self._replayed:
-            return self.monitor
+    def cycles(self) -> Iterator[CycleSample]:
+        """The one replay loop: feed the captured samples to the
+        monitor, yielding each right after ``self.monitor.observe``
+        took it, so ``self.monitor.last_report`` is that cycle's
+        verdict.  Drives the monitor once; :meth:`replay` drains it."""
         view0 = _ReplayCore()
         view1 = _ReplayCore()
         observe = self.monitor.observe
@@ -129,6 +131,14 @@ class ReplayMonitor:
             view1._ports = tap1.ports
             view1._stages = tap1.stages
             observe(sample.cycle, view0, view1)
+            yield sample
+
+    def replay(self) -> DiversityMonitor:
+        """Run the replay once; further calls return the same monitor."""
+        if self._replayed:
+            return self.monitor
+        for _ in self.cycles():
+            pass
         self.monitor.finish()
         self._replayed = True
         return self.monitor
@@ -173,11 +183,8 @@ class ReplayEngine:
     16-point threshold sweep costs one cheap replay, not sixteen.
     """
 
-    def __init__(self, trace: StreamTrace, history_bin_size: int = 1,
-                 history_bins: int = 32):
+    def __init__(self, trace: StreamTrace):
         self.trace = trace
-        self.history_bin_size = history_bin_size
-        self.history_bins = history_bins
         self._accounted: Dict[SignatureConfig, DiversityMonitor] = {}
 
     def _accounting(self, signature: SignatureConfig) -> DiversityMonitor:
@@ -185,9 +192,7 @@ class ReplayEngine:
         if monitor is None:
             monitor = ReplayMonitor(
                 self.trace, signature=signature,
-                mode=ReportingMode.POLLING, threshold=1,
-                history_bin_size=self.history_bin_size,
-                history_bins=self.history_bins).replay()
+                mode=ReportingMode.POLLING, threshold=1).replay()
             self._accounted[signature] = monitor
         return monitor
 

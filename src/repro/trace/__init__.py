@@ -1,12 +1,9 @@
-"""Tracing: VCD waveforms, pipeline text traces, signature captures,
-and the raw signature-stream capture format behind ``repro.replay``."""
+"""Tracing: the raw signature-stream capture format behind
+``repro.replay``, and the per-cycle views rendered from a captured
+stream — VCD waveforms of the replayed monitor and pipeline text
+traces."""
 
-from .pipeline_trace import PipelineTracer, TraceLine, trace_run
-from .signature_trace import (
-    SignatureSample,
-    SignatureTrace,
-    capture_signature_trace,
-)
+from .pipeline_trace import PipelineTracer, TraceLine
 from .stream_trace import (
     TRACE_SCHEMA_VERSION,
     CoreSample,
@@ -21,15 +18,11 @@ __all__ = [
     "CoreSample",
     "CycleSample",
     "PipelineTracer",
-    "SignatureSample",
-    "SignatureTrace",
     "StreamRecorder",
     "StreamTrace",
     "TRACE_SCHEMA_VERSION",
     "TraceLine",
     "TraceMeta",
     "VcdWriter",
-    "capture_signature_trace",
     "monitor_vcd",
-    "trace_run",
 ]

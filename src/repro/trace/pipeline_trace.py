@@ -2,8 +2,9 @@
 
 The paper validates SafeDM by visually inspecting pipeline contents in
 Modelsim; :class:`PipelineTracer` renders the same view as text — one
-line per cycle per core showing every stage's occupancy — so specific
-cycles (e.g. a reported lack of diversity) can be audited by eye.
+line per observed cycle per monitored core showing every stage's
+occupancy — from a captured run, so specific cycles (e.g. a reported
+lack of diversity) can be audited by eye.
 """
 
 from __future__ import annotations
@@ -35,28 +36,30 @@ class TraceLine:
 
 
 class PipelineTracer:
-    """Captures stage occupancy of one or more cores each cycle."""
+    """Stage occupancy of both monitored cores of a captured run
+    (a :class:`~repro.trace.stream_trace.StreamTrace`), one
+    :class:`TraceLine` per observed cycle per core.
 
-    def __init__(self, cores, window: Optional[int] = None):
-        self.cores = list(cores)
-        self.window = window
+    A held core shows its previous stages: a held pipeline moves
+    nothing, so the capture drops its stages just as the IS unit does.
+    """
+
+    def __init__(self, trace):
         self.lines: List[TraceLine] = []
-
-    def sample(self, cycle: int):
-        """Record all cores' stage contents for ``cycle``."""
-        for index, core in enumerate(self.cores):
-            self.lines.append(TraceLine(cycle=cycle, core=index,
-                                        hold=core.hold,
-                                        stages=tuple(core.stage_words())))
-        if self.window is not None:
-            excess = len(self.lines) - self.window * len(self.cores)
-            if excess > 0:
-                del self.lines[:excess]
+        empty = (None,) * len(STAGE_NAMES)
+        stages = [empty, empty]
+        for sample in trace.samples:
+            for index, core in enumerate(sample.cores):
+                if not core.hold:
+                    stages[index] = core.stages
+                self.lines.append(TraceLine(
+                    cycle=sample.cycle, core=index, hold=core.hold,
+                    stages=stages[index]))
 
     def render(self, last: Optional[int] = None) -> str:
         lines = self.lines
         if last is not None:
-            lines = lines[-last * len(self.cores):]
+            lines = lines[-last * 2:]  # two cores per observed cycle
         return "\n".join(line.render() for line in lines)
 
     def around(self, cycle: int, radius: int = 3) -> str:
@@ -64,17 +67,3 @@ class PipelineTracer:
         selected = [line for line in self.lines
                     if abs(line.cycle - cycle) <= radius]
         return "\n".join(line.render() for line in selected)
-
-
-def trace_run(soc, max_cycles: int = 5_000,
-              window: Optional[int] = None) -> PipelineTracer:
-    """Run ``soc`` while tracing the monitored cores' pipelines."""
-    tracer = PipelineTracer([soc.cores[i] for i in soc.monitored],
-                            window=window)
-    start = soc.cycle
-    while soc.cycle - start < max_cycles:
-        if all(soc.cores[i].finished for i in soc.monitored):
-            break
-        soc.step()
-        tracer.sample(soc.cycle - 1)
-    return tracer

@@ -284,9 +284,13 @@ class StreamTrace:
         """Encoded size in bytes (re-encodes; use sparingly)."""
         return len(self.encode())
 
-    def save(self, path):
+    def save(self, path) -> int:
+        """Write the encoded trace to ``path`` and return its size in
+        bytes."""
+        payload = self.encode()
         with open(path, "wb") as handle:
-            handle.write(self.encode())
+            handle.write(payload)
+        return len(payload)
 
     @classmethod
     def load(cls, path) -> "StreamTrace":

@@ -1,8 +1,9 @@
 """Minimal VCD (Value Change Dump) writer.
 
 The paper validates SafeDM by inspecting pipelines cycle-by-cycle in
-Modelsim; this writer produces standard VCD files of the simulator's
-signals so runs can be inspected in GTKWave or any waveform viewer.
+Modelsim; this writer produces standard VCD files, and
+:func:`monitor_vcd` renders a captured run's SafeDM signals into one,
+so runs can be inspected in GTKWave or any waveform viewer.
 """
 
 from __future__ import annotations
@@ -97,12 +98,16 @@ class VcdWriter:
             handle.write(self.render())
 
 
-def monitor_vcd(soc, max_cycles: int = 100_000) -> VcdWriter:
-    """Run ``soc`` to completion while dumping SafeDM signals to a VCD.
+def monitor_vcd(trace) -> VcdWriter:
+    """Replay a captured run (a :class:`~repro.trace.stream_trace.
+    StreamTrace`) through SafeDM and dump its signals as a VCD.
 
-    Captured wires: per-core hold, lack-of-diversity flags, the
-    staggering counter and per-core commit counts.
+    Wires: the lack-of-diversity flags, the staggering counter and the
+    interrupt line, read off the replayed monitor after each observed
+    cycle, plus per-core hold and commit counts from the capture.  The
+    waveform ends at the last cycle SafeDM observed.
     """
+    from ..replay.engine import ReplayMonitor
     vcd = VcdWriter()
     vcd.add_signal("no_diversity", 1)
     vcd.add_signal("no_data_diversity", 1)
@@ -114,17 +119,12 @@ def monitor_vcd(soc, max_cycles: int = 100_000) -> VcdWriter:
     vcd.add_signal("core0_commits", 2)
     vcd.add_signal("core1_commits", 2)
     vcd.add_signal("irq", 1)
-    start = soc.cycle
-    while soc.cycle - start < max_cycles:
-        if all(soc.cores[i].finished for i in soc.monitored):
-            break
-        soc.step()
-        report = soc.safedm.last_report
-        if report is None:
-            continue
-        core0 = soc.cores[soc.monitored[0]]
-        core1 = soc.cores[soc.monitored[1]]
-        vcd.sample_all(soc.cycle - 1, {
+    replay = ReplayMonitor(trace)
+    monitor = replay.monitor
+    for sample in replay.cycles():
+        report = monitor.last_report
+        core0, core1 = sample.cores
+        vcd.sample_all(sample.cycle, {
             "no_diversity": 0 if report.diversity else 1,
             "no_data_diversity": 0 if report.data_diversity else 1,
             "no_instruction_diversity":
@@ -133,9 +133,8 @@ def monitor_vcd(soc, max_cycles: int = 100_000) -> VcdWriter:
             "staggering": report.staggering & 0xFFFFFFFF,
             "core0_hold": 1 if core0.hold else 0,
             "core1_hold": 1 if core1.hold else 0,
-            "core0_commits": core0.commits_this_cycle,
-            "core1_commits": core1.commits_this_cycle,
-            "irq": 1 if soc.safedm.irq.pending else 0,
+            "core0_commits": core0.commits,
+            "core1_commits": core1.commits,
+            "irq": 1 if monitor.irq.pending else 0,
         })
-    soc.safedm.finish()
     return vcd

@@ -111,6 +111,24 @@ def golden_points(program, config: SocConfig = None,
     return points
 
 
+def live_observed_cycles(program, stagger_nops: int = 0,
+                         max_cycles: int = 200_000):
+    """The per-cycle live monitor loop: step a fresh redundant pair on
+    the reference tier and yield ``(cycle, soc, core0, core1)`` after
+    every cycle SafeDM observed — it gates off once either monitored
+    core finishes.  The oracle for the views replayed from a capture
+    (the VCD, the pipeline text view, the static bound's measured
+    verdicts)."""
+    soc = MPSoC()
+    soc.start_redundant(program, stagger_nops=stagger_nops)
+    core0, core1 = (soc.cores[index] for index in soc.monitored)
+    while soc.cycle < max_cycles:
+        soc.step()
+        if core0.finished or core1.finished:
+            return
+        yield soc.cycle - 1, soc, core0, core1
+
+
 def _run_watched(soc, scheme, limit: int, stop_at: int = None) -> bool:
     """Step the reference interpreter until the scheme's replicas all
     finish, ``limit`` is reached, or ``stop_at`` (when given).  Returns

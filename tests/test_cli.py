@@ -28,6 +28,23 @@ class TestRun:
         assert "nops=100" in out
         assert "late=0" in out
 
+    def test_capture_encodes_the_trace_once(self, tmp_path, capsys,
+                                            monkeypatch):
+        from repro.trace.stream_trace import StreamTrace
+        encode = StreamTrace.encode
+        calls = []
+
+        def counted(trace):
+            calls.append(trace)
+            return encode(trace)
+
+        monkeypatch.setattr(StreamTrace, "encode", counted)
+        path = tmp_path / "countnegative.trace"
+        assert main(["run", "countnegative", "--capture", str(path)]) == 0
+        assert len(calls) == 1
+        assert "samples, %d bytes)\n" % path.stat().st_size \
+            in capsys.readouterr().err
+
 
 class TestRow:
     def test_row_prints_all_columns(self, capsys):
@@ -236,18 +253,43 @@ class TestErrors:
 
     def test_unwritable_vcd_output_rejected_before_simulating(
             self, tmp_path, capsys, monkeypatch):
-        import repro.trace.vcd as vcd
+        from repro.soc.mpsoc import MPSoC
 
         def simulate(*args, **kwargs):
             raise AssertionError("simulated before opening the output")
 
-        monkeypatch.setattr(vcd, "monitor_vcd", simulate)
+        monkeypatch.setattr(MPSoC, "__init__", simulate)
         path = tmp_path / "missing" / "out.vcd"
         assert main(["vcd", "cosf", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: cannot write %s: No such file or " \
             "directory\n" % path
+
+    @pytest.mark.parametrize("argv,value", [
+        (["run", "cosf", "--stagger", "-3"], -3),
+        (["vcd", "cosf", "out.vcd", "--stagger", "-5"], -5),
+        (["sweep-monitor", "cosf", "--stagger", "-2", "--no-cache"], -2),
+        (["diversity-static", "cosf", "cosf", "--stagger", "-7",
+          "--validate"], -7),
+        (["diversity-static", "cosf", "cosf", "--stagger", "-7"], -7),
+    ], ids=["run", "vcd", "sweep-monitor", "diversity-static-validate",
+            "diversity-static"])
+    def test_negative_stagger_rejected_before_simulating(
+            self, argv, value, tmp_path, capsys, monkeypatch):
+        from repro.soc.mpsoc import MPSoC
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("simulated a negative stagger")
+
+        monkeypatch.setattr(MPSoC, "__init__", simulate)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: stagger must be at least 0, got %d\n" % value
+        assert not (tmp_path / "out.vcd").exists()
 
     @pytest.mark.parametrize("argv,name", [
         (["run", "cosf", "--engine", "fast", "--metrics"], "m.json"),

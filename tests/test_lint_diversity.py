@@ -22,6 +22,8 @@ from repro.lint.diversity import (
 )
 from repro.workloads import program
 
+from conftest import live_observed_cycles
+
 BASE = 0x0001_0000
 
 #: (kernel, stagger) scenarios validated against simulation.
@@ -88,6 +90,13 @@ class TestBoundShape:
         assert doc["stagger"] == 1200
         assert doc["holds"] is True
         assert len(doc["windows"]) == len(bound.windows)
+
+
+def test_measured_verdicts_equal_the_live_monitor():
+    prog = program("countnegative")
+    live = [int(soc.safedm.last_report.instruction_diversity)
+            for _, soc, _, _ in live_observed_cycles(prog, 600)]
+    assert measure_instruction_diversity(prog, 600) == live
 
 
 class TestValidatedAgainstSimulation:

@@ -27,7 +27,6 @@ from repro.telemetry import (
     to_prometheus,
     write_snapshot,
 )
-from repro.trace.signature_trace import SignatureSample, SignatureTrace
 from repro.workloads import program
 
 KERNEL = "cosf"
@@ -241,47 +240,6 @@ class TestRunInstrumentation:
         span_names = {e.name for e in tracer.events}
         assert {"soc_build", "load_program",
                 "cycle_loop"} <= span_names
-
-    def test_signature_trace_bridge_matches_run(self):
-        from repro.soc.mpsoc import MPSoC
-        from repro.trace.signature_trace import capture_signature_trace
-        prog = program(KERNEL)
-        bare = run_redundant(prog, benchmark=KERNEL)
-        soc = MPSoC()
-        soc.start_redundant(prog)
-        trace = capture_signature_trace(soc, max_cycles=200_000)
-        assert len(trace) > 0
-        assert next(iter(trace)).cycle == 0
-        reg = MetricsRegistry()
-        trace.to_metrics(reg)
-        assert reg.value("repro_trace_no_diversity_cycles_total") == \
-            bare.no_diversity_cycles
-        assert reg.value("repro_trace_zero_staggering_cycles_total") == \
-            bare.zero_staggering_cycles
-
-
-class TestSignatureTraceProtocol:
-    def test_len_iter_and_metrics(self):
-        trace = SignatureTrace()
-        rows = [(0, True, True, 3), (1, False, True, 0),
-                (2, False, False, 0), (3, False, False, 1),
-                (9, True, False, 2)]
-        for cycle, data, instr, stag in rows:
-            trace.append(SignatureSample(cycle, data, instr, stag))
-        assert len(trace) == 5
-        assert [s.cycle for s in trace] == [0, 1, 2, 3, 9]
-        reg = MetricsRegistry()
-        trace.to_metrics(reg)
-        values = {k[0]: v for k, v in reg.counter_values().items()}
-        assert values["repro_trace_samples_total"] == 5
-        assert values["repro_trace_no_data_diversity_cycles_total"] == 3
-        assert values["repro_trace_no_instruction_diversity_cycles_total"] \
-            == 3
-        assert values["repro_trace_no_diversity_cycles_total"] == 2
-        assert values["repro_trace_zero_staggering_cycles_total"] == 2
-        assert values["repro_trace_no_diversity_episodes_total"] == 1
-        assert reg.value(
-            "repro_trace_longest_no_diversity_episode") == 2
 
 
 # --- sweep metrics: schedule-independent counters ----------------------------

@@ -1,16 +1,58 @@
-"""Trace subsystem tests: VCD writer, pipeline tracer, signature trace."""
+"""Trace subsystem tests: VCD writer, and the per-cycle views rendered
+from a captured stream against the live reference-tier loops they
+replace."""
+
+from functools import lru_cache
 
 import pytest
 
-from repro.soc.mpsoc import MPSoC
-from repro.trace.pipeline_trace import trace_run
-from repro.trace.signature_trace import (
-    SignatureSample,
-    SignatureTrace,
-    capture_signature_trace,
-)
+from repro.soc.experiment import run_redundant_captured
+from repro.trace.pipeline_trace import PipelineTracer
 from repro.trace.vcd import VcdWriter, monitor_vcd
 from repro.workloads import program
+
+from conftest import live_observed_cycles
+
+ENGINES = ("reference", "fast")
+
+#: The monitor waveform's wires and widths, in declaration order.
+VCD_WIRES = (("no_diversity", 1), ("no_data_diversity", 1),
+             ("no_instruction_diversity", 1), ("zero_staggering", 1),
+             ("staggering", 32), ("core0_hold", 1), ("core1_hold", 1),
+             ("core0_commits", 2), ("core1_commits", 2), ("irq", 1))
+
+
+@lru_cache(maxsize=None)
+def live_vcd(name, stagger):
+    """The monitor waveform dumped by the live loop over the observed
+    cycles (the oracle for :func:`monitor_vcd`)."""
+    vcd = VcdWriter()
+    for wire, width in VCD_WIRES:
+        vcd.add_signal(wire, width)
+    for cycle, soc, core0, core1 in live_observed_cycles(program(name),
+                                                         stagger):
+        report = soc.safedm.last_report
+        vcd.sample_all(cycle, {
+            "no_diversity": 0 if report.diversity else 1,
+            "no_data_diversity": 0 if report.data_diversity else 1,
+            "no_instruction_diversity":
+                0 if report.instruction_diversity else 1,
+            "zero_staggering": 1 if report.zero_staggering else 0,
+            "staggering": report.staggering,
+            "core0_hold": 1 if core0.hold else 0,
+            "core1_hold": 1 if core1.hold else 0,
+            "core0_commits": core0.commits_this_cycle,
+            "core1_commits": core1.commits_this_cycle,
+            "irq": 1 if soc.safedm.irq.pending else 0,
+        })
+    return vcd.render()
+
+
+def capture(name, stagger=0, engine="reference", max_cycles=2_000_000):
+    return run_redundant_captured(program(name), benchmark=name,
+                                  stagger_nops=stagger,
+                                  max_cycles=max_cycles,
+                                  engine=engine)[1]
 
 
 class TestVcdWriter:
@@ -68,83 +110,44 @@ class TestVcdWriter:
 
 
 class TestMonitorVcd:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_equals_the_live_monitor(self, engine):
+        for name, stagger in (("cosf", 0), ("fft", 37)):
+            trace = capture(name, stagger, engine)
+            assert monitor_vcd(trace).render() == live_vcd(name, stagger)
+
     def test_full_run_capture(self):
-        soc = MPSoC()
-        soc.start_redundant(program("countnegative"))
-        vcd = monitor_vcd(soc)
-        text = vcd.render()
+        text = monitor_vcd(capture("countnegative")).render()
         assert "no_diversity" in text
         assert "staggering" in text
         assert "#0" in text or "#1" in text
 
 
 class TestPipelineTracer:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_equals_the_live_pipeline(self, engine):
+        live = [(cycle, index, core.hold, tuple(core.stage_words()))
+                for cycle, _, core0, core1
+                in live_observed_cycles(program("countnegative"), 100)
+                for index, core in enumerate((core0, core1))]
+        lines = PipelineTracer(capture("countnegative", 100,
+                                       engine)).lines
+        assert [(line.cycle, line.core, line.hold, line.stages)
+                for line in lines] == live
+        assert any(line.hold for line in lines)
+
     def test_trace_lines_have_all_stages(self):
-        soc = MPSoC()
-        soc.start_redundant(program("countnegative"))
-        tracer = trace_run(soc, max_cycles=50)
+        tracer = PipelineTracer(capture("countnegative", max_cycles=50))
         text = tracer.render(last=5)
         for stage in ("FE", "DE", "RA", "EX", "ME", "XC", "WB"):
             assert stage + ":" in text
 
-    def test_window_bounds_memory(self):
-        soc = MPSoC()
-        soc.start_redundant(program("countnegative"))
-        tracer = trace_run(soc, max_cycles=200, window=10)
-        assert len(tracer.lines) <= 10 * 2  # two cores
-
     def test_around_selects_radius(self):
-        soc = MPSoC()
-        soc.start_redundant(program("countnegative"))
-        tracer = trace_run(soc, max_cycles=100)
+        tracer = PipelineTracer(capture("countnegative", max_cycles=100))
         text = tracer.around(50, radius=2)
         assert "c48" in text and "c52" in text
         assert "c55" not in text
 
     def test_hold_flag_rendered(self):
-        soc = MPSoC()
-        soc.start_redundant(program("countnegative"))
-        tracer = trace_run(soc, max_cycles=300)
+        tracer = PipelineTracer(capture("countnegative", max_cycles=300))
         assert any(line.hold for line in tracer.lines)
-
-
-class TestSignatureTrace:
-    def test_capture_and_csv(self):
-        soc = MPSoC()
-        soc.start_redundant(program("countnegative"))
-        trace = capture_signature_trace(soc, max_cycles=500)
-        assert len(trace.samples) == 500
-        csv = trace.to_csv()
-        assert csv.splitlines()[0] == \
-            "cycle,data_diversity,instruction_diversity,diversity," \
-            "staggering"
-        assert len(csv.splitlines()) == 501
-
-    def test_episode_extraction(self):
-        trace = SignatureTrace()
-        # diversity pattern: D D n n n D n D
-        pattern = [True, True, False, False, False, True, False, True]
-        for cycle, diverse in enumerate(pattern):
-            trace.append(SignatureSample(cycle=cycle,
-                                         data_diversity=diverse,
-                                         instruction_diversity=False,
-                                         staggering=0))
-        episodes = trace.no_diversity_episodes()
-        assert episodes == [(2, 3), (6, 1)]
-
-    def test_open_episode_at_end(self):
-        trace = SignatureTrace()
-        for cycle in range(3):
-            trace.append(SignatureSample(cycle=cycle,
-                                         data_diversity=False,
-                                         instruction_diversity=False,
-                                         staggering=0))
-        assert trace.no_diversity_episodes() == [(0, 3)]
-
-    def test_save(self, tmp_path):
-        soc = MPSoC()
-        soc.start_redundant(program("countnegative"))
-        trace = capture_signature_trace(soc, max_cycles=10)
-        path = tmp_path / "sig.csv"
-        trace.save(str(path))
-        assert path.read_text().startswith("cycle,")
