@@ -8,11 +8,22 @@ thresholds 1..16) over one kernel two ways:
 * ``replay`` — one captured simulation plus a
   :class:`repro.replay.ReplayEngine` replay per point.
 
-Every replayed result is asserted field-for-field identical to its
-live counterpart before any timing is reported — a fast wrong answer
-would be worthless.  The report goes to ``BENCH_replay.json`` at the
-repo root; ``--min-speedup X`` turns the bench into a CI gate that
-exits non-zero below ``X``.
+Then it replays the repository benchmark's six signature geometries
+(the default, DS depth 4 and 10, 2 ports, INFLIGHT at depths 14 and 8)
+from the same capture and times the two layers a monitor sweep pays
+for after its simulation:
+
+* ``accounting_seconds`` — a fresh :class:`ReplayEngine` accounting
+  all six geometries (median of 5);
+* ``encode_seconds`` — one ``StreamTrace.encode()`` of the capture
+  (median of 5).
+
+Every replayed result — each threshold point and each geometry — is
+asserted field-for-field identical to its live counterpart before any
+timing is reported — a fast wrong answer would be worthless.  The
+report goes to ``BENCH_replay.json`` at the repo root;
+``--min-speedup X`` turns the bench into a CI gate that exits non-zero
+below ``X``.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_replay.py [--kernel K]
@@ -20,7 +31,7 @@ Usage:
         [--out FILE]
 
 ``--quick`` truncates the simulation (max_cycles=6000) while keeping
-all 16 points, for CI.
+all 16 points and six geometries, for CI.
 """
 
 from __future__ import annotations
@@ -29,12 +40,15 @@ import argparse
 import dataclasses
 import json
 import pathlib
+import statistics
 import sys
 import time
 
 from bench_common import metric_fields
 from repro.core.monitor import ReportingMode
+from repro.core.signatures import IsVariant, SignatureConfig
 from repro.replay import ReplayEngine
+from repro.soc.config import SocConfig
 from repro.soc.experiment import run_redundant, run_redundant_captured
 from repro.workloads import program as build_program
 
@@ -42,6 +56,33 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 OUT_PATH = REPO_ROOT / "BENCH_replay.json"
 
 QUICK_MAX_CYCLES = 6000
+
+#: The repository benchmark's monitor-sweep geometries.
+GEOMETRIES = (SignatureConfig(),
+              SignatureConfig(ds_depth=4),
+              SignatureConfig(ds_depth=10),
+              SignatureConfig(num_ports=2),
+              SignatureConfig(is_variant=IsVariant.INFLIGHT),
+              SignatureConfig(is_variant=IsVariant.INFLIGHT,
+                              inflight_depth=8))
+
+#: Timed repeats of each layer; the report gives their median.
+REPEATS = 5
+
+
+def _describe(signature):
+    return "%s ports=%d depth=%d inflight=%d" % (
+        signature.is_variant.value, signature.num_ports,
+        signature.ds_depth, signature.inflight_depth)
+
+
+def _median_seconds(fn):
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
 
 
 def main():
@@ -108,6 +149,32 @@ def main():
     print("exactness: replayed == live for all %d points"
           % len(thresholds))
 
+    # The six geometries: live once each, then replayed from the trace
+    # by one engine, so the geometries share its verdict streams.
+    geometry_engine = ReplayEngine(trace)
+    for signature in GEOMETRIES:
+        live = run_redundant(prog, benchmark=args.kernel,
+                             config=SocConfig(signature=signature),
+                             mode=mode, threshold=thresholds[0],
+                             max_cycles=max_cycles)
+        replayed = geometry_engine.run_result(
+            signature=signature, mode=mode, threshold=thresholds[0])
+        assert dataclasses.asdict(live) == dataclasses.asdict(replayed), \
+            "replay diverged at %s:\n live:   %r\n replay: %r" \
+            % (_describe(signature), live, replayed)
+    print("exactness: replayed == live for all %d geometries"
+          % len(GEOMETRIES))
+
+    def account():
+        geometry_engine = ReplayEngine(trace)
+        for signature in GEOMETRIES:
+            geometry_engine.run_result(signature=signature, mode=mode,
+                                       threshold=thresholds[0])
+    accounting_s = _median_seconds(account)
+    encode_s = _median_seconds(trace.encode)
+    print("accounting (%d geometries): %.4fs, encode: %.4fs"
+          % (len(GEOMETRIES), accounting_s, encode_s))
+
     speedup = live_s / (capture_s + replay_s)
     trace_bytes = trace.byte_size()
     report = {
@@ -131,6 +198,9 @@ def main():
                         if trace.meta.cycles else None,
                         None if trace.meta.cycles else "empty-trace"),
         "accounting_passes": engine.accounting_passes,
+        "geometries": [_describe(signature) for signature in GEOMETRIES],
+        "accounting_seconds": round(accounting_s, 4),
+        "encode_seconds": round(encode_s, 4),
     }
     out_path.write_text(json.dumps(report, indent=2) + "\n")
     print("speedup %.1fx (%d-cycle trace, %d KiB)"

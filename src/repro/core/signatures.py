@@ -84,6 +84,13 @@ def inflight_from_stage_words(stage_words) -> Tuple[int, ...]:
     return tuple(words)
 
 
+def inflight_window(words: Sequence[int], depth: int) -> Tuple[int, ...]:
+    """The INFLIGHT FIFO's contents for in-flight ``words``: the
+    youngest ``depth`` of them, zero-padded to the FIFO depth."""
+    window = tuple(words[-depth:]) if len(words) > depth else tuple(words)
+    return (0,) * (depth - len(window)) + window
+
+
 class DataSignatureUnit:
     """Per-register-port FIFOs feeding the Data Signature (Fig. 2a).
 
@@ -229,10 +236,8 @@ class InstructionSignatureUnit:
             raise ValueError("unit configured for %s" % self._variant)
         if hold:
             return
-        depth = self.config.inflight_depth
-        window = tuple(words[-depth:]) if len(words) > depth \
-            else tuple(words)
-        self._inflight_words = (0,) * (depth - len(window)) + window
+        self._inflight_words = inflight_window(words,
+                                               self.config.inflight_depth)
 
     # -- comparison / introspection ---------------------------------------------
 

@@ -13,8 +13,10 @@ see the monitor.  :class:`MonitorSweep` instead
    cached for the simulation key — and cross-checks that replaying that
    point reproduces the live result bit for bit,
 3. replays every remaining point from the trace through
-   :class:`repro.replay.engine.ReplayEngine` (one accounting pass per
-   distinct signature geometry, O(1) per mode/threshold point), and
+   :class:`repro.replay.engine.ReplayEngine`: each distinct signature
+   geometry is counted once, from DS and IS verdict streams shared
+   between geometries (the staggering counter once per trace), and
+   each mode/threshold point is O(1) on top, and
 4. populates the run cache so later sweeps skip even the replay.
 """
 
@@ -232,6 +234,10 @@ class MonitorSweep:
             else:
                 live = None
 
+            if self.traces is None:
+                # Encoded before the replay, so that the encoder's
+                # buffers and the replay's streams never coexist.
+                trace_bytes = trace.byte_size()
             engine = ReplayEngine(trace)
             cycles = trace.meta.cycles
             start = time.perf_counter()
@@ -248,8 +254,6 @@ class MonitorSweep:
                     if self.cache is not None:
                         self.cache.put(keys[index], replayed)
             replay_seconds = time.perf_counter() - start
-            if self.traces is None:
-                trace_bytes = trace.byte_size()
         elif results:
             cycles = results[0].cycles if 0 in results else \
                 next(iter(results.values())).cycles

@@ -57,9 +57,13 @@ class PipelineTracer:
                     stages=stages[index]))
 
     def render(self, last: Optional[int] = None) -> str:
+        """Render every line, or those of the ``last`` observed cycles."""
         lines = self.lines
         if last is not None:
-            lines = lines[-last * 2:]  # two cores per observed cycle
+            if last < 0:
+                raise ValueError("last must be at least 0, got %d" % last)
+            # Two cores per observed cycle; lines[-0:] would be all.
+            lines = lines[-last * 2:] if last else []
         return "\n".join(line.render() for line in lines)
 
     def around(self, cycle: int, radius: int = 3) -> str:

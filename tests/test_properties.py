@@ -1,9 +1,11 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.history import EpisodeHistogram
+from repro.core.monitor import ReportingMode
 from repro.core.signatures import (
     DataSignatureUnit,
     InstructionSignatureUnit,
@@ -17,6 +19,13 @@ from repro.isa.encoder import encode
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import SPECS
 from repro.mem.memory import Memory
+from repro.replay import ReplayEngine, ReplayMonitor
+from repro.trace.stream_trace import (
+    CoreSample,
+    CycleSample,
+    StreamTrace,
+    TraceMeta,
+)
 
 MASK = (1 << 64) - 1
 
@@ -315,3 +324,102 @@ def test_inflight_stage_words_match_derived_window(stream, depth):
         b.sample_inflight(inflight_from_stage_words(stages), hold=hold)
         assert a.equal(b)
         assert a.signature() == b.signature()
+
+
+# --- fast replay vs the reference replay --------------------------------------
+
+#: Captured register ports per core (three per issue slot, two slots).
+CAPTURED_PORTS = 6
+
+#: Small alphabets, so that DS windows and IS stage tuples do match.
+port_samples = st.tuples(*[st.tuples(st.integers(0, 1), st.integers(0, 2))
+                           for _ in range(CAPTURED_PORTS)])
+stage_tuples = st.tuples(*[
+    st.one_of(st.none(), st.just(()),
+              st.lists(st.sampled_from((0, 7, 9)), min_size=1,
+                       max_size=2).map(tuple))
+    for _ in range(7)])
+
+
+@st.composite
+def synthetic_traces(draw):
+    """Two cores with holds on either one.  Each trace draws how often
+    a core holds and how often core 1 takes core 0's ports and stages,
+    so that long runs of equal signatures occur too."""
+    hold_level = draw(st.integers(0, 4))
+    copy_level = draw(st.integers(0, 10))
+    samples = []
+    for cycle in range(draw(st.integers(0, 40))):
+        taps = []
+        for core in range(2):
+            commits = draw(st.integers(0, 2))
+            if draw(st.integers(1, 10)) <= hold_level:
+                taps.append(CoreSample(True, commits, None, None))
+            elif (core == 1 and not taps[0].hold
+                  and draw(st.integers(1, 10)) <= copy_level):
+                taps.append(CoreSample(False, commits, taps[0].ports,
+                                       taps[0].stages))
+            else:
+                taps.append(CoreSample(False, commits, draw(port_samples),
+                                       draw(stage_tuples)))
+        samples.append(CycleSample(cycle, tuple(taps)))
+    return StreamTrace(meta=TraceMeta(diff_preload=draw(st.integers(-3, 3))),
+                       samples=samples)
+
+
+signatures = st.builds(
+    SignatureConfig,
+    num_ports=st.integers(1, CAPTURED_PORTS + 1),
+    ds_depth=st.integers(1, 16),
+    is_variant=st.sampled_from(IsVariant),
+    inflight_depth=st.integers(1, 20))
+
+
+def _realigning_trace():
+    """Core 1 holds for three cycles, longer than a depth-2 DS, while
+    core 0 samples the same row; then core 1 catches up, and the two
+    windows are equal again from the next cycle at depth 2 and ten
+    cycles later at depth 12."""
+    ports = ((1, 2),) * CAPTURED_PORTS
+    stages = ((7,), None, (9, 0), (), None, None, None)
+    sampled = CoreSample(False, 1, ports, stages)
+    held = CoreSample(True, 0, None, None)
+    pattern = [(sampled, held)] * 3 + [(held, sampled)] * 2 + \
+        [(sampled, sampled)] * 12
+    return StreamTrace(meta=TraceMeta(diff_preload=1), samples=[
+        CycleSample(cycle, taps) for cycle, taps in enumerate(pattern)])
+
+
+@given(trace=synthetic_traces(), signature=signatures,
+       mode=st.sampled_from(ReportingMode), threshold=st.integers(0, 6))
+@example(trace=_realigning_trace(), signature=SignatureConfig(ds_depth=2),
+         mode=ReportingMode.INTERRUPT_THRESHOLD, threshold=2)
+@example(trace=_realigning_trace(),
+         signature=SignatureConfig(ds_depth=12,
+                                   is_variant=IsVariant.INFLIGHT),
+         mode=ReportingMode.INTERRUPT_FIRST, threshold=1)
+@example(trace=_realigning_trace(),
+         signature=SignatureConfig(num_ports=CAPTURED_PORTS + 1),
+         mode=ReportingMode.POLLING, threshold=1)
+def test_fast_replay_equals_reference_replay(trace, signature, mode,
+                                             threshold):
+    """ReplayEngine's shared verdict streams count exactly what a real
+    DiversityMonitor replayed cycle by cycle counts; a geometry the
+    capture cannot feed raises ValueError on both paths."""
+    reference = ReplayMonitor(trace, signature=signature, mode=mode,
+                              threshold=threshold)
+    engine = ReplayEngine(trace)
+    if signature.num_ports > CAPTURED_PORTS and any(
+            not tap.hold for sample in trace for tap in sample.cores):
+        with pytest.raises(ValueError):
+            reference.replay()
+        with pytest.raises(ValueError):
+            engine.replay(signature=signature, mode=mode,
+                          threshold=threshold)
+        return
+    monitor = reference.replay()
+    fast = engine.replay(signature=signature, mode=mode,
+                         threshold=threshold)
+    assert fast.stats == monitor.stats
+    assert fast.diff_stats == monitor.instruction_diff.stats
+    assert fast.history.state_dict() == monitor.history.state_dict()

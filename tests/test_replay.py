@@ -8,6 +8,7 @@ are monitor-independent.
 """
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -165,9 +166,9 @@ def test_codec_round_trip_single_cycle():
     assert decoded.samples[0] == sample
 
 
-def test_codec_round_trip_synthetic_edge_cases():
-    # Holds, empty stages, repeated dictionary words, 32-bit values,
-    # a (enable=0, value!=0) port sample, and a cycle gap.
+def _edge_case_trace():
+    """Holds, empty stages, repeated dictionary words, 32-bit values,
+    a (enable=0, value!=0) port sample, and a cycle gap."""
     samples = [
         CycleSample(0, (
             CoreSample(False, 2, ((1, 0xFFFF_FFFF), (0, 5)),
@@ -186,11 +187,38 @@ def test_codec_round_trip_synthetic_edge_cases():
                        ((0xBBBB_0002,), ())),
         )),
     ]
-    trace = StreamTrace(meta=TraceMeta(benchmark="synthetic",
-                                       diff_preload=42),
-                        samples=samples)
-    decoded, _ = _round_trip(trace)
+    return StreamTrace(meta=TraceMeta(benchmark="synthetic",
+                                      diff_preload=42),
+                       samples=samples)
+
+
+def test_codec_round_trip_synthetic_edge_cases():
+    decoded, _ = _round_trip(_edge_case_trace())
     assert decoded.meta.diff_preload == 42
+
+
+#: sha256 of ``encode()`` for the edge-case trace and for a cosf capture
+#: of MAX_CYCLES cycles (the same on either tier).  The codec's bytes
+#: are its schema: trace-cache files written earlier must decode, so an
+#: encoder change that moves a byte must bump TRACE_SCHEMA_VERSION.
+#: (zlib level 6 output; a zlib build that deflates differently moves
+#: these digests too.)
+ENCODED_SHA256 = {
+    "edge cases":
+        "8ada169bfe226fcd0da251122a6343a22c200e95932584a8d73577cb60b343be",
+    "cosf":
+        "cd688341a199530c538ba1477c39e1d6cf7fcdbafbdaf9c847cc2a9bcd2e076c",
+}
+
+
+@pytest.mark.slow
+def test_codec_bytes_are_pinned():
+    _, cosf = run_redundant_captured(program("cosf"), benchmark="cosf",
+                                     max_cycles=MAX_CYCLES, engine="fast")
+    for name, trace in (("edge cases", _edge_case_trace()),
+                        ("cosf", cosf)):
+        assert hashlib.sha256(trace.encode()).hexdigest() == \
+            ENCODED_SHA256[name], name
 
 
 @pytest.mark.slow

@@ -142,6 +142,16 @@ class TestPipelineTracer:
         for stage in ("FE", "DE", "RA", "EX", "ME", "XC", "WB"):
             assert stage + ":" in text
 
+    def test_render_last_counts_observed_cycles(self):
+        tracer = PipelineTracer(capture("countnegative", max_cycles=20))
+        lines = tracer.render().splitlines()
+        assert len(lines) == len(tracer.lines) > 4
+        assert tracer.render(last=2).splitlines() == lines[-4:]
+        assert tracer.render(last=len(lines)).splitlines() == lines
+        assert tracer.render(last=0) == ""
+        with pytest.raises(ValueError):
+            tracer.render(last=-1)
+
     def test_around_selects_radius(self):
         tracer = PipelineTracer(capture("countnegative", max_cycles=100))
         text = tracer.around(50, radius=2)
