@@ -58,7 +58,7 @@ def activity_only_matches(trace, config: SignatureConfig) -> int:
     unit, as it does in the live monitor."""
     a, b = ActivityOnlyUnit(config), ActivityOnlyUnit(config)
     matches = 0
-    for sample in trace.samples:
+    for sample in trace:
         tap_a, tap_b = sample.cores
         a.sample(tap_a.ports, hold=tap_a.hold)
         b.sample(tap_b.ports, hold=tap_b.hold)

@@ -18,9 +18,18 @@ for after its simulation:
 * ``encode_seconds`` — one ``StreamTrace.encode()`` of the capture
   (median of 5).
 
+Last it captures the same simulation on the fast tier and times the
+capture layer there:
+
+* ``fast_capture_overhead_x`` — a fast-tier capture over a plain
+  fast-tier run of the same simulation, the median of 5 back-to-back
+  (capture, plain run) pairs.
+
 Every replayed result — each threshold point and each geometry — is
-asserted field-for-field identical to its live counterpart before any
-timing is reported — a fast wrong answer would be worthless.  The
+asserted field-for-field identical to its live counterpart, and the
+fast-tier capture's encoding byte-identical to the reference
+capture's, before any timing is reported — a fast wrong answer would
+be worthless.  The
 report goes to ``BENCH_replay.json`` at the repo root;
 ``--min-speedup X`` turns the bench into a CI gate that exits non-zero
 below ``X``.
@@ -175,6 +184,26 @@ def main():
     print("accounting (%d geometries): %.4fs, encode: %.4fs"
           % (len(GEOMETRIES), accounting_s, encode_s))
 
+    # The capture layer on the fast tier: the same trace first, then
+    # its cost over a plain fast-tier run of the same simulation.
+    run = dict(benchmark=args.kernel, mode=mode, threshold=thresholds[0],
+               max_cycles=max_cycles, engine="fast")
+    _, fast_trace = run_redundant_captured(prog, **run)
+    assert fast_trace.encode() == trace.encode(), \
+        "the fast-tier capture differs from the reference capture"
+    print("exactness: fast-tier capture == reference capture")
+    ratios = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        run_redundant_captured(prog, **run)
+        captured = time.perf_counter() - start
+        start = time.perf_counter()
+        run_redundant(prog, **run)
+        ratios.append(captured / (time.perf_counter() - start))
+    capture_overhead = statistics.median(ratios)
+    print("fast-tier capture overhead: %.2fx a plain fast-tier run"
+          % capture_overhead)
+
     speedup = live_s / (capture_s + replay_s)
     trace_bytes = trace.byte_size()
     report = {
@@ -201,6 +230,7 @@ def main():
         "geometries": [_describe(signature) for signature in GEOMETRIES],
         "accounting_seconds": round(accounting_s, 4),
         "encode_seconds": round(encode_s, 4),
+        "fast_capture_overhead_x": round(capture_overhead, 2),
     }
     out_path.write_text(json.dumps(report, indent=2) + "\n")
     print("speedup %.1fx (%d-cycle trace, %d KiB)"

@@ -607,6 +607,7 @@ def _cmd_compare_schemes(args) -> int:
                               schemes=schemes, num_faults=args.faults,
                               stimuli=args.stimuli,
                               max_cycles=args.max_cycles,
+                              engine=args.engine,
                               metrics=metrics, tracer=tracer)
         if rows is None:
             return 2
@@ -1038,6 +1039,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="fault stimulus values per instant "
                            "(default: 0x5eed)")
     p_cs.add_argument("--max-cycles", type=int, default=2_000_000)
+    _add_engine_flag(p_cs)
     _add_telemetry_flags(p_cs)
     p_cs.set_defaults(func=_cmd_compare_schemes)
 

@@ -152,13 +152,17 @@ class DiversityMonitor:
         """Bind a raw-stream recorder (capture-once / replay-many).
 
         ``recorder`` (see :class:`repro.trace.stream_trace.
-        StreamRecorder`) receives ``record(cycle, core0, core1)`` once
-        per observed cycle, *before* the signature units sample — so a
-        recorded run holds exactly the streams any monitor
-        configuration would have consumed, and :mod:`repro.replay` can
-        recompute :class:`MonitorStats` for other configurations
-        without re-simulating.  The hook is purely observational and
-        is detached by :meth:`reset`.
+        StreamRecorder`) fills a trace with exactly the streams any
+        monitor configuration would have consumed, so
+        :mod:`repro.replay` can recompute :class:`MonitorStats` for
+        other configurations without re-simulating.  On the reference
+        tier :meth:`observe` calls ``record(cycle, core0, core1)`` once
+        per observed cycle, *before* the signature units sample; the
+        fast tier never calls it: its span appends the same values to
+        the recorder's columns in line
+        (:meth:`~repro.trace.stream_trace.StreamRecorder.appends`).
+        The hook is purely observational and is detached by
+        :meth:`reset`.
         """
         self._capture = recorder
 

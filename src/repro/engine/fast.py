@@ -829,6 +829,20 @@ if not core_N.hold:
     )
 """
 
+# The capture recorder's column appends (StreamRecorder.appends),
+# spliced around _OBS_CORE for a pair with a recorder: the hold flag
+# and commit count every observed cycle; on a cycle the core is not
+# held, the row just pushed joined with the write ports (the order of
+# RegisterFile.port_samples) and the stage words just stored.
+_CAPTURE_HEAD = """\
+rec_hold_S(core_N.hold)
+rec_commits_S(core_N.commits_this_cycle)
+"""
+_CAPTURE_TAIL = """\
+    rec_ports_S(rows_S[-1] + _tup(writes_N))
+    rec_stages_S(is_S._stage_words)
+"""
+
 
 def _poll_tick_lines():
     """Monitor._tick + POLLING run-length accounting over span locals.
@@ -936,12 +950,20 @@ def _poll_flush_lines():
     return lines
 
 
+#: A recorded core's column appends, in StreamRecorder.appends order.
+_CAPTURE_COLUMNS = ("rec_hold", "rec_commits", "rec_ports", "rec_stages")
+
+
 def _pair_params(kind, has_record):
     """Unsuffixed span bindings one observed pair needs (filled by
     :func:`_pair_binding`)."""
     if kind == "off":
         return []
-    names = ["record"] if has_record else []
+    names = []
+    if has_record:
+        names = ["rec_cycle"] + ["%s_%s" % (column, side)
+                                 for side in "ab"
+                                 for column in _CAPTURE_COLUMNS]
     # Side a/b: the pair's first/second core's signature units.
     names += ["%s_%s" % (arg, side) for side in "ab"
               for arg in ("rows", "is")]
@@ -955,11 +977,13 @@ def _pair_observe_lines(kind, has_record):
     """The gated per-cycle observation of one pair (tokens as in
     :func:`_poll_tick_lines`)."""
     lines = ["if not (fin_A or fin_B):"]
+    observe = _OBS_CORE
     if has_record:
-        lines.append("    record_P(cycle, core_A, core_B)")
+        lines.append("    rec_cycle_P(cycle)")
+        observe = _CAPTURE_HEAD + observe + _CAPTURE_TAIL
     for core, side in (("_A", "_a_P"), ("_B", "_b_P")):
-        for line in _OBS_CORE.replace("_N", core).replace("_S", side) \
-                             .splitlines():
+        for line in observe.replace("_N", core).replace("_S", side) \
+                           .splitlines():
             lines.append("    " + line)
     if kind == "poll":
         tick = _poll_tick_lines()
@@ -1009,11 +1033,16 @@ def _build_span_source(num_cores, watched, pairs, num_taps, recorded):
     accounting and the history module's run trackers generated into
     the loop as pair-suffixed locals, seeded at span entry and written
     back at span exit) or ``"irq"`` (interrupt reporting: inlined
-    sampling, then the monitor's own ``_tick``).  ``has_record`` adds
-    the capture recorder's per-cycle call.  The span terminates when
-    every core in ``watched`` has finished.  Each core in ``recorded``
-    (its register file records a golden run) is stamped every cycle
-    before the cores step, into its log and its frontier column.
+    sampling, then the monitor's own ``_tick``).  ``has_record``
+    splices the capture's column appends into the same gated
+    observation: the cycle, each core's hold flag and commit count,
+    and on a cycle the core is not held the row and the stage words
+    the span has just built for the signature units (no call into the
+    recorder).  Without it the source is that of a plain run.  The
+    span terminates when every core in ``watched`` has finished.  Each
+    core in ``recorded`` (its register file records a golden run) is
+    stamped every cycle before the cores step, into its log and its
+    frontier column.
     """
     args = ["soc"]
     for n in range(num_cores):
@@ -1117,7 +1146,11 @@ def _pair_binding(monitor, a, b, p):
     The monitor's own state picks the kind.  Capture attachment is
     pre-run (or via a checkpoint callback, after which
     ``FastRunner._rebuild`` re-specializes), so its presence is baked
-    into the generated source.  The ``poll`` kind binds the history
+    into the generated source.  An attached recorder hands the bound
+    appends of its trace's columns
+    (:meth:`~repro.trace.stream_trace.StreamRecorder.appends`); a
+    rebuild binds the same columns again, so a capture runs on across
+    checkpoints.  The ``poll`` kind binds the history
     module's four run trackers (:class:`~repro.soc.mpsoc.MPSoC` builds
     one for every monitor); the ``irq`` kind leaves history to the
     monitor's ``_tick``.
@@ -1134,7 +1167,11 @@ def _pair_binding(monitor, a, b, p):
            "diff_stats": monitor.instruction_diff.stats,
            "mstats": monitor.stats, "monitor": monitor}
     if has_record:
-        env["record"] = monitor._capture.record
+        env["rec_cycle"], cores = monitor._capture.appends()
+        for side, appends in zip("ab", cores):
+            env.update(("%s_%s" % (column, side), append)
+                       for column, append in zip(_CAPTURE_COLUMNS,
+                                                 appends))
     for side, ds, is_ in zip("ab", monitor.ds_units, monitor.is_units):
         env.update({"rows_" + side: ds._rows, "is_" + side: is_})
     if kind == "poll":

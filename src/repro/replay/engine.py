@@ -52,7 +52,8 @@ import dataclasses
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
-from operator import eq
+from itertools import accumulate, chain
+from operator import eq, sub
 from typing import Dict, Iterator, Optional, Tuple
 
 from ..core.history import EpisodeHistogram, HistoryModule
@@ -144,7 +145,7 @@ class ReplayMonitor:
         view0 = _ReplayCore()
         view1 = _ReplayCore()
         observe = self.monitor.observe
-        for sample in self.trace.samples:
+        for sample in self.trace:
             tap0, tap1 = sample.cores
             view0.hold = tap0.hold
             view0.commits_this_cycle = tap0.commits
@@ -237,7 +238,7 @@ def _equal_tail(rows0: deque, rows1: deque) -> int:
     return count
 
 
-def _row_runs(samples, num_ports: int, cap: int) -> array:
+def _row_runs(trace: StreamTrace, num_ports: int, cap: int) -> array:
     """Per observed cycle, how many of the two cores' newest DS rows
     are pairwise equal, up to ``cap``.
 
@@ -252,31 +253,40 @@ def _row_runs(samples, num_ports: int, cap: int) -> array:
     rows1 = deque([idle] * cap, maxlen=cap)
     runs = array("B" if cap <= 0xFF else "I")
     run = cap
-    for sample in samples:
-        tap0, tap1 = sample.cores
-        if not tap0.hold and not tap1.hold:
-            row = tap0.ports[:num_ports]
+    ports0, ports1 = map(iter, trace.ports)
+    for held0, held1 in zip(*trace.hold):
+        if not held0 and not held1:
+            row = next(ports0)[:num_ports]
             rows0.append(row)
-            rows1.append(tap1.ports[:num_ports])
+            rows1.append(next(ports1)[:num_ports])
             if row != rows1[-1]:
                 run = 0
             elif run < cap:
                 run += 1
-        elif not tap0.hold:
-            rows0.append(tap0.ports[:num_ports])
+        elif not held0:
+            rows0.append(next(ports0)[:num_ports])
             run = _equal_tail(rows0, rows1)
-        elif not tap1.hold:
-            rows1.append(tap1.ports[:num_ports])
+        elif not held1:
+            rows1.append(next(ports1)[:num_ports])
             run = _equal_tail(rows0, rows1)
         runs.append(run)
     return runs
+
+
+def _held_forward(hold: bytearray, column, reset) -> Iterator:
+    """One entry per observed cycle from a core's ``column`` of one
+    entry per cycle it was not held: a held cycle repeats the last
+    entry, ``reset`` before the first."""
+    return map([reset, *column].__getitem__,
+               accumulate(map((1).__xor__, hold)))
 
 
 class _VerdictStreams:
     """The verdict streams of one trace, each computed once and shared
     by every signature geometry that reads it.
 
-    One walk over the trace yields what every geometry shares:
+    One pass over the trace's columns yields what every geometry
+    shares:
 
     * the staggering counter, which only the commit counts feed: its
       :class:`InstructionDiffStats` and its zero-staggering episode
@@ -288,43 +298,27 @@ class _VerdictStreams:
     """
 
     def __init__(self, trace: StreamTrace):
-        self.samples = samples = trace.samples
-        first = next((tap.stages for sample in samples
-                      for tap in sample.cores if not tap.hold), ())
+        self.trace = trace
+        first = next(chain.from_iterable(trace.stages), ())
         ids = {(None,) * len(first): 0}
-        ids0 = array("I")
-        ids1 = array("I")
-        now0 = now1 = 0
-        min_ports = None
-        diff = trace.meta.diff_preload
-        low = high = 0
-        zero = bytearray()
-        for sample in samples:
-            tap0, tap1 = sample.cores
-            if not tap0.hold:
-                now0 = ids.setdefault(tap0.stages, len(ids))
-                if min_ports is None or len(tap0.ports) < min_ports:
-                    min_ports = len(tap0.ports)
-            if not tap1.hold:
-                now1 = ids.setdefault(tap1.stages, len(ids))
-                if min_ports is None or len(tap1.ports) < min_ports:
-                    min_ports = len(tap1.ports)
-            ids0.append(now0)
-            ids1.append(now1)
-            diff += tap0.commits - tap1.commits
-            zero.append(diff == 0)
-            if diff < low:
-                low = diff
-            elif diff > high:
-                high = diff
-        self.stage_ids = (ids0, ids1)
+        intern = ids.setdefault
+        self.stage_ids = tuple(
+            array("I", _held_forward(
+                hold, [intern(stages, len(ids)) for stages in column], 0))
+            for hold, column in zip(trace.hold, trace.stages))
         self.stages = list(ids)
-        self.min_ports = min_ports
+        self.min_ports = min(map(len, chain.from_iterable(trace.ports)),
+                             default=None)
         self._inflight: Optional[list] = None
-        zero = bytes(zero)
+        diffs = array("q", accumulate(map(sub, *trace.commits),
+                                      initial=trace.meta.diff_preload))
+        del diffs[0]
+        zero = bytes(map((0).__eq__, diffs))
         self.diff_stats = InstructionDiffStats(
-            zero_staggering_cycles=zero.count(1), min_diff=low,
-            max_diff=high, sampled_cycles=len(zero))
+            zero_staggering_cycles=zero.count(1),
+            min_diff=min(0, min(diffs, default=0)),
+            max_diff=max(0, max(diffs, default=0)),
+            sampled_cycles=len(zero))
         self.zero_staggering = EpisodeHistogram()
         _fill_histogram(self.zero_staggering, zero)
         #: num_ports -> (cap, row runs); (num_ports, ds_depth) -> DS
@@ -354,7 +348,7 @@ class _VerdictStreams:
             cap, runs = self._runs.get(num_ports, (-1, None))
             if cap < depth:
                 cap = max(_RUN_CAP, depth)
-                runs = _row_runs(self.samples, num_ports, cap)
+                runs = _row_runs(self.trace, num_ports, cap)
                 self._runs[num_ports] = (cap, runs)
             stream = self._ds[num_ports, depth] = \
                 bytes(map(depth.__le__, runs))

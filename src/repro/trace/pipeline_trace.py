@@ -48,7 +48,7 @@ class PipelineTracer:
         self.lines: List[TraceLine] = []
         empty = (None,) * len(STAGE_NAMES)
         stages = [empty, empty]
-        for sample in trace.samples:
+        for sample in trace:
             for index, core in enumerate(sample.cores):
                 if not core.hold:
                     stages[index] = core.stages

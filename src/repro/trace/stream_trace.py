@@ -7,24 +7,37 @@ the *simulation* inputs (program, platform geometry, staggering,
 arbiter start, cycle budget) and entirely independent of the *monitor*
 configuration (IS variant, DS geometry, reporting mode, threshold).
 
-:class:`StreamRecorder` hooks into
-:meth:`repro.core.monitor.DiversityMonitor.attach_capture` and records,
-for every observed cycle and each monitored core:
+A :class:`StreamTrace` stores a capture as columns:
 
-* the pipeline ``hold`` flag,
-* the commit count (feeds the instruction-diff staggering counter),
-* all register-port ``(enable, value)`` samples (skipped on hold —
-  the signature units freeze then), and
-* the per-stage instruction-word occupancy (``None`` = empty stage),
-  the one IS tap: the live monitor and replay both derive the INFLIGHT
-  window from it (:func:`repro.core.signatures.inflight_from_stage_words`).
+* ``cycles``: the observed cycles;
+* per monitored core, ``hold`` (the pipeline hold flag) and
+  ``commits`` (the commit count, which feeds the instruction-diff
+  staggering counter): one byte per observed cycle;
+* per monitored core, ``ports`` (every register-port ``(enable,
+  value)`` sample, reads then writes) and ``stages`` (the per-stage
+  instruction-word occupancy, ``None`` = empty stage): one tuple per
+  cycle on which that core was not held.  The signature units freeze
+  on hold, so nothing else is consumed then.  The stage words are the
+  one IS tap: the live monitor and replay both derive the INFLIGHT
+  window from them
+  (:func:`repro.core.signatures.inflight_from_stage_words`).
 
-:class:`StreamTrace` is the container plus a compact binary codec:
-a small JSON metadata header followed by a zlib-compressed LEB128
-varint body using cycle-gap deltas, port-value XOR deltas against the
-previous cycle, and a shared instruction-word dictionary (loop bodies
-repeat the same few words for thousands of cycles).  Encoding is fully
-lossless: ``decode(encode(t))`` reproduces every sample bit for bit.
+:class:`StreamRecorder` owns the trace it fills.  On the reference
+tier :meth:`repro.core.monitor.DiversityMonitor.observe` calls
+:meth:`StreamRecorder.record` every observed cycle; the fast tier's
+generated span calls nothing, it appends the values it computes for
+the signature units straight to the columns through
+:meth:`StreamRecorder.appends`.  Iterating a trace yields per-cycle
+views (:class:`CycleSample` holding two :class:`CoreSample`) built on
+the fly, and :meth:`StreamTrace.append` fills the columns from such
+views.
+
+The binary codec is a small JSON metadata header followed by a
+zlib-compressed LEB128 varint body using cycle-gap deltas, port-value
+XOR deltas against the previous cycle, and a shared instruction-word
+dictionary (loop bodies repeat the same few words for thousands of
+cycles).  Encoding is fully lossless: ``decode(encode(t))``
+reproduces every column bit for bit.
 
 ``repro.replay`` recomputes monitor outcomes from these traces for any
 monitor configuration without touching ``repro.cpu``/``repro.mem``.
@@ -35,6 +48,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import zlib
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -46,7 +60,8 @@ _MAGIC = b"SDMT"
 
 @dataclass(frozen=True)
 class CoreSample:
-    """One core's raw monitor taps for one cycle.
+    """One core's raw monitor taps for one cycle: a view of the
+    trace's columns.
 
     ``ports`` and ``stages`` are ``None`` when the pipeline held: the
     signature units freeze on hold, so the values are never consumed.
@@ -89,6 +104,25 @@ class TraceMeta:
     #: Simulation cache key the trace is content-addressed by ("" when
     #: captured outside the cache machinery).
     sim_key: str = ""
+
+
+_META_FIELDS = frozenset(field.name for field in
+                         dataclasses.fields(TraceMeta))
+
+
+def _meta_from(blob: bytes) -> TraceMeta:
+    """The :class:`TraceMeta` of an encoded header's JSON object."""
+    try:
+        fields = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError("corrupt trace metadata (%s)" % exc) from None
+    if not isinstance(fields, dict):
+        raise ValueError("corrupt trace metadata (expected a JSON object)")
+    unknown = sorted(set(fields) - _META_FIELDS)
+    if unknown:
+        raise ValueError("corrupt trace metadata (unknown field %s)"
+                         % ", ".join(map(repr, unknown)))
+    return TraceMeta(**fields)
 
 
 def _write_varint(out: bytearray, value: int):
@@ -136,23 +170,66 @@ class _Reader:
         return blob
 
 
+def _core_views(hold, commits, ports, stages) -> Iterator[CoreSample]:
+    """One core's per-cycle views, read off its four columns."""
+    ports = iter(ports)
+    stages = iter(stages)
+    for held, count in zip(hold, commits):
+        if held:
+            yield CoreSample(True, count, None, None)
+        else:
+            yield CoreSample(False, count, next(ports), next(stages))
+
+
 class StreamTrace:
-    """An ordered set of :class:`CycleSample` rows plus metadata."""
+    """A capture's columns plus metadata (see the module docstring).
+
+    ``samples`` fills the columns from per-cycle views, as
+    :meth:`append` does; iterating yields the views back.
+    """
 
     def __init__(self, meta: Optional[TraceMeta] = None,
                  samples: Optional[List[CycleSample]] = None):
         self.meta = meta or TraceMeta()
-        self.samples: List[CycleSample] = samples if samples is not None \
-            else []
+        self.cycles = array("q")
+        self.hold = (bytearray(), bytearray())
+        self.commits = (bytearray(), bytearray())
+        self.ports: Tuple[list, list] = ([], [])
+        self.stages: Tuple[list, list] = ([], [])
+        for sample in samples or ():
+            self.append(sample)
 
     def append(self, sample: CycleSample):
-        self.samples.append(sample)
+        """Add one observed cycle, given as its per-cycle view."""
+        cores = sample.cores
+        if len(cores) != 2:
+            raise ValueError("a cycle holds exactly two cores, got %d"
+                             % len(cores))
+        for core in cores:
+            if not core.hold and (core.ports is None
+                                  or core.stages is None):
+                raise ValueError("non-hold samples need ports and stages")
+        self.cycles.append(sample.cycle)
+        for index, core in enumerate(cores):
+            self.hold[index].append(1 if core.hold else 0)
+            self.commits[index].append(core.commits)
+            if not core.hold:
+                self.ports[index].append(core.ports)
+                self.stages[index].append(core.stages)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.cycles)
 
     def __iter__(self) -> Iterator[CycleSample]:
-        return iter(self.samples)
+        """The per-cycle views, built as they are read."""
+        return map(CycleSample, self.cycles, zip(
+            *map(_core_views, self.hold, self.commits, self.ports,
+                 self.stages)))
+
+    @property
+    def samples(self) -> List[CycleSample]:
+        """Every observed cycle's view, in a new list."""
+        return list(self)
 
     # -- binary codec ------------------------------------------------------
 
@@ -168,7 +245,7 @@ class StreamTrace:
 
         body = bytearray()
         append = body.append
-        _write_varint(body, len(self.samples))
+        _write_varint(body, len(self.cycles))
         word_ids: dict = {}
         # Encoded stage tuples whose words all had dictionary ids
         # before: every later occurrence encodes to the same bytes.
@@ -176,37 +253,34 @@ class StreamTrace:
         # Encoded port deltas of two bytes or more: register values
         # repeat, so most deltas recur.
         delta_bytes: dict = {}
-        prev_ports: List[List[int]] = []
+        prev_ports: Tuple[List[int], List[int]] = ([], [])
+        ports_of = tuple(map(iter, self.ports))
+        stages_of = tuple(map(iter, self.stages))
+        hold0, hold1 = self.hold
+        commits0, commits1 = self.commits
         prev_cycle = -1
-        for sample in self.samples:
-            gap = sample.cycle - prev_cycle - 1
+        for cycle, held0, count0, held1, count1 in zip(
+                self.cycles, hold0, commits0, hold1, commits1):
+            gap = cycle - prev_cycle - 1
             if gap < 0:
                 raise ValueError("cycles must be strictly increasing")
             if gap < 0x80:
                 append(gap)
             else:
                 _write_varint(body, gap)
-            prev_cycle = sample.cycle
-            cores = sample.cores
-            if len(cores) < 0x80:
-                append(len(cores))
-            else:
-                _write_varint(body, len(cores))
-            for index, core in enumerate(cores):
-                append(1 if core.hold else 0)
-                if core.commits < 0x80:
-                    append(core.commits)
+            prev_cycle = cycle
+            append(2)
+            for index, held, count in ((0, held0, count0),
+                                       (1, held1, count1)):
+                append(held)
+                if count < 0x80:
+                    append(count)
                 else:
-                    _write_varint(body, core.commits)
-                if core.hold:
+                    _write_varint(body, count)
+                if held:
                     continue
-                ports = core.ports
-                stages = core.stages
-                if ports is None or stages is None:
-                    raise ValueError(
-                        "non-hold samples need ports and stages")
-                while len(prev_ports) <= index:
-                    prev_ports.append([])
+                ports = next(ports_of[index])
+                stages = next(stages_of[index])
                 prev = prev_ports[index]
                 while len(prev) < len(ports):
                     prev.append(0)
@@ -262,36 +336,39 @@ class StreamTrace:
 
     @classmethod
     def decode(cls, data: bytes) -> "StreamTrace":
-        """Rebuild a trace from :meth:`encode` output."""
+        """Rebuild a trace from :meth:`encode` output, column by
+        column."""
         if data[:len(_MAGIC)] != _MAGIC:
             raise ValueError("not a stream trace (bad magic)")
         reader = _Reader(data, len(_MAGIC))
         version = reader.varint()
         if version != TRACE_SCHEMA_VERSION:
             raise ValueError("unsupported trace schema %d" % version)
-        meta = TraceMeta(**json.loads(
-            reader.read(reader.varint()).decode("utf-8")))
+        trace = cls(meta=_meta_from(reader.read(reader.varint())))
         try:
             reader = _Reader(zlib.decompress(data[reader.pos:]))
         except zlib.error as exc:
             raise ValueError("corrupt stream (%s)" % exc) from None
 
-        samples: List[CycleSample] = []
+        add_cycle = trace.cycles.append
+        columns = tuple(zip(trace.hold, trace.commits, trace.ports,
+                            trace.stages, ([], [])))
         words_by_id: List[int] = []
-        prev_ports: List[List[int]] = []
         cycle = -1
         for _ in range(reader.varint()):
             cycle += reader.varint() + 1
-            cores = []
-            for index in range(reader.varint()):
-                hold = bool(reader.read(1)[0])
-                commits = reader.varint()
-                if hold:
-                    cores.append(CoreSample(True, commits, None, None))
+            add_cycle(cycle)
+            cores = reader.varint()
+            if cores != 2:
+                raise ValueError("corrupt stream (a cycle holds exactly"
+                                 " two cores, got %d)" % cores)
+            for hold, commits, ports_column, stages_column, prev \
+                    in columns:
+                held = reader.read(1)[0] != 0
+                hold.append(held)
+                commits.append(reader.varint())
+                if held:
                     continue
-                while len(prev_ports) <= index:
-                    prev_ports.append([])
-                prev = prev_ports[index]
                 num_ports = reader.varint()
                 while len(prev) < num_ports:
                     prev.append(0)
@@ -317,14 +394,14 @@ class StreamTrace:
                             word = words_by_id[ref - 1]
                         words.append(word)
                     stages.append(tuple(words))
-                cores.append(CoreSample(False, commits, tuple(ports),
-                                        tuple(stages)))
-            samples.append(CycleSample(cycle, tuple(cores)))
-        return cls(meta=meta, samples=samples)
+                ports_column.append(tuple(ports))
+                stages_column.append(tuple(stages))
+        return trace
 
     def byte_size(self) -> int:
         """Encoded size in bytes.  This encodes the whole trace: about
-        7–9 ms per 1000 observed cycles on a shared 2-CPU x86 host."""
+        9.5–12 ms per 1000 observed cycles on a shared 2-CPU x86 host
+        (cosf, countnegative and binarysearch captures)."""
         return len(self.encode())
 
     def save(self, path) -> int:
@@ -342,39 +419,54 @@ class StreamTrace:
 
 
 class StreamRecorder:
-    """Capture hook collecting raw monitor taps during a live run.
+    """Capture hook that fills its own :class:`StreamTrace` during a
+    live run.
 
-    Attach via :meth:`DiversityMonitor.attach_capture`; the monitor
-    calls :meth:`record` once per observed cycle, before sampling, so
-    the recorder sees exactly what the signature units consume.
+    Attach via :meth:`DiversityMonitor.attach_capture`.  On the
+    reference tier the monitor calls :meth:`record` once per observed
+    cycle, before sampling, so the recorder sees exactly what the
+    signature units consume.  The fast tier never calls :meth:`record`:
+    its span appends the same values to the columns in line, through
+    the bound appends :meth:`appends` hands it.
     """
 
     def __init__(self):
-        self.samples: List[CycleSample] = []
+        self.trace = StreamTrace()
         #: Instruction-diff preload at attach time (set by the caller
         #: that wired the capture, e.g. ``run_redundant``).
         self.diff_preload = 0
+        self._appends = self.appends()
 
-    @staticmethod
-    def _tap(core) -> CoreSample:
-        if core.hold:
-            return CoreSample(True, core.commits_this_cycle, None, None)
-        return CoreSample(False, core.commits_this_cycle,
-                          tuple(core.regfile.port_samples()),
-                          tuple(core.stage_words()))
+    def appends(self):
+        """``(cycle, cores)``: the bound ``append`` of the cycle column,
+        and per monitored core those of its ``(hold, commits, ports,
+        stages)`` columns."""
+        trace = self.trace
+        return trace.cycles.append, tuple(
+            (hold.append, commits.append, ports.append, stages.append)
+            for hold, commits, ports, stages in zip(
+                trace.hold, trace.commits, trace.ports, trace.stages))
 
     def record(self, cycle: int, core0, core1):
         """Tap both cores for one observed cycle."""
-        self.samples.append(CycleSample(
-            cycle, (self._tap(core0), self._tap(core1))))
+        add_cycle, columns = self._appends
+        add_cycle(cycle)
+        for core, (hold, commits, ports, stages) in zip((core0, core1),
+                                                        columns):
+            hold(core.hold)
+            commits(core.commits_this_cycle)
+            if not core.hold:
+                ports(tuple(core.regfile.port_samples()))
+                stages(tuple(core.stage_words()))
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.trace)
 
     def to_trace(self, meta: Optional[TraceMeta] = None) -> StreamTrace:
-        """Package the recorded samples (``meta.diff_preload`` is filled
-        from the recorder if the caller left it at zero)."""
+        """The recorded trace, with ``meta`` (``meta.diff_preload`` is
+        filled from the recorder if the caller left it at zero)."""
         meta = meta or TraceMeta()
         if meta.diff_preload == 0:
             meta.diff_preload = self.diff_preload
-        return StreamTrace(meta=meta, samples=self.samples)
+        self.trace.meta = meta
+        return self.trace

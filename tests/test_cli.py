@@ -1,8 +1,17 @@
 """Command-line interface tests."""
 
+import zlib
+
 import pytest
 
 from repro.cli import main
+
+
+def _trace_with_metadata(meta: bytes) -> bytes:
+    """A stream trace of no cycles whose header carries ``meta`` as
+    its metadata: magic, schema 1, the metadata's length, then an
+    empty body."""
+    return b"SDMT\x01" + bytes([len(meta)]) + meta + zlib.compress(b"\x00")
 
 
 class TestList:
@@ -214,7 +223,12 @@ class TestErrors:
         (b"hello\n", "not a stream trace (bad magic)"),
         ("cut capture", "corrupt stream (Error -5 while decompressing "
                         "data: incomplete or truncated stream)"),
-    ], ids=["missing", "not-a-trace", "truncated"])
+        (_trace_with_metadata(b"[]"),
+         "corrupt trace metadata (expected a JSON object)"),
+        (_trace_with_metadata(b'{"benchmark":"cosf","bogus":1}'),
+         "corrupt trace metadata (unknown field 'bogus')"),
+    ], ids=["missing", "not-a-trace", "truncated", "metadata-list",
+            "metadata-unknown-field"])
     def test_unreadable_replay_trace_rejected(self, content, reason,
                                               tmp_path, capsys):
         path = tmp_path / "cosf.trace"
@@ -381,3 +395,25 @@ class TestSchemeCampaign:
         assert capsys.readouterr().out == reference
         assert seen == [("reference", 1), ("fast", 2)]
 
+
+    def test_compare_schemes_engine_reaches_the_matrix(self, monkeypatch,
+                                                       capsys):
+        """``compare-schemes --engine fast`` runs the golden runs and
+        trials on the fast tier and prints the reference tier's
+        matrix."""
+        import repro.schemes.matrix as matrix
+        seen = []
+        real = matrix.scheme_matrix
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["engine"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(matrix, "scheme_matrix", spy)
+        argv = ["compare-schemes", "countnegative", "--schemes",
+                "lockstep", "tmr", "--faults", "2"]
+        assert main(argv) == 0
+        reference = capsys.readouterr().out
+        assert main(argv + ["--engine", "fast"]) == 0
+        assert capsys.readouterr().out == reference
+        assert seen == ["reference", "fast"]

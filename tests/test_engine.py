@@ -39,9 +39,10 @@ from repro.fault.models import TransientFault
 from repro.mem.memory import MemoryError_
 from repro.schemes import make_scheme
 from repro.soc.config import SocConfig
-from repro.soc.experiment import run_redundant, run_redundant_captured
+from repro.soc.experiment import run_redundant
 from repro.soc.mpsoc import MPSoC
 from repro.telemetry import NULL_REGISTRY, MetricsRegistry
+from repro.trace import StreamRecorder
 from repro.workloads import all_names, program
 
 #: Truncated so the 29-kernel property sweep stays test-suite cheap;
@@ -151,16 +152,59 @@ def test_fast_matches_reference_interrupt_modes(mode, threshold, scheme):
     assert fast_log == ref_log
 
 
-def test_fast_capture_stream_equals_reference():
-    """Raw monitor taps (the replay substrate) must match byte for byte,
-    so trace-cache entries stay engine-independent."""
-    prog = program(KERNEL)
-    ref_res, ref_trace = run_redundant_captured(
-        prog, benchmark=KERNEL, stagger_nops=100, max_cycles=MAX_CYCLES)
-    fast_res, fast_trace = run_redundant_captured(
-        prog, benchmark=KERNEL, stagger_nops=100, max_cycles=MAX_CYCLES,
-        engine="fast")
+def _captured(name, engine, late_core, mode, checkpoint_every=0):
+    """A run of ``name`` at stagger 100 captured into a fresh
+    :class:`StreamRecorder`: its result, its trace, the engine
+    statistics and the number of checkpoint callbacks."""
+    socs, checkpoints = [], []
+    recorder = StreamRecorder()
+    result = run_redundant(program(name), benchmark=name,
+                           stagger_nops=100, late_core=late_core,
+                           mode=mode, threshold=8, max_cycles=MAX_CYCLES,
+                           soc_hook=socs.append, capture=recorder,
+                           checkpoint_every=checkpoint_every,
+                           on_checkpoint=checkpoints.append,
+                           engine=engine)
+    return (result, recorder.to_trace(), socs[0].engine_stats,
+            len(checkpoints))
+
+
+#: The columns a StreamTrace stores a capture in.
+TRACE_COLUMNS = ("cycles", "hold", "commits", "ports", "stages")
+
+_POLL, _IRQ = ReportingMode.POLLING, ReportingMode.INTERRUPT_THRESHOLD
+_CAPTURE_CASES = [(name, late_core, _POLL, 0)
+                  for name in ("cosf", "fft", KERNEL, "binarysearch")
+                  for late_core in (0, 1)] + [
+    ("cosf", 1, _IRQ, 0), (KERNEL, 0, _IRQ, 0), (KERNEL, 1, _POLL, 500)]
+
+
+@pytest.mark.parametrize(
+    "name,late_core,mode,checkpoint_every", _CAPTURE_CASES,
+    ids=["%s-late%d-%s%s" % (name, late_core,
+                              "poll" if mode is _POLL else "irq",
+                              "-checkpoints" if every else "")
+         for name, late_core, mode, every in _CAPTURE_CASES])
+def test_fast_capture_stream_equals_reference(name, late_core, mode,
+                                              checkpoint_every):
+    """Raw monitor taps (the replay substrate) must match column for
+    column and byte for byte, so trace-cache entries stay
+    engine-independent: on both span kinds, with either core late, and
+    across the runner rebuilds that follow checkpoints (each rebinds
+    the span's appends to the same columns)."""
+    ref_res, ref_trace, _, _ = _captured(name, "reference", late_core,
+                                         mode)
+    fast_res, fast_trace, stats, checkpoints = _captured(
+        name, "fast", late_core, mode, checkpoint_every)
+    assert stats.fallback_reason is None
+    assert stats.fast_cycles == fast_res.cycles
+    if checkpoint_every:
+        assert checkpoints == fast_res.cycles // checkpoint_every > 1
     assert dataclasses.asdict(fast_res) == dataclasses.asdict(ref_res)
+    assert len(fast_trace) > 1000
+    for column in TRACE_COLUMNS:
+        assert getattr(fast_trace, column) == getattr(ref_trace, column), \
+            column
     assert fast_trace.encode() == ref_trace.encode()
 
 

@@ -405,7 +405,13 @@ def test_fast_replay_equals_reference_replay(trace, signature, mode,
                                              threshold):
     """ReplayEngine's shared verdict streams count exactly what a real
     DiversityMonitor replayed cycle by cycle counts; a geometry the
-    capture cannot feed raises ValueError on both paths."""
+    capture cannot feed raises ValueError on both paths.  The codec
+    round-trips the trace column for column, byte for byte."""
+    blob = trace.encode()
+    decoded = StreamTrace.decode(blob)
+    for column in ("cycles", "hold", "commits", "ports", "stages"):
+        assert getattr(decoded, column) == getattr(trace, column), column
+    assert decoded.encode() == blob
     reference = ReplayMonitor(trace, signature=signature, mode=mode,
                               threshold=threshold)
     engine = ReplayEngine(trace)

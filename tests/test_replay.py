@@ -9,6 +9,7 @@ are monitor-independent.
 
 import dataclasses
 import hashlib
+import zlib
 
 import pytest
 
@@ -236,6 +237,20 @@ def test_codec_rejects_garbage():
     blob = StreamTrace(meta=TraceMeta()).encode()
     with pytest.raises(ValueError):
         StreamTrace.decode(blob[:6])
+
+
+def test_trace_rejects_a_cycle_without_two_cores():
+    """A capture holds the monitored pair: a cycle of one or three
+    cores is rejected when appended and when decoded."""
+    held = CoreSample(True, 0, None, None)
+    for cores in ((held,), (held,) * 3):
+        with pytest.raises(ValueError, match="two cores"):
+            StreamTrace(samples=[CycleSample(0, cores)])
+    # Magic, schema 1, metadata "{}", then one cycle of three held
+    # cores: count, gap, core count, (hold, commits) per core.
+    blob = b"SDMT\x01\x02{}" + zlib.compress(bytes([1, 0, 3] + [1, 0] * 3))
+    with pytest.raises(ValueError, match="two cores"):
+        StreamTrace.decode(blob)
 
 
 def test_trace_file_round_trip(tmp_path):
