@@ -14,7 +14,7 @@ from repro.soc.config import SocConfig
 from repro.soc.experiment import run_redundant
 from repro.workloads import program
 
-from conftest import save_and_print
+from bench_common import save_and_print
 
 DEPTHS = (3, 7, 14, 28)
 WORKLOAD = "cubic"

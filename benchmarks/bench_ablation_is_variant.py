@@ -13,7 +13,7 @@ from repro.soc.config import SocConfig
 from repro.soc.experiment import run_redundant
 from repro.workloads import program
 
-from conftest import save_and_print
+from bench_common import save_and_print
 
 WORKLOADS = ("cubic", "md5", "countnegative")
 

@@ -11,7 +11,7 @@ from repro.core.monitor import ReportingMode
 from repro.soc.mpsoc import MPSoC
 from repro.workloads import program
 
-from conftest import save_and_print
+from bench_common import save_and_print
 
 WORKLOAD = "cubic"
 

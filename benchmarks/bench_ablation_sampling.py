@@ -20,7 +20,7 @@ from repro.core.signatures import IDLE, DataSignatureUnit, SignatureConfig
 from repro.soc.experiment import run_redundant_captured
 from repro.workloads import program
 
-from conftest import save_and_print
+from bench_common import save_and_print
 
 WORKLOADS = ("cubic", "fft", "bitcount")
 

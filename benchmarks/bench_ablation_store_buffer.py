@@ -16,7 +16,7 @@ from repro.soc.config import SocConfig
 from repro.soc.mpsoc import MPSoC
 from repro.workloads import program
 
-from conftest import save_and_print
+from bench_common import save_and_print
 
 WORKLOAD = "pm"
 STAGGERS = (0, 100, 1000)

@@ -1,4 +1,19 @@
-"""Shared report conventions for the ``BENCH_*.json`` writers.
+"""Shared helpers for the benchmark harness.
+
+Every paper table/figure has one ``bench_*.py`` here.  Each bench both
+*regenerates the paper's rows* (printed and saved under
+``benchmarks/out/`` by :func:`save_and_print`) and times a
+representative unit of work through pytest-benchmark.  The helpers
+live in this module, imported as ``from bench_common import ...``, not
+in a ``conftest``: that name resolves to whichever conftest module
+pytest loaded first (``tests/`` has one too).
+
+Set ``SAFEDM_FULL_TABLE1=1`` to sweep all 29 benchmarks in
+``bench_table1``; the default sweeps a category-representative subset
+(:data:`TABLE1_SUBSET`) to keep a full bench run in minutes.
+
+Report conventions for the ``BENCH_*.json`` writers
+---------------------------------------------------
 
 Every benchmark writes a JSON report consumed by CI gates and by
 humans diffing runs over time.  A metric that *could not be measured*
@@ -18,6 +33,38 @@ confuse either with a measured-but-disappointing number.
 """
 
 from __future__ import annotations
+
+import os
+import pathlib
+
+OUT_DIR = pathlib.Path(__file__).parent / "out"
+
+#: Category-representative subset used by default for Table I.
+TABLE1_SUBSET = (
+    "binarysearch",   # search
+    "bitcount",       # bitops
+    "bsort",          # sort
+    "cubic",          # ALU-dense math (the paper's no-div champion)
+    "fft",            # dsp
+    "matrix1",        # linear algebra
+    "md5",            # crypto
+    "pm",             # the timing-anomaly benchmark
+    "recursion",      # stack-heavy
+)
+
+
+def full_table1() -> bool:
+    return os.environ.get("SAFEDM_FULL_TABLE1", "") == "1"
+
+
+def save_and_print(name: str, text: str):
+    OUT_DIR.mkdir(exist_ok=True)
+    path = OUT_DIR / name
+    path.write_text(text)
+    print()
+    print("=" * 72)
+    print(text)
+    print("(saved to %s)" % path)
 
 
 def metric_fields(metric: str, value, skipped_reason=None) -> dict:

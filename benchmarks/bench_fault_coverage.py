@@ -15,7 +15,7 @@ from repro.fault.campaign import run_ccf_campaign, spread_cycles
 from repro.fault.injector import shared_address_config
 from repro.workloads import program
 
-from conftest import save_and_print
+from bench_common import save_and_print
 
 WORKLOAD = "countnegative"
 INJECTIONS = 10

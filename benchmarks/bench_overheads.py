@@ -17,7 +17,7 @@ from repro.core.overheads import (
 )
 from repro.core.signatures import SignatureConfig
 
-from conftest import save_and_print
+from bench_common import save_and_print
 
 
 def overhead_report():

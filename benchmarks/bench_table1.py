@@ -19,7 +19,7 @@ from repro.analysis.tables import format_table1, format_table1_csv
 from repro.soc.experiment import PAPER_STAGGER_VALUES, run_row
 from repro.workloads import TACLE_KERNELS, program
 
-from conftest import TABLE1_SUBSET, full_table1, save_and_print
+from bench_common import TABLE1_SUBSET, full_table1, save_and_print
 
 _ROWS_CACHE = {}
 

@@ -20,7 +20,7 @@ from repro.baselines.sw_stagger import run_with_sw_staggering
 from repro.soc.mpsoc import MPSoC
 from repro.workloads import program
 
-from conftest import save_and_print
+from bench_common import save_and_print
 
 WORKLOAD = "countnegative"
 

@@ -5,13 +5,12 @@ Figures 1-4 of the paper are schematics, not data plots; each module in
 this reproduction can describe its own structure, so the "figures" are
 regenerated from the live objects:
 
-* Fig. 1 — lockstepped core (repro.baselines.lockstep)
+* Fig. 1 — lockstepped core (repro.schemes.lockstep)
 * Fig. 2a/2b — Data / Instruction signature layout (repro.core.signatures)
 * Fig. 3 — MPSoC with SafeDM (repro.soc)
 * Fig. 4 — SafeDM internal blocks (repro.core.monitor)
 """
 
-from repro.baselines.lockstep import LockstepComparator
 from repro.core.history import HistoryModule
 from repro.core.monitor import DiversityMonitor
 from repro.core.signatures import (
@@ -19,6 +18,7 @@ from repro.core.signatures import (
     InstructionSignatureUnit,
     SignatureConfig,
 )
+from repro.schemes.lockstep import LockstepComparator
 from repro.soc import MPSoC
 
 

@@ -1,6 +1,6 @@
-"""Baseline redundancy techniques (paper Table II columns)."""
+"""Baseline redundancy techniques (paper Table II columns; lockstep
+runs as the :mod:`repro.schemes.lockstep` scheme)."""
 
-from .lockstep import LockstepComparator, LockstepStats
 from .safede import SafeDeEnforcer, SafeDeStats, run_with_enforcement
 from .sw_stagger import (
     SoftwareStaggerer,
@@ -10,8 +10,6 @@ from .sw_stagger import (
 from .unaware import RedundancyOutcome, compare_outputs
 
 __all__ = [
-    "LockstepComparator",
-    "LockstepStats",
     "RedundancyOutcome",
     "SafeDeEnforcer",
     "SafeDeStats",

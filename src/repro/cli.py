@@ -145,9 +145,10 @@ def _check_writable(path: str):
 
 def _check_args(args):
     """Reject unknown kernel names, job, trial, bin, injection and
-    fault counts below 1, a negative checkpoint cadence or stagger,
-    and then an output file that cannot be written, before any work
-    starts (raises ``ValueError`` with a one-line reason)."""
+    fault counts and cycle budgets below 1, a negative checkpoint
+    cadence or stagger, and then an output file that cannot be
+    written, before any work starts (raises ``ValueError`` with a
+    one-line reason)."""
     from .workloads import workload
     for attr in ("kernel", "kernel_a", "kernel_b", "kernels"):
         value = getattr(args, attr, None) or ()
@@ -159,17 +160,13 @@ def _check_args(args):
     if getattr(args, "jobs", None) is not None:
         from .runner.executor import resolve_jobs
         resolve_jobs(args.jobs)
-    for attr in ("trials", "bins", "injections", "faults"):
+    for attr, least in (("trials", 1), ("bins", 1), ("injections", 1),
+                        ("faults", 1), ("max_cycles", 1),
+                        ("checkpoint_every", 0), ("stagger", 0)):
         value = getattr(args, attr, None)
-        if value is not None and value < 1:
-            raise ValueError("%s must be at least 1, got %d"
-                             % (attr, value))
-    for attr, flag in (("checkpoint_every", "checkpoint-every"),
-                       ("stagger", "stagger")):
-        value = getattr(args, attr, None)
-        if value is not None and value < 0:
-            raise ValueError("%s must be at least 0, got %d"
-                             % (flag, value))
+        if value is not None and value < least:
+            raise ValueError("%s must be at least %d, got %d"
+                             % (attr.replace("_", "-"), least, value))
     for attr in _OUTPUT_ARGS:
         path = getattr(args, attr, None)
         if isinstance(path, str) and path:
@@ -556,11 +553,7 @@ def _cmd_campaign(args) -> int:
                           max_cycles=args.max_cycles, tracer=tracer,
                           engine=args.engine)
     if not probe.finished:
-        # Every injection would be judged against a truncated run's
-        # checksum.
-        print("error: the golden run of %s did not finish within %d "
-              "cycles" % (args.kernel, args.max_cycles), file=sys.stderr)
-        return 2
+        return _unfinished_golden(args)
     cycles = spread_cycles(probe.cycles, args.injections)
     result = run_ccf_campaign(prog, cycles, stimuli=args.stimuli,
                               config=config, max_cycles=args.max_cycles,
@@ -580,6 +573,15 @@ def _cmd_campaign(args) -> int:
     # The paper's no-false-negative property: a silent escape in a
     # cycle SafeDM called diverse would falsify the reproduction.
     return 0 if result.silent_despite_diversity == 0 else 1
+
+
+def _unfinished_golden(args) -> int:
+    """One ``error:`` line for a golden run ``--max-cycles`` cut short
+    (every trial would be judged against a truncated run's checksum);
+    exit 2."""
+    print("error: the golden run of %s did not finish within %d cycles"
+          % (args.kernel, args.max_cycles), file=sys.stderr)
+    return 2
 
 
 def _scheme_matrix(prog, **kwargs):
@@ -648,6 +650,8 @@ def _cmd_montecarlo(args) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    if not campaign.artifact.base.finished:
+        return _unfinished_golden(args)
     result = campaign.run(batch, jobs=args.jobs, seed=args.seed,
                           metrics=metrics)
     wall = time.perf_counter() - start
@@ -826,7 +830,6 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_figures(args) -> int:
-    from .baselines.lockstep import LockstepComparator
     from .core.history import HistoryModule
     from .core.monitor import DiversityMonitor
     from .core.signatures import (
@@ -834,6 +837,7 @@ def _cmd_figures(args) -> int:
         InstructionSignatureUnit,
         SignatureConfig,
     )
+    from .schemes.lockstep import LockstepComparator
     from .soc.mpsoc import MPSoC
     config = SignatureConfig()
     print("Fig. 1:\n%s\n" % LockstepComparator().describe())

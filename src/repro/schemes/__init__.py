@@ -1,8 +1,9 @@
 """Redundancy-scheme framework (N-core replica groups on one SoC).
 
-The platform used to hard-code a single SafeDM-monitored DCLS-style
-pair.  This package generalizes that to a matrix of redundancy schemes
-behind one interface:
+Every redundant run goes through one interface, a
+:class:`~repro.schemes.base.RedundancyScheme`; the paper's monitored
+pair is the ``safedm`` scheme, which
+:func:`repro.soc.experiment.run_redundant` runs when no scheme is named:
 
 =============  =====  ==============================================
 kind           cores  checker
@@ -14,24 +15,38 @@ kind           cores  checker
 ``dme``        2      structurally decorrelated trail build + compare
 =============  =====  ==============================================
 
-This ``__init__`` imports only :mod:`repro.schemes.spec` eagerly —
-:class:`repro.soc.config.SocConfig` embeds a :class:`SchemeSpec`, so
-the concrete schemes (which import the SoC) must load lazily through
-:func:`make_scheme`.
+:func:`make_scheme` is the one factory.
 """
 
+from .base import RedundancyScheme
+from .dme import DMEPair
+from .lockstep import LockstepPair
+from .multipair import MultiPair
+from .safedm import SafeDMPair
 from .spec import DME_ROTATABLE, SCHEME_KINDS, SchemeSpec
+from .tmr import TMRGroup
 
 __all__ = [
     "DME_ROTATABLE",
     "SCHEME_KINDS",
+    "RedundancyScheme",
     "SchemeSpec",
     "make_scheme",
 ]
 
+_CLASSES = {cls.kind: cls for cls in (SafeDMPair, LockstepPair, TMRGroup,
+                                      MultiPair, DMEPair)}
+assert tuple(_CLASSES) == SCHEME_KINDS
 
-def make_scheme(spec):
-    """Instantiate a scheme from a kind name, :class:`SchemeSpec`, or
-    ready :class:`~repro.schemes.base.RedundancyScheme` instance."""
-    from .base import build_scheme
-    return build_scheme(spec)
+
+def make_scheme(spec) -> RedundancyScheme:
+    """Instantiate the scheme a kind name or :class:`SchemeSpec`
+    describes; a ready :class:`RedundancyScheme` passes through."""
+    if isinstance(spec, RedundancyScheme):
+        return spec
+    if isinstance(spec, str):
+        spec = SchemeSpec(kind=spec)
+    if not isinstance(spec, SchemeSpec):
+        raise TypeError("expected a scheme kind, SchemeSpec, or"
+                        " RedundancyScheme, got %r" % (spec,))
+    return _CLASSES[spec.kind](spec)

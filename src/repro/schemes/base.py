@@ -27,14 +27,14 @@ mismatch.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..core.monitor import ReportingMode
 from ..core.overheads import BASELINE_MPSOC_LUTS, estimate
 from ..isa.registers import RESULT_REGISTER
 from ..soc.config import SocConfig
 from ..soc.mpsoc import MPSoC
-from .spec import SCHEME_KINDS, SchemeSpec
+from .spec import SchemeSpec
 
 _XMASK = 0xFFFFFFFFFFFFFFFF
 
@@ -119,19 +119,15 @@ class RedundancyScheme:
     # -- configuration / construction ---------------------------------
 
     def soc_config(self, config: Optional[SocConfig] = None) -> SocConfig:
-        """Resolve a platform config for this scheme.
-
-        Embeds the spec (so the simulation cache key distinguishes
-        schemes) and widens ``num_cores`` to the replica count; the
-        per-core data bases derive automatically when left at their
-        default.
+        """Resolve a platform config for this scheme: ``config`` with
+        ``num_cores`` widened to the replica count; the per-core data
+        bases derive automatically when left at their default.
         """
         base = config if config is not None else SocConfig()
-        changes: Dict[str, object] = {"scheme": self.spec}
         need = self.num_cores()
-        if base.num_cores < need:
-            changes["num_cores"] = need
-        return dataclasses.replace(base, **changes)
+        if base.num_cores >= need:
+            return base
+        return dataclasses.replace(base, num_cores=need)
 
     def build(self, config: Optional[SocConfig] = None,
               mode: ReportingMode = ReportingMode.POLLING,
@@ -262,29 +258,3 @@ class RedundancyScheme:
 def monitor_luts(count: int = 1) -> int:
     """Area of ``count`` SafeDM instances at the paper's geometry."""
     return count * estimate().luts
-
-
-def build_scheme(spec) -> RedundancyScheme:
-    """Instantiate the scheme a spec (or kind name, or ready instance)
-    describes."""
-    if isinstance(spec, RedundancyScheme):
-        return spec
-    if isinstance(spec, str):
-        spec = SchemeSpec(kind=spec)
-    if not isinstance(spec, SchemeSpec):
-        raise TypeError("expected a scheme kind, SchemeSpec, or"
-                        " RedundancyScheme, got %r" % (spec,))
-    from .safedm import SafeDMPair
-    from .lockstep import LockstepPair
-    from .tmr import TMRGroup
-    from .multipair import MultiPair
-    from .dme import DMEPair
-    classes = {
-        "safedm": SafeDMPair,
-        "lockstep": LockstepPair,
-        "tmr": TMRGroup,
-        "multipair": MultiPair,
-        "dme": DMEPair,
-    }
-    assert set(classes) == set(SCHEME_KINDS)
-    return classes[spec.kind](spec)

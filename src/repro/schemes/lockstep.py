@@ -1,9 +1,12 @@
-"""Dual-Core LockStep as a first-class scheme (diversity ≡ 0 control).
+"""Dual-Core LockStep (DCLS), the classical ASIL-D solution SafeDM
+replaces (paper Fig. 1), as a running scheme (diversity ≡ 0 control).
 
-Promotes :class:`repro.baselines.lockstep.LockstepComparator` from a
-figure-drawing reference model to a running scheme: the shadow core
-starts behind a nop sled, every cycle both replicas' per-commit records
-(instruction word + write-port sample) feed the delayed comparator, and
+A visible head core plus a hidden shadow core execute the same inputs
+a fixed number of cycles apart, with output comparison; the shadow is
+not usable for independent work — the cost SafeDM's non-lockstepped
+pair avoids.  :class:`LockstepComparator` is the delay-line checker:
+the shadow core starts behind a nop sled, every cycle both replicas'
+per-commit records (instruction word + write-port sample) feed it, and
 the delay line is drained at end of run so the final commits are
 compared too.
 
@@ -17,7 +20,10 @@ output mismatch raises the error signal.
 
 from __future__ import annotations
 
-from ..baselines.lockstep import LockstepComparator
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, List, Tuple
+
 from .base import (
     COMPARATOR_LUTS,
     RedundancyScheme,
@@ -25,6 +31,98 @@ from .base import (
     delta_equivalence,
 )
 from .spec import SchemeSpec
+
+
+@dataclass
+class LockstepStats:
+    compared: int = 0
+    mismatches: int = 0
+    first_mismatch_cycle: int = -1
+
+
+class LockstepComparator:
+    """Delayed commit-stream comparator of a DCLS pair.
+
+    Feed per-cycle commit words of head and shadow cores; the head
+    stream is delayed by the configured staggering before comparison.
+    By construction (fixed staggering), the two cores never hold the
+    same state simultaneously — diversity is guaranteed, which is why
+    DCLS needs no diversity monitor.
+    """
+
+    def __init__(self, stagger: int = 2, equivalent=None):
+        if stagger < 1:
+            raise ValueError("DCLS staggering must be >= 1 cycle")
+        self.stagger = stagger
+        #: Optional item-equivalence predicate.  Items that compare
+        #: unequal but satisfy the predicate do not count as
+        #: mismatches — :class:`LockstepPair` uses it to tolerate the
+        #: replicas' data-region address delta.
+        self.equivalent = equivalent
+        self.stats = LockstepStats()
+        self._head_delay: Deque[Tuple[int, ...]] = deque(
+            [()] * stagger, maxlen=stagger)
+        self._head_stream: List[int] = []
+        self._shadow_stream: List[int] = []
+
+    def sample(self, cycle: int, head_commits: Tuple[int, ...],
+               shadow_commits: Tuple[int, ...]):
+        """Clock one cycle of commit activity from both cores."""
+        delayed = self._head_delay[0]
+        self._head_delay.append(tuple(head_commits))
+        self._head_stream.extend(delayed)
+        self._shadow_stream.extend(shadow_commits)
+        # Compare as far as both streams go.
+        matched = min(len(self._head_stream), len(self._shadow_stream))
+        equivalent = self.equivalent
+        for i in range(matched):
+            self.stats.compared += 1
+            head = self._head_stream[i]
+            shadow = self._shadow_stream[i]
+            if head != shadow and not (equivalent is not None
+                                       and equivalent(head, shadow)):
+                self.stats.mismatches += 1
+                if self.stats.first_mismatch_cycle < 0:
+                    self.stats.first_mismatch_cycle = cycle
+        del self._head_stream[:matched]
+        del self._shadow_stream[:matched]
+
+    def flush(self, cycle: int):
+        """Drain the delay line at end of run.
+
+        The last ``stagger`` cycles of head commits are still queued in
+        the delay FIFO when the cores finish; deliver them so the final
+        commits get compared.  Any leftover stream imbalance afterwards
+        (the replicas committed different instruction *counts* — e.g. a
+        corruption changed one replica's path length) is itself a
+        detected divergence.
+        """
+        for _ in range(self.stagger):
+            self.sample(cycle, (), ())
+        residue = len(self._head_stream) + len(self._shadow_stream)
+        if residue:
+            self.stats.compared += residue
+            self.stats.mismatches += residue
+            if self.stats.first_mismatch_cycle < 0:
+                self.stats.first_mismatch_cycle = cycle
+            del self._head_stream[:]
+            del self._shadow_stream[:]
+
+    @property
+    def error_detected(self) -> bool:
+        return self.stats.mismatches > 0
+
+    def describe(self) -> str:
+        """Fig. 1-style schematic."""
+        return "\n".join([
+            "Lockstepped core (per Fig. 1):",
+            "  inputs --+--------------> [ head core ] ----> outputs",
+            "           |                                       |",
+            "           +--[delay %d]--> [ shadow core ] --> [compare]"
+            % self.stagger,
+            "  shadow core is invisible at user level; a mismatch on",
+            "  the compare raises the error signal",
+        ])
 
 
 class LockstepPair(RedundancyScheme):

@@ -42,7 +42,7 @@ from ..fault.models import CommonCauseFault
 from ..runner.executor import resolve_jobs
 from ..soc.experiment import run_redundant
 from ..telemetry import NULL_TRACER
-from .base import RedundancyScheme, build_scheme
+from . import RedundancyScheme, make_scheme
 from .spec import SCHEME_KINDS
 
 #: Default stimuli: two distinct disturbances per injection cycle.
@@ -178,8 +178,8 @@ def inject_scheme_ccf(scheme, program, cycle: int, stimulus: int,
                       config=None, max_cycles: int = 2_000_000,
                       engine: str = "reference") -> SchemeTrial:
     """One scheme trial: a common-cause fault at ``cycle`` on a fresh
-    SoC of ``scheme`` (anything :func:`build_scheme` accepts), driven
-    by the pair campaign's injected-run loop
+    SoC of ``scheme`` (anything :func:`~repro.schemes.make_scheme`
+    accepts), driven by the pair campaign's injected-run loop
     (:func:`repro.fault.injector.run_injection`) on ``engine``'s tier
     and classified by the scheme's own checker.
 
@@ -187,7 +187,7 @@ def inject_scheme_ccf(scheme, program, cycle: int, stimulus: int,
     every watched replica on its closing clock edge, matching the pair
     campaign's after-step semantics.
     """
-    sch = build_scheme(scheme)
+    sch = make_scheme(scheme)
     fault = CommonCauseFault(cycle=cycle, stimulus=stimulus)
 
     def start():
@@ -220,14 +220,14 @@ def run_scheme_trials(scheme, program, benchmark: str = "program",
                       tracer=NULL_TRACER) -> SchemeMatrixRow:
     """CCF trials of one scheme on one kernel.
 
-    ``scheme`` is anything :func:`repro.schemes.base.build_scheme`
+    ``scheme`` is anything :func:`repro.schemes.make_scheme`
     accepts (a kind string, a :class:`SchemeSpec`, or an instance).
     The golden run and the trials run on ``engine``'s tier; the trials
     go through :func:`~repro.fault.campaign.run_trials`, over ``jobs``
     workers and with one ``tracer`` event each.  Rows are identical
     for either tier and any ``jobs``.
     """
-    sch = build_scheme(scheme)
+    sch = make_scheme(scheme)
     golden_outputs, golden_cycles = _golden(
         sch, program, benchmark, config, max_cycles, engine)
     row = SchemeMatrixRow(scheme=sch.kind, benchmark=benchmark,

@@ -1,27 +1,23 @@
 """SafeDM's own scheme: a monitored non-lockstepped pair.
 
-This is the platform's historical behaviour, extracted behind the
-scheme interface: two cores run the same program in private address
-spaces, SafeDM samples their signatures every cycle, and detection is
-software output comparison at end of run.  The scheme registers **no**
-taps and keeps the single ``(0, 1)`` monitor pair, so runs through
-this scheme are bit-identical to the pre-scheme ``run_redundant`` path
-— including the fast tier's inlined-monitor span.
+Two cores run the same program in private address spaces, SafeDM
+samples their signatures every cycle, and detection is software output
+comparison at end of run.  The scheme registers **no** taps and keeps
+the single ``(0, 1)`` monitor pair, so the fast tier runs it on the
+pair span with the monitor accounting inlined.
 """
 
 from __future__ import annotations
 
 from .base import RedundancyScheme, monitor_luts
-from .spec import SchemeSpec
 
 
 class SafeDMPair(RedundancyScheme):
-    """Monitored redundant pair (the paper's configuration)."""
+    """Monitored redundant pair (the paper's configuration): the scheme
+    :func:`repro.soc.experiment.run_redundant` runs when a call names
+    none."""
 
     kind = "safedm"
-
-    def __init__(self, spec: SchemeSpec):
-        super().__init__(spec)
 
     def checker_luts(self) -> int:
         # One SafeDM instance plus the software-comparison epilogue

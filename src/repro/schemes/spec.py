@@ -1,11 +1,10 @@
 """Redundancy-scheme specification (leaf module, no platform imports).
 
 :class:`SchemeSpec` is the *configuration* half of a redundancy scheme:
-a frozen, canonicalizable value that joins ``SocConfig`` (and therefore
-the simulation cache key) without dragging the runtime scheme classes
-into the config layer.  The runtime half — replica topology, per-cycle
-check taps, verdicts — lives in :mod:`repro.schemes.base` and is built
-from a spec via :func:`repro.schemes.make_scheme`.
+a frozen value naming the kind and its parameters.  The runtime half —
+replica topology, per-cycle check taps, verdicts — lives in
+:mod:`repro.schemes.base` and is built from a spec via
+:func:`repro.schemes.make_scheme`.
 """
 
 from __future__ import annotations
@@ -33,7 +32,8 @@ class SchemeSpec:
     their defaults so every spec canonicalizes to a stable cache-key
     payload.
 
-    * ``safedm`` — today's monitored non-lockstepped pair (cores 0, 1).
+    * ``safedm`` — the paper's monitored non-lockstepped pair (cores 0,
+      1).
     * ``lockstep`` — DCLS pair: shadow core behind a ``stagger``-cycle
       delay, per-commit stream comparison (diversity ≡ 0 control).
     * ``tmr`` — three replicas and a per-commit majority voter.

@@ -12,13 +12,12 @@ spaces", which is one of the natural diversity sources).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..core.signatures import SignatureConfig
 from ..cpu.core import CoreConfig
 from ..mem.bus import BusTiming
 from ..mem.cache import CacheConfig
-from ..schemes.spec import SchemeSpec
 
 #: Default per-core data-region layout: core ``i`` owns the region at
 #: ``DEFAULT_DATA_BASE + i * DATA_REGION_STRIDE``.  The two-core
@@ -55,9 +54,6 @@ class SocConfig:
     sled_base: int = 0x0010_0000
     #: APB bridge base address.
     apb_base: int = 0xFC00_0000
-    #: Redundancy-scheme spec this platform runs under (``None`` means
-    #: the plain monitored pair).  Part of the simulation cache key.
-    scheme: Optional[SchemeSpec] = None
 
     def __post_init__(self):
         if self.num_cores < 2:

@@ -25,6 +25,7 @@ from typing import Callable, List, Optional, Sequence
 
 from ..core.monitor import ReportingMode
 from ..isa.program import Program
+from ..schemes import make_scheme
 from ..trace.stream_trace import StreamRecorder, TraceMeta
 from .config import SocConfig
 from .mpsoc import MPSoC
@@ -52,7 +53,8 @@ class RunResult:
     #: Redundancy scheme the run executed under (trailing, defaulted:
     #: results serialized before the scheme framework stay loadable).
     scheme: str = "safedm"
-    #: Scheme-specific checker stats (``None`` on the legacy path).
+    #: Scheme-specific checker stats (``None`` for a plain run, one
+    #: that named no scheme).
     scheme_stats: Optional[dict] = None
 
     def summary(self) -> str:
@@ -87,6 +89,14 @@ def run_redundant(program: Program, benchmark: str = "program",
                   scheme=None) -> RunResult:
     """Run ``program`` redundantly on a fresh MPSoC and report counters.
 
+    ``scheme`` (a kind name, :class:`repro.schemes.SchemeSpec`, or
+    scheme instance) names the redundancy scheme that builds, starts,
+    checks and reports the run.  ``None`` runs the paper's monitored
+    pair, the ``safedm`` scheme, as a *plain* run: its result carries
+    ``scheme_stats=None`` and it publishes no ``repro_scheme_*``
+    series.  Capture and resume are monitored-pair features, so they
+    are rejected together with an explicit scheme.
+
     ``metrics`` (a :class:`repro.telemetry.MetricsRegistry`) receives
     the end-of-run state of every layer, the monitor's verdict counters
     included, folded in once after the cycle loop; ``tracer`` (a
@@ -119,44 +129,32 @@ def run_redundant(program: Program, benchmark: str = "program",
     ``soc.engine_stats`` and exported with ``collect_metrics``.  On a
     resumed run the program text is already in restored memory, so the
     fast tier builds its plan lazily from there.
-
-    ``scheme`` (a kind name, :class:`repro.schemes.SchemeSpec`, or
-    scheme instance) runs the program under that redundancy scheme
-    instead of the plain monitored pair; ``None`` keeps the historical
-    path bit-for-bit, and the ``safedm`` scheme reproduces its
-    counters exactly.  Capture and resume are monitored-pair features
-    and are rejected together with an explicit scheme.
     """
-    if tracer is None:
-        from ..telemetry import NULL_TRACER
-        tracer = NULL_TRACER
-    if scheme is not None:
-        if resume_from is not None:
-            raise ValueError("scheme runs do not support resume_from")
-        if capture is not None:
-            raise ValueError("stream capture is defined for the"
-                             " monitored pair; capture with"
-                             " scheme=None instead")
-        return _run_scheme(program, benchmark, scheme, stagger_nops,
-                           late_core, config, mode, threshold,
-                           max_cycles, rr_start, soc_hook, metrics,
-                           tracer, checkpoint_every, on_checkpoint,
-                           engine)
+    if scheme is not None and (capture is not None
+                               or resume_from is not None):
+        raise ValueError("stream capture and resume_from are defined for"
+                         " the monitored pair; run them with scheme=None")
     if resume_from is not None and capture is not None:
         raise ValueError("cannot capture a resumed run: the signature "
                          "stream before the checkpoint was not recorded")
-    with tracer.span("soc_build", benchmark=benchmark):
-        soc = MPSoC(config=config, mode=mode, threshold=threshold,
-                    rr_start=rr_start)
+    if tracer is None:
+        from ..telemetry import NULL_TRACER
+        tracer = NULL_TRACER
+    sch = make_scheme("safedm" if scheme is None else scheme)
+    with tracer.span("soc_build", benchmark=benchmark, scheme=sch.kind):
+        soc = sch.build(config, mode=mode, threshold=threshold,
+                        rr_start=rr_start)
     if resume_from is not None:
         with tracer.span("restore_checkpoint", benchmark=benchmark,
                          cycle=resume_from.meta.cycle):
             soc.load_state_dict(resume_from.state)
+        plan = None
     else:
         with tracer.span("load_program", benchmark=benchmark,
-                         stagger_nops=stagger_nops):
-            soc.start_redundant(program, late_core=late_core,
-                                stagger_nops=stagger_nops)
+                         stagger_nops=stagger_nops, scheme=sch.kind):
+            sch.start(soc, program, stagger_nops=stagger_nops,
+                      late_core=late_core, benchmark=benchmark)
+        plan = sch.plan_program(program)
     if soc_hook is not None:
         soc_hook(soc)
     if capture is not None:
@@ -167,94 +165,37 @@ def run_redundant(program: Program, benchmark: str = "program",
     from ..engine import run_soc
     with tracer.span("cycle_loop", benchmark=benchmark,
                      stagger_nops=stagger_nops, late_core=late_core,
-                     rr_start=rr_start, engine=engine):
-        budget = max(0, max_cycles - soc.cycle)
-        run_soc(soc, engine,
-                program=program if resume_from is None else None,
-                max_cycles=budget, checkpoint_every=checkpoint_every,
-                on_checkpoint=on_checkpoint)
-        cycles = soc.cycle
-    if metrics is not None:
-        with tracer.span("collect_metrics", benchmark=benchmark):
-            soc.collect_metrics(metrics)
-    stats = soc.safedm.stats
-    diff_stats = soc.safedm.instruction_diff.stats
-    finished = all(soc.cores[idx].finished for idx in soc.monitored)
-    committed = sum(soc.cores[idx].stats.committed
-                    for idx in soc.monitored)
-    core0 = soc.cores[soc.monitored[0]]
-    return RunResult(
-        benchmark=benchmark,
-        stagger_nops=stagger_nops,
-        late_core=late_core,
-        cycles=cycles,
-        committed=committed,
-        zero_staggering_cycles=diff_stats.zero_staggering_cycles,
-        no_diversity_cycles=stats.no_diversity_cycles,
-        no_data_diversity_cycles=stats.no_data_diversity_cycles,
-        no_instruction_diversity_cycles=(
-            stats.no_instruction_diversity_cycles),
-        interrupts=stats.interrupts_raised,
-        finished=finished,
-        ipc=core0.stats.ipc,
-    )
-
-
-def _run_scheme(program: Program, benchmark: str, scheme,
-                stagger_nops: int, late_core: int,
-                config: Optional[SocConfig], mode: ReportingMode,
-                threshold: int, max_cycles: int, rr_start: int,
-                soc_hook, metrics, tracer, checkpoint_every: int,
-                on_checkpoint, engine: str) -> RunResult:
-    """The scheme-framework half of :func:`run_redundant`."""
-    from ..schemes import make_scheme
-    sch = make_scheme(scheme)
-    with tracer.span("soc_build", benchmark=benchmark,
-                     scheme=sch.kind):
-        soc = sch.build(config, mode=mode, threshold=threshold,
-                        rr_start=rr_start)
-    with tracer.span("load_program", benchmark=benchmark,
-                     stagger_nops=stagger_nops, scheme=sch.kind):
-        sch.start(soc, program, stagger_nops=stagger_nops,
-                  late_core=late_core, benchmark=benchmark)
-    if soc_hook is not None:
-        soc_hook(soc)
-    from ..engine import run_soc
-    with tracer.span("cycle_loop", benchmark=benchmark,
-                     stagger_nops=stagger_nops, late_core=late_core,
                      rr_start=rr_start, engine=engine,
                      scheme=sch.kind):
-        run_soc(soc, engine, program=sch.plan_program(program),
+        run_soc(soc, engine, program=plan,
                 max_cycles=max(0, max_cycles - soc.cycle),
                 checkpoint_every=checkpoint_every,
                 on_checkpoint=on_checkpoint)
-        cycles = soc.cycle
     sch.finish(soc)
     if metrics is not None:
         with tracer.span("collect_metrics", benchmark=benchmark):
             soc.collect_metrics(metrics)
-            sch.to_metrics(metrics, soc)
+            if scheme is not None:
+                sch.to_metrics(metrics, soc)
     watched = sch.watched()
     stats = soc.safedm.stats
     diff_stats = soc.safedm.instruction_diff.stats
-    finished = all(soc.cores[idx].finished for idx in watched)
-    committed = sum(soc.cores[idx].stats.committed for idx in watched)
     return RunResult(
         benchmark=benchmark,
         stagger_nops=stagger_nops,
         late_core=late_core,
-        cycles=cycles,
-        committed=committed,
+        cycles=soc.cycle,
+        committed=sum(soc.cores[idx].stats.committed for idx in watched),
         zero_staggering_cycles=diff_stats.zero_staggering_cycles,
         no_diversity_cycles=stats.no_diversity_cycles,
         no_data_diversity_cycles=stats.no_data_diversity_cycles,
         no_instruction_diversity_cycles=(
             stats.no_instruction_diversity_cycles),
         interrupts=stats.interrupts_raised,
-        finished=finished,
+        finished=all(soc.cores[idx].finished for idx in watched),
         ipc=soc.cores[watched[0]].stats.ipc,
         scheme=sch.kind,
-        scheme_stats=sch.result(soc),
+        scheme_stats=None if scheme is None else sch.result(soc),
     )
 
 

@@ -4,13 +4,13 @@ import dataclasses
 
 import pytest
 
-from repro.baselines.lockstep import LockstepComparator
 from repro.baselines.safede import SafeDeEnforcer, run_with_enforcement
 from repro.baselines.sw_stagger import (
     SoftwareStaggerer,
     run_with_sw_staggering,
 )
 from repro.baselines.unaware import compare_outputs
+from repro.schemes.lockstep import LockstepComparator
 from repro.soc.mpsoc import MPSoC
 from repro.workloads import program
 

@@ -37,7 +37,7 @@ from repro.soc.experiment import run_redundant
 from repro.soc.mpsoc import MPSoC
 from repro.workloads import all_names, program, store_result
 
-from conftest import golden_points
+from sim_helpers import golden_points
 
 #: Truncated so the 29-kernel property sweep stays test-suite cheap;
 #: every kernel still exercises thousands of monitored cycles.

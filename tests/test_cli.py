@@ -182,14 +182,39 @@ class TestErrors:
         ("--trials", "-3", "trials must be at least 1, got -3"),
         ("--max-cycles", "1", "the golden run ended at cycle 1: no "
                               "fault cycle in [1, 1) to sample"),
+        ("--max-cycles", "100", "the golden run of cosf did not finish "
+                                "within 100 cycles"),
     ], ids=["bins-0", "bins-negative", "trials-negative",
-            "max-cycles-1"])
+            "max-cycles-1", "max-cycles-100"])
     def test_bad_montecarlo_input_rejected(self, flag, value, message,
                                            capsys):
         assert main(["montecarlo", "cosf", flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: %s\n" % message
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-monitor", "cosf", "--no-cache", "--max-cycles", "-5"],
+        ["campaign", "cosf", "--max-cycles", "0"],
+        ["compare-schemes", "cosf", "--max-cycles", "-1"],
+        ["montecarlo", "cosf", "--max-cycles", "0"],
+        ["vcd", "cosf", "out.vcd", "--max-cycles", "-4"],
+    ], ids=lambda argv: argv[0])
+    def test_max_cycles_below_one_rejected(self, argv, tmp_path, capsys,
+                                           monkeypatch):
+        from repro.soc.mpsoc import MPSoC
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("simulated with no cycle budget")
+
+        monkeypatch.setattr(MPSoC, "__init__", simulate)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: max-cycles must be at least 1, got %d\n" % int(argv[-1])
+        assert not (tmp_path / "out.vcd").exists()
 
     @pytest.mark.parametrize("argv,message", [
         (["campaign", "cosf", "--injections", "0"],

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.signatures import inflight_from_stage_words
 
-from conftest import run_asm_single
+from sim_helpers import run_asm_single
 
 DATA0 = 0x4000_0000
 

@@ -4,7 +4,7 @@ from repro.cpu.core import CoreConfig
 from repro.soc.config import SocConfig
 from repro.mem.cache import CacheConfig
 
-from conftest import run_asm_single
+from sim_helpers import run_asm_single
 
 DATA0 = 0x4000_0000
 

@@ -16,7 +16,7 @@ from repro.soc.experiment import run_redundant
 from repro.soc.mpsoc import MPSoC
 from repro.workloads import program
 
-from conftest import run_workload_cached
+from sim_helpers import run_workload_cached
 
 
 class TestNaturalDivergence:

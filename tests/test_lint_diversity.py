@@ -22,7 +22,7 @@ from repro.lint.diversity import (
 )
 from repro.workloads import program
 
-from conftest import live_observed_cycles
+from sim_helpers import live_observed_cycles
 
 BASE = 0x0001_0000
 

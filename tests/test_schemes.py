@@ -9,15 +9,11 @@ honest on a fast kernel subset.
 import dataclasses
 
 import pytest
-from conftest import scheme_trial_oracle
+from sim_helpers import scheme_trial_oracle
 
 from repro.checkpoint import jsonable
 from repro.schemes import SCHEME_KINDS, SchemeSpec, make_scheme
-from repro.schemes.base import (
-    RedundancyScheme,
-    build_scheme,
-    delta_equivalence,
-)
+from repro.schemes.base import RedundancyScheme, delta_equivalence
 from repro.schemes.dme import (
     DMETransformError,
     decorrelated_program,
@@ -30,8 +26,8 @@ from repro.schemes.matrix import (
     run_scheme_trials,
 )
 from repro.schemes.tmr import MajorityVoter, majority_value
-from repro.soc.config import SocConfig
 from repro.soc.experiment import run_redundant
+from repro.telemetry import MetricsRegistry
 from repro.workloads import all_names, program
 
 
@@ -62,28 +58,21 @@ class TestSchemeSpec:
         with pytest.raises(ValueError):
             SchemeSpec(kind="dme", dme_text_shift=0x21)
 
-    def test_spec_joins_sim_cache_key(self):
-        from repro.runner.cache import sim_config_digest
-        plain = sim_config_digest(SocConfig())
-        tmr = sim_config_digest(
-            SocConfig(scheme=SchemeSpec(kind="tmr")))
-        assert plain != tmr
-
 
 class TestFactory:
     def test_kind_string_builds_each_scheme(self):
         for kind in SCHEME_KINDS:
-            scheme = build_scheme(kind)
+            scheme = make_scheme(kind)
             assert scheme.kind == kind
             assert isinstance(scheme, RedundancyScheme)
 
     def test_instance_passes_through(self):
-        scheme = build_scheme("tmr")
-        assert build_scheme(scheme) is scheme
+        scheme = make_scheme("tmr")
+        assert make_scheme(scheme) is scheme
 
     def test_garbage_rejected(self):
         with pytest.raises(TypeError):
-            build_scheme(42)
+            make_scheme(42)
 
     def test_make_scheme_wrapper(self):
         assert make_scheme(SchemeSpec(kind="lockstep")).kind \
@@ -143,17 +132,22 @@ class TestMajorityVoter:
 
 
 class TestSafeDMPairBitIdentity:
-    """scheme="safedm" is the extracted legacy path: every RunResult
-    observable must match the pre-refactor ``run_redundant`` exactly,
-    on both execution tiers."""
+    """A plain run (no scheme named) is the ``safedm`` scheme: every
+    RunResult observable matches ``scheme="safedm"`` on both execution
+    tiers, except what a plain run keeps to itself — no
+    ``scheme_stats`` and no ``repro_scheme_*`` series."""
 
     @pytest.mark.parametrize("kernel", ["binarysearch", "cosf"])
     @pytest.mark.parametrize("engine", ["reference", "fast"])
     def test_matches_legacy_run(self, kernel, engine):
         prog = program(kernel)
-        legacy = run_redundant(prog, benchmark=kernel, engine=engine)
+        registries = (MetricsRegistry(), MetricsRegistry())
+        legacy = run_redundant(prog, benchmark=kernel, engine=engine,
+                               metrics=registries[0])
         scheme = run_redundant(prog, benchmark=kernel, engine=engine,
-                               scheme="safedm")
+                               scheme="safedm", metrics=registries[1])
+        assert legacy.scheme == "safedm"
+        assert legacy.scheme_stats is None
         legacy_fields = dataclasses.asdict(legacy)
         scheme_fields = dataclasses.asdict(scheme)
         legacy_fields.pop("scheme_stats")
@@ -161,6 +155,12 @@ class TestSafeDMPairBitIdentity:
         assert scheme_fields == legacy_fields
         assert stats["detected"] is False
         assert stats["outputs"][0] == stats["outputs"][1]
+        legacy_series, scheme_series = (
+            {metric.name for metric in registry
+             if metric.name.startswith("repro_scheme_")}
+            for registry in registries)
+        assert not legacy_series
+        assert "repro_scheme_runs_total" in scheme_series
 
 
 def _tier_cases():
@@ -250,7 +250,7 @@ class TestSchemeRuns:
         assert stats["outputs"][0] == plain.scheme_stats["outputs"][0]
 
     def test_hardware_cost_ordering(self):
-        costs = {kind: build_scheme(kind).hardware_cost()
+        costs = {kind: make_scheme(kind).hardware_cost()
                  for kind in SCHEME_KINDS}
         assert costs["lockstep"]["total_luts"] \
             < costs["safedm"]["total_luts"] \
@@ -262,7 +262,7 @@ class TestSchemeRuns:
 
 class TestStateDictRoundTrip:
     def _mid_run(self, kind, cycles=400):
-        scheme = build_scheme(kind)
+        scheme = make_scheme(kind)
         soc = scheme.build()
         scheme.start(soc, program("cosf"), benchmark="cosf")
         for _ in range(cycles):
@@ -273,7 +273,7 @@ class TestStateDictRoundTrip:
     def test_round_trip_restores_checker(self, kind):
         scheme, _ = self._mid_run(kind)
         state = scheme.state_dict()
-        other = build_scheme(kind)
+        other = make_scheme(kind)
         other_soc = other.build()
         other.start(other_soc, program("cosf"), benchmark="cosf")
         other.load_state_dict(state)
@@ -281,7 +281,7 @@ class TestStateDictRoundTrip:
 
     def test_kind_mismatch_rejected(self):
         scheme, _ = self._mid_run("lockstep")
-        other = build_scheme("tmr")
+        other = make_scheme("tmr")
         with pytest.raises(ValueError, match="kind"):
             other.load_state_dict(scheme.state_dict())
 
@@ -345,7 +345,7 @@ class TestSchemeMatrix:
 class TestSchemeTrialOracle:
     """Scheme trials run the pair campaign's injected-run loop; the
     scheme matrix's former reference-only loop
-    (``conftest.scheme_trial_oracle``) is the oracle, on either tier."""
+    (``sim_helpers.scheme_trial_oracle``) is the oracle, on either tier."""
 
     @staticmethod
     def _golden(kind, prog, kernel):
@@ -366,7 +366,7 @@ class TestSchemeTrialOracle:
         outputs, cycles, budget = self._golden(kind, prog, "cosf")
         assert (rows[0].golden_output, rows[0].golden_cycles) \
             == (outputs[0], cycles)
-        sch = build_scheme(kind)
+        sch = make_scheme(kind)
         assert rows[0].trials == [
             scheme_trial_oracle(sch, prog, "cosf", None, trial.fault_cycle,
                                 trial.stimulus, outputs, budget)
@@ -381,7 +381,7 @@ class TestSchemeTrialOracle:
                                        stimulus, expected):
         prog = program(kernel)
         outputs, _, budget = self._golden(kind, prog, kernel)
-        sch = build_scheme(kind)
+        sch = make_scheme(kind)
         oracle = scheme_trial_oracle(sch, prog, kernel, None, cycle,
                                      stimulus, outputs, budget)
         assert oracle.classification == expected
@@ -406,7 +406,7 @@ class TestSchemeTrialOracle:
 
 class TestWatchedCores:
     def test_scheme_overrides_watched(self):
-        scheme = build_scheme("tmr")
+        scheme = make_scheme("tmr")
         soc = scheme.build()
         assert soc._watched_indices() == (0, 1, 2)
 

@@ -11,7 +11,7 @@ from repro.soc.config import SocConfig
 from repro.soc.loader import LoaderError, build_nop_sled, load_program
 from repro.soc.mpsoc import MPSoC
 
-from conftest import run_asm_redundant
+from sim_helpers import run_asm_redundant
 
 
 class TestSocConfig:

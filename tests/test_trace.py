@@ -11,7 +11,7 @@ from repro.trace.pipeline_trace import PipelineTracer
 from repro.trace.vcd import VcdWriter, monitor_vcd
 from repro.workloads import program
 
-from conftest import live_observed_cycles
+from sim_helpers import live_observed_cycles
 
 ENGINES = ("reference", "fast")
 

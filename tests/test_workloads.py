@@ -10,7 +10,7 @@ import pytest
 from repro.workloads import TACLE_KERNELS, program, workload
 from repro.workloads.dsl import lcg_reference
 
-from conftest import run_workload_cached
+from sim_helpers import run_workload_cached
 
 
 class TestRegistry:
