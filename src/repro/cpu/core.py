@@ -133,6 +133,9 @@ class Core:
 
     def __init__(self, core_id: int, bus: AhbBus, memory: Memory,
                  config: Optional[CoreConfig] = None):
+        """Build the core idle: halted with fetch disabled, so it
+        counts as finished and the platform never steps it until a
+        start path calls :meth:`reset`."""
         self.core_id = core_id
         self.bus = bus
         self.memory = memory
@@ -149,11 +152,14 @@ class Core:
                                          enabled=cfg.predictor_enabled)
         self.stats = CoreStats()
         self.reset(entry=0)
+        self.halted = True
+        self.fetch_enabled = False
 
     # -- lifecycle -------------------------------------------------------
 
     def reset(self, entry: int):
-        """Reset microarchitectural state and point fetch at ``entry``."""
+        """Reset microarchitectural state and point fetch at ``entry``
+        (clearing the idle halt :meth:`__init__` leaves)."""
         self.stages: List[Optional[Group]] = [None] * NUM_STAGES
         self.fetch_pc = entry
         self.fetch_enabled = True

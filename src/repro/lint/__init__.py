@@ -5,11 +5,10 @@ Public API:
 * :func:`lint_workload` / :func:`lint_source` / :func:`lint_program` —
   run every registered rule, returning a :class:`LintReport`
 * :class:`ControlFlowGraph` / :func:`build_cfg` — basic blocks + edges
-* :func:`solve` with :class:`ReachingDefinitions` / :class:`Liveness` —
-  the generic dataflow layer
-* :func:`solve_absint` with :class:`IntervalDomain` /
-  :class:`MaskingLiveness` — the abstract-interpretation layer
-  (strided intervals, instruction-granular register lifetimes)
+* :func:`solve_absint` — the one fixed-point solver, over the rules'
+  set domains :class:`ReachingDefinitions` / :class:`Liveness`,
+  :class:`IntervalDomain` (strided intervals) and
+  :class:`MaskingLiveness` (instruction-granular register lifetimes)
 * :class:`MaskingProofs` / :class:`StaticMaskFilter` — static
   fault-masking proofs and the Monte-Carlo status labels built on them
 * :func:`predict_instruction_diversity` — static lower bounds on
@@ -29,13 +28,7 @@ from .absint import (
     solve_absint,
 )
 from .cfg import EXIT, BasicBlock, ControlFlowGraph, build_cfg
-from .dataflow import (
-    DataflowProblem,
-    DataflowResult,
-    Liveness,
-    ReachingDefinitions,
-    solve,
-)
+from .dataflow import Liveness, ReachingDefinitions
 from .diagnostics import (
     ERROR,
     INFO,
@@ -72,8 +65,6 @@ __all__ = [
     "AbstractDomain",
     "BasicBlock",
     "ControlFlowGraph",
-    "DataflowProblem",
-    "DataflowResult",
     "Diagnostic",
     "ERROR",
     "EXIT",
@@ -102,7 +93,6 @@ __all__ = [
     "parse_suppressions",
     "predict_instruction_diversity",
     "reverse_postorder",
-    "solve",
     "solve_absint",
     "validate_bound",
 ]

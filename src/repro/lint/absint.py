@@ -1,10 +1,9 @@
-"""Generic abstract interpretation over the lint control-flow graph.
+"""Abstract interpretation over the lint control-flow graph.
 
-This module grows the PR 3 dataflow layer into a proper
-abstract-interpretation engine:
+The one fixed-point engine of :mod:`repro.lint`:
 
-* :func:`reverse_postorder` — deterministic block ordering (also used
-  to seed the classic set-valued solver in :mod:`repro.lint.dataflow`),
+* :func:`reverse_postorder` — deterministic block ordering (the
+  solver's worklist seed),
 * :func:`solve_absint` — a worklist interpreter over the existing
   :class:`~repro.lint.cfg.ControlFlowGraph`, parameterized by an
   :class:`AbstractDomain` (join semilattice with optional widening at
@@ -15,13 +14,14 @@ abstract-interpretation engine:
 * :class:`MaskingLiveness` — the instruction-granular register-lifetime
   domain used by :mod:`repro.lint.masking` to prove fault-masking
   windows.  It differs from the rule-oriented
-  :class:`~repro.lint.dataflow.Liveness` in three soundness-critical
-  ways: the architectural halt-time checksum read keeps the result
-  register live to the exit, blocks ending in a statically-unknown
-  indirect jump make *every* register live, and a halt instruction
-  also counts the reads of its fall-through word (the dual-issue core
-  can pair ``ebreak`` with the next sequential instruction, which then
-  issues — and reads — in the same group).
+  :class:`~repro.lint.dataflow.Liveness` (a set domain on the same
+  solver) in three soundness-critical ways: the architectural
+  halt-time checksum read keeps the result register live to the exit,
+  a halt instruction also counts the reads of its fall-through word
+  (the dual-issue core can pair ``ebreak`` with the next sequential
+  instruction, which then issues — and reads — in the same group), and
+  a point with no path to the exit stays ``None`` ("no proof") instead
+  of meeting the empty set.
 
 Soundness contract (relied on by ``repro.montecarlo``): an
 architectural register read only ever happens when a fetch group
@@ -51,9 +51,11 @@ from typing import (
 from ..isa.instruction import Instruction
 from ..isa.registers import RESULT_REGISTER
 from .cfg import EXIT, BasicBlock, ControlFlowGraph
-from .dataflow import BACKWARD, FORWARD
 
 S = TypeVar("S")
+
+FORWARD = "forward"
+BACKWARD = "backward"
 
 #: Unsigned 64-bit value mask (the architectural register width).
 MASK64 = (1 << 64) - 1
@@ -121,7 +123,8 @@ class AbstractDomain(Generic[S]):
 
         Domains use this to model control flow the CFG cannot express
         — e.g. liveness forcing top at statically-unknown indirect
-        jump targets.
+        jump targets — or, like the rules' set domains, to meet every
+        block with the empty set so that none stays unreached.
         """
         return None
 
@@ -143,7 +146,8 @@ class AbsintResult(Generic[S]):
     ``block_meet`` holds the meet-side state per block (the in-state
     for a forward domain, the out-state for a backward one);
     ``block_result`` the opposite side.  ``None`` marks unreached
-    blocks.
+    blocks; a domain whose :meth:`~AbstractDomain.meet_extra` never
+    returns ``None`` (the rules' set domains) reaches every block.
     """
 
     def __init__(self, cfg: ControlFlowGraph, domain: AbstractDomain[S],
@@ -170,8 +174,9 @@ class AbsintResult(Generic[S]):
         """Yield ``(pc, instr, state)`` per instruction, in order.
 
         Forward domains yield the state *before* each instruction;
-        backward domains the state *after* it (mirroring
-        :meth:`repro.lint.dataflow.DataflowResult.states`).
+        backward domains the state *after* it (e.g. the live-out set,
+        which is what a dead-store check needs).  ``state`` is
+        ``None`` throughout an unreached block.
         """
         transfer = self.domain.transfer
         state = self.block_meet[block.start]

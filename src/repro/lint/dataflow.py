@@ -1,17 +1,18 @@
-"""Generic iterative dataflow solving over a :class:`ControlFlowGraph`.
+"""The lint rules' set domains for :func:`~repro.lint.absint.solve_absint`.
 
-Problems are set-valued with a union meet (may-analyses), which covers
-everything the lint rules need: reaching definitions (forward) and
-register liveness (backward).  A problem supplies a per-instruction
-transfer function; the solver folds it over blocks and iterates a
-worklist to the fixed point.
+Reaching definitions (forward) and register liveness (backward) are
+union-join domains over frozensets.  Unlike
+:class:`~repro.lint.absint.MaskingLiveness`, whose ``None`` at an
+unreached point means "no proof", both meet every block with at least
+the empty set, so every block, reached or not, gets a state.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, Set, Tuple
+from typing import FrozenSet, Optional, Tuple, Union
 
 from ..isa.instruction import Instruction
+from .absint import ALL_REGISTERS, BACKWARD, FORWARD, AbstractDomain
 from .cfg import BasicBlock, ControlFlowGraph
 
 #: Registers the bare-metal runtime initializes before ``_start``
@@ -24,25 +25,11 @@ UNINIT = "uninit"
 #: Synthetic definition site for runtime-initialized registers.
 RUNTIME = "runtime"
 
-FORWARD = "forward"
-BACKWARD = "backward"
+#: A reaching definition: ``(site, register)``.
+Definition = Tuple[Union[int, str], int]
 
 
-class DataflowProblem:
-    """A set-valued, union-meet dataflow problem."""
-
-    direction = FORWARD
-
-    def boundary(self, cfg: ControlFlowGraph) -> Set:
-        """Value at the entry block (forward) or exit block (backward)."""
-        return set()
-
-    def transfer(self, state: Set, pc: int, instr: Instruction) -> Set:
-        """Apply one instruction (in the problem's direction)."""
-        raise NotImplementedError
-
-
-class ReachingDefinitions(DataflowProblem):
+class ReachingDefinitions(AbstractDomain[FrozenSet[Definition]]):
     """Forward may-reach of ``(site, register)`` definition pairs.
 
     ``site`` is the defining pc, or :data:`RUNTIME`/:data:`UNINIT` for
@@ -52,117 +39,53 @@ class ReachingDefinitions(DataflowProblem):
 
     direction = FORWARD
 
-    def boundary(self, cfg):
-        state = set()
-        for reg in range(32):
-            site = RUNTIME if reg in RUNTIME_INITIALIZED else UNINIT
-            state.add((site, reg))
-        return state
+    def boundary(self, cfg: ControlFlowGraph) -> FrozenSet[Definition]:
+        return frozenset(
+            (RUNTIME if reg in RUNTIME_INITIALIZED else UNINIT, reg)
+            for reg in range(32))
 
-    def transfer(self, state, pc, instr):
+    def meet_extra(self, cfg: ControlFlowGraph,
+                   block: BasicBlock) -> Optional[FrozenSet[Definition]]:
+        return frozenset()
+
+    def join(self, a: FrozenSet[Definition],
+             b: FrozenSet[Definition]) -> FrozenSet[Definition]:
+        return a | b
+
+    def transfer(self, state: FrozenSet[Definition], pc: int,
+                 instr: Instruction) -> FrozenSet[Definition]:
         rd = instr.destination()
         if rd is None:
             return state
-        return {d for d in state if d[1] != rd} | {(pc, rd)}
+        definition: Definition = (pc, rd)
+        return frozenset(d for d in state if d[1] != rd) | {definition}
 
 
-class Liveness(DataflowProblem):
-    """Backward register liveness (x0 excluded: never meaningful)."""
+class Liveness(AbstractDomain[FrozenSet[int]]):
+    """Backward register liveness (x0 excluded: never meaningful).
+
+    A block ending in a statically-unknown indirect jump meets with
+    every register: its unknown successor may read any of them.
+    """
 
     direction = BACKWARD
 
-    def boundary(self, cfg):
-        return set()  # after the halt nothing is architecturally live
+    def boundary(self, cfg: ControlFlowGraph) -> FrozenSet[int]:
+        return frozenset()  # after the halt nothing is architecturally live
 
-    def transfer(self, state, pc, instr):
+    def meet_extra(self, cfg: ControlFlowGraph,
+                   block: BasicBlock) -> Optional[FrozenSet[int]]:
+        if block.has_unknown_target:
+            return ALL_REGISTERS
+        return frozenset()
+
+    def join(self, a: FrozenSet[int], b: FrozenSet[int]) -> FrozenSet[int]:
+        return a | b
+
+    def transfer(self, state: FrozenSet[int], pc: int,
+                 instr: Instruction) -> FrozenSet[int]:
         rd = instr.destination()
         if rd is not None:
             state = state - {rd}
         uses = {r for r in instr.sources() if r != 0}
         return state | uses if uses else state
-
-
-class DataflowResult:
-    """Fixed-point block states plus per-instruction walk helpers."""
-
-    def __init__(self, cfg: ControlFlowGraph, problem: DataflowProblem,
-                 block_in: Dict[int, FrozenSet],
-                 block_out: Dict[int, FrozenSet]):
-        self.cfg = cfg
-        self.problem = problem
-        self.block_in = block_in
-        self.block_out = block_out
-
-    def states(self, block: BasicBlock) -> Iterator[
-            Tuple[int, Instruction, FrozenSet]]:
-        """Yield ``(pc, instr, state)`` for every instruction in order.
-
-        For a forward problem ``state`` is the dataflow value *before*
-        the instruction; for a backward problem it is the value *after*
-        it (e.g. the live-out set, which is what a dead-store check
-        needs).
-        """
-        transfer = self.problem.transfer
-        if self.problem.direction == FORWARD:
-            state = self.block_in[block.start]
-            for pc, instr in block.instrs:
-                yield pc, instr, state
-                state = transfer(state, pc, instr)
-        else:
-            state = self.block_out[block.start]
-            for pc, instr in reversed(block.instrs):
-                yield pc, instr, state
-                state = transfer(state, pc, instr)
-
-
-def solve(cfg: ControlFlowGraph,
-          problem: DataflowProblem) -> DataflowResult:
-    """Iterate ``problem`` over ``cfg`` to its least fixed point."""
-    forward = problem.direction == FORWARD
-    blocks = cfg.all_blocks()
-    block_in = {b.start: set() for b in blocks}
-    block_out = {b.start: set() for b in blocks}
-    boundary = set(problem.boundary(cfg))
-
-    def block_transfer(block: BasicBlock, state: Set) -> Set:
-        instrs = block.instrs if forward else reversed(block.instrs)
-        for pc, instr in instrs:
-            state = problem.transfer(state, pc, instr)
-        return state
-
-    # Seed in reverse post-order (reversed for backward problems):
-    # deterministic, and each block tends to be visited after the
-    # blocks feeding it, so most states converge on the first pass.
-    from .absint import reverse_postorder  # lazy: absint imports us
-    rpo = reverse_postorder(cfg)
-    order = {block.start: i for i, block in enumerate(rpo)}
-    seeded = sorted(blocks, key=lambda b: order[b.start])
-    worklist = seeded if forward else list(reversed(seeded))
-    on_list = {b.start for b in blocks}
-    while worklist:
-        block = worklist.pop(0)
-        on_list.discard(block.start)
-        if forward:
-            edges_in, edges_out = block.preds, block.succs
-            value_in, value_out = block_in, block_out
-            is_boundary = block.start == cfg.entry
-        else:
-            edges_in, edges_out = block.succs, block.preds
-            value_in, value_out = block_out, block_in
-            is_boundary = block.is_exit
-        merged = set(boundary) if is_boundary else set()
-        for other in edges_in:
-            merged |= value_out[other]
-        value_in[block.start] = merged
-        result = block_transfer(block, set(merged))
-        if result != value_out[block.start]:
-            value_out[block.start] = result
-            for other in edges_out:
-                if other not in on_list:
-                    on_list.add(other)
-                    worklist.append(cfg.block(other))
-
-    return DataflowResult(
-        cfg, problem,
-        {k: frozenset(v) for k, v in block_in.items()},
-        {k: frozenset(v) for k, v in block_out.items()})

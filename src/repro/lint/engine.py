@@ -1,4 +1,4 @@
-"""Lint driver: build the CFG, solve dataflow, run rules, filter.
+"""Lint driver: build the CFG, solve the domains, run rules, filter.
 
 Suppression: a source line may carry ``# lint: disable=L002`` (or a
 comma-separated list of codes) to silence findings attributed to that
@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..isa.program import Program
 from .absint import AbsintResult, IntervalDomain, solve_absint
 from .cfg import ControlFlowGraph, build_cfg
-from .dataflow import DataflowResult, Liveness, ReachingDefinitions, solve
+from .dataflow import Definition, Liveness, ReachingDefinitions
 from .diagnostics import ERROR, Diagnostic, all_rules, severity_rank
 
 _SUPPRESS_RE = re.compile(r"#\s*lint:\s*disable=([A-Z0-9,\s]+)")
@@ -43,8 +43,10 @@ class LintContext:
         self.debug = program.debug
         self.prove_masking = prove_masking
         self.reachable = cfg.reachable()
-        self.reaching: DataflowResult = solve(cfg, ReachingDefinitions())
-        self.liveness: DataflowResult = solve(cfg, Liveness())
+        self.reaching: AbsintResult[FrozenSet[Definition]] = solve_absint(
+            cfg, ReachingDefinitions())
+        self.liveness: AbsintResult[FrozenSet[int]] = solve_absint(
+            cfg, Liveness())
         self.intervals: AbsintResult = solve_absint(cfg, IntervalDomain())
         self._interval_points = self.intervals.point_states()
         self._masking = None

@@ -1,15 +1,17 @@
 """The built-in lint rules (codes L001-L013).
 
 Each check receives the :class:`~repro.lint.engine.LintContext` (CFG,
-dataflow results, abstract-interpretation results, debug info) plus its
-own :class:`Rule` and yields diagnostics.  Codes are stable: tools and
+solved abstract domains, debug info) plus its own :class:`Rule` and
+yields diagnostics.  Codes are stable: tools and
 ``# lint: disable=`` comments key off them, so a rule may be retired
 but its code never reused.
 
-L001-L009 use plain dataflow; L010-L012 consume the strided-interval
-abstract interpretation (:mod:`repro.lint.absint`) and L013 the
-fault-masking prover (:mod:`repro.lint.masking`, opt-in via
-``prove_masking``).
+L001 and L002 consume the set domains (:mod:`repro.lint.dataflow`:
+reaching definitions, liveness), L003-L009 the CFG and debug info,
+L010-L012 the strided-interval domain (:mod:`repro.lint.absint`) and
+L013 the fault-masking prover (:mod:`repro.lint.masking`, opt-in via
+``prove_masking``).  L002, L004, L009 and L012 stay silent where a
+statically-unknown indirect jump could reach what they would flag.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ def _branch_target(pc, instr):
 def check_uninit_read(ctx, rule):
     for block in ctx.reachable_blocks():
         for pc, instr, reaching in ctx.reaching.states(block):
+            if reaching is None:
+                continue  # never: the set domains reach every block
             for reg in instr.sources():
                 if reg != 0 and (UNINIT, reg) in reaching:
                     yield rule.diagnostic(
@@ -53,6 +57,8 @@ def check_uninit_read(ctx, rule):
 def check_dead_store(ctx, rule):
     for block in ctx.reachable_blocks():
         for pc, instr, live_after in ctx.liveness.states(block):
+            if live_after is None:
+                continue  # never: the set domains reach every block
             rd = instr.destination()
             if rd is not None and rd not in live_after:
                 yield rule.diagnostic(
@@ -76,6 +82,8 @@ def check_x0_write(ctx, rule):
       "basic block unreachable from the program entry point")
 def check_unreachable(ctx, rule):
     reachable = ctx.reachable
+    if any(ctx.cfg.block(s).has_unknown_target for s in reachable):
+        return  # indirect target unknown: any block may be its target
     for block in ctx.cfg.blocks():
         if block.start not in reachable:
             yield rule.diagnostic(

@@ -11,10 +11,8 @@ from .cache import (
     DEFAULT_CACHE_DIR,
     RunCache,
     TraceCache,
-    config_digest,
     monitor_key,
     program_digest,
-    run_key,
     signature_digest,
     sim_config_digest,
     simulation_key,
@@ -39,14 +37,12 @@ __all__ = [
     "SweepProgress",
     "TraceCache",
     "cell_specs",
-    "config_digest",
     "execute_spec",
     "map_ordered",
     "merge_cell",
     "monitor_key",
     "program_digest",
     "resolve_jobs",
-    "run_key",
     "signature_digest",
     "sim_config_digest",
     "simulation_key",

@@ -10,8 +10,8 @@ observational — so a run's inputs split into two layers:
   (:class:`~repro.core.signatures.SignatureConfig`), reporting mode,
   and episode threshold.  None of it can perturb the simulation.
 
-:func:`run_key` composes the two: a :class:`RunResult` is cached under
-the full (simulation + monitor) key, while a raw signature-stream
+A :class:`RunResult` is cached under :func:`monitor_key` layered on
+:func:`simulation_key`, while a raw signature-stream
 :class:`~repro.trace.stream_trace.StreamTrace` is cached under the
 simulation key alone — one captured simulation serves every monitor
 configuration via :mod:`repro.replay`.
@@ -76,11 +76,6 @@ def _sha256(payload: bytes) -> str:
 def _digest_payload(obj) -> str:
     return _sha256(json.dumps(_canonical(obj), sort_keys=True,
                               separators=(",", ":")).encode("utf-8"))
-
-
-def config_digest(config: Optional[SocConfig]) -> str:
-    """Stable digest of a full platform configuration."""
-    return _digest_payload(config if config is not None else SocConfig())
 
 
 def sim_config_digest(config: Optional[SocConfig]) -> str:
@@ -177,22 +172,6 @@ def checkpoint_index_key(sim_key: str, *, every: int) -> str:
         "every": every,
     }, sort_keys=True, separators=(",", ":"))
     return _sha256(payload.encode("utf-8"))
-
-
-def run_key(program_dig: str, config: Optional[SocConfig] = None, *,
-            benchmark: str, stagger_nops: int, late_core: int,
-            rr_start: int, max_cycles: int, mode_value: str,
-            threshold: int) -> str:
-    """Full cache key for one redundant run: monitor over simulation."""
-    resolved = config if config is not None else SocConfig()
-    sim_key = simulation_key(program_dig, sim_config_digest(resolved),
-                             benchmark=benchmark,
-                             stagger_nops=stagger_nops,
-                             late_core=late_core, rr_start=rr_start,
-                             max_cycles=max_cycles)
-    return monitor_key(sim_key,
-                       signature_dig=signature_digest(resolved.signature),
-                       mode_value=mode_value, threshold=threshold)
 
 
 def _json_entry(raw: bytes, field: str):

@@ -25,7 +25,7 @@ from repro.lint.absint import (
     solve_absint,
 )
 from repro.lint.cfg import BasicBlock
-from repro.lint.dataflow import Liveness, ReachingDefinitions, solve
+from repro.lint.dataflow import Liveness, ReachingDefinitions
 from repro.workloads import all_names, program
 
 BASE = 0x0001_0000
@@ -172,15 +172,15 @@ class TestReversePostorder:
         two = [b.start for b in reverse_postorder(cfg)]
         assert one == two
 
-    def test_dataflow_fixed_point_unchanged_by_seeding(self):
-        # RPO seeding is a convergence-speed change only: the least
-        # fixed point is seed-order independent.
+    def test_set_domain_fixed_point_is_deterministic(self):
+        # Two solves of one CFG, both seeded in reverse post-order,
+        # reach the same block states.
         cfg = build_cfg(program("binarysearch"))
-        for problem in (ReachingDefinitions(), Liveness()):
-            one = solve(cfg, problem)
-            two = solve(cfg, problem)
-            assert one.block_in == two.block_in
-            assert one.block_out == two.block_out
+        for domain in (ReachingDefinitions(), Liveness()):
+            one = solve_absint(cfg, domain)
+            two = solve_absint(cfg, domain)
+            assert one.block_meet == two.block_meet
+            assert one.block_result == two.block_result
 
 
 def interval_points(source):

@@ -152,6 +152,21 @@ _start:
         assert report.diagnostics == []
         assert report.ok
 
+    def test_unknown_indirect_target_is_not_flagged(self):
+        # `tgt` runs and reads t1, but only through a jalr whose target
+        # the CFG cannot resolve: neither the write (L002) nor the
+        # block (L004) may be reported.
+        report = lint_source("""
+_start:
+    la t0, tgt
+    addi t1, x0, 5
+    jalr x0, 0(t0)
+tgt:
+    add s0, t1, t1
+    ebreak
+""")
+        assert report.diagnostics == []
+
     def test_error_severity_fails_report(self):
         report = lint_source(SEEDED["L008"])
         assert not report.ok

@@ -12,13 +12,11 @@ from repro.runner import (
     RunCache,
     RunSpec,
     cell_specs,
-    config_digest,
     map_ordered,
     merge_cell,
     monitor_key,
     program_digest,
     resolve_jobs,
-    run_key,
     signature_digest,
     sim_config_digest,
     simulation_key,
@@ -155,23 +153,34 @@ def test_changed_config_misses_cache(tmp_path):
     assert redo.cache.misses == 2
 
 
+def _full_key(prog_dig, config=None, *, mode_value, threshold, **sim):
+    """A run's cache key: the monitor key over the simulation key."""
+    resolved = config if config is not None else SocConfig()
+    sim_key = simulation_key(prog_dig, sim_config_digest(resolved), **sim)
+    return monitor_key(sim_key,
+                       signature_dig=signature_digest(resolved.signature),
+                       mode_value=mode_value, threshold=threshold)
+
+
 def test_run_key_sensitivity():
     prog = program(KERNELS[0])
     prog_dig = program_digest(prog)
     base = dict(benchmark=KERNELS[0], stagger_nops=0, late_core=1,
                 rr_start=0, max_cycles=100, mode_value="polling",
                 threshold=1)
-    key = run_key(prog_dig, None, **base)
-    assert key == run_key(prog_dig, None, **base)  # stable
-    assert key == run_key(prog_dig, SocConfig(), **base)
+    key = _full_key(prog_dig, None, **base)
+    assert key == _full_key(prog_dig, None, **base)  # stable
+    assert key == _full_key(prog_dig, SocConfig(), **base)
     for field, value in [("stagger_nops", 100), ("late_core", 0),
                          ("rr_start", 1), ("max_cycles", 99),
                          ("mode_value", "interrupt_first"),
                          ("threshold", 2)]:
-        assert key != run_key(prog_dig, None, **{**base, field: value})
+        assert key != _full_key(prog_dig, None, **{**base, field: value})
     other_dig = program_digest(program(KERNELS[1]))
-    assert key != run_key(other_dig, None, **base)
-    assert config_digest(None) == config_digest(SocConfig())
+    assert key != _full_key(other_dig, None, **base)
+    assert sim_config_digest(None) == sim_config_digest(SocConfig())
+    assert signature_digest(None) == signature_digest(
+        SocConfig().signature)
 
 
 def test_key_split_simulation_vs_monitor():
@@ -196,9 +205,9 @@ def test_key_split_simulation_vs_monitor():
     moved = SocConfig()
     moved.data_bases = (0x4000_0000, 0x6000_0000)
     assert sim_config_digest(moved) != sim_config_digest(plain)
-    # run_key composes the two layers.
-    full = run_key(prog_dig, plain, mode_value="polling", threshold=1,
-                   **base)
+    # A run's key composes the two layers.
+    full = _full_key(prog_dig, plain, mode_value="polling", threshold=1,
+                     **base)
     assert full == mk
 
 

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro import workloads
 from repro.checkpoint import jsonable
 from repro.core import apb_regs
 from repro.isa import assemble
 from repro.isa.decoder import decode
 from repro.mem.memory import Memory
 from repro.soc.config import SocConfig
+from repro.soc.experiment import run_redundant
 from repro.soc.loader import LoaderError, build_nop_sled, load_program
 from repro.soc.mpsoc import MPSoC
 
@@ -149,3 +151,18 @@ loop:
         sled = 52
         assert (sled + soc.cores[0].stats.committed
                 - soc.cores[1].stats.committed) == 0
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize("name,stagger", [("cosf", 0), ("cosf", 100),
+                                              ("countnegative", 0)])
+    def test_cores_nobody_starts_stay_idle(self, engine, name, stagger):
+        """Cores beyond the monitored pair are never started: they stay
+        halted, so a wider platform runs the pair exactly as the
+        2-core one does."""
+        kernel = workloads.program(name)
+        two = run_redundant(kernel, benchmark=name, stagger_nops=stagger,
+                            engine=engine)
+        four = run_redundant(kernel, benchmark=name,
+                             stagger_nops=stagger, engine=engine,
+                             config=SocConfig(num_cores=4))
+        assert four == two
